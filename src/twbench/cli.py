@@ -293,14 +293,15 @@ def main(argv=None) -> int:
         parser.error("catalog verify requires --family")
     try:
         return args.handler(args)
-    except (model.SchemaError, model.DomainError, hydro.OutOfDomain,
-            catalog.Inadmissible, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # numeric failures first: some of them subclass ValueError
     except (reducer.PoleInWindow, hydro.StiffnessFailure, hydro.QuadratureFailure,
             hydro.NoSecondRoot, hydro.NoTurningPoint, catalog.BranchFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (model.SchemaError, model.DomainError, hydro.OutOfDomain,
+            catalog.Inadmissible, FileNotFoundError, KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,13 +22,15 @@ turning point R3, the first zero of G(R) = H1 - H(R, 0) beyond the center.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+# quad is not called here; it stays bound because perfbench's tracer patches hydro.quad
+from scipy.integrate import quad, solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
 Number = Union[Fraction, int, float]
@@ -56,18 +58,27 @@ class QuadratureFailure(RuntimeError):
     """Quadrature error estimate above tolerance."""
 
 
+def _integer_root(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for an integer n >= 0, in integer arithmetic only."""
+    if n < 2:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:  # Newton from above decreases monotonically to the floor
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def _exact_root(q: Fraction, k: int) -> Fraction | None:
     """Exact k-th root of a non-negative rational, or None."""
     if q < 0:
         return None
     def iroot(n: int) -> int | None:
-        if n < 2:
-            return n
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == n:
-                return cand
-        return None
+        r = _integer_root(n, k)
+        return r if r**k == n else None
     a, b = iroot(q.numerator), iroot(q.denominator)
     if a is None or b is None:
         return None
@@ -138,6 +149,11 @@ class HydroModel:
         """Precondition for the saddle/center pair: D^2 > beta*R1^(nu+3)."""
         return self.D**2 > self.beta * _rpow(self.R1, self.nu + 3)
 
+    @functools.cached_property
+    def kernel(self) -> FloatKernel:
+        """The model compiled to floats, built on first use and then kept."""
+        return FloatKernel(self)
+
 
 def reference_instance() -> HydroModel:
     """The worked instance: D = R1 = sigma = 1, beta = 1/2, nu = 0 (E = 5/4)."""
@@ -181,11 +197,6 @@ def P_of_R(model: HydroModel, R: Number) -> Number:
     return model.beta * _rpow(R, model.nu + 3) / (model.nu + 2) - model.E * R + model.D**2
 
 
-def P_prime(model: HydroModel, R: float) -> float:
-    nu = float(model.nu)
-    return float(model.beta) * (nu + 3) / (nu + 2) * R ** (nu + 2) - float(model.E)
-
-
 def hamiltonian(model: HydroModel, state) -> Number:
     """H(R, Y); exact Fraction when the inputs and powers are rational."""
     R, Y = (state.R, state.Y) if isinstance(state, PhaseState) else state
@@ -208,9 +219,120 @@ def G_of_R(model: HydroModel, R: Number) -> Number:
     return saddle_level(model) - hamiltonian(model, (R, Fraction(0)))
 
 
+class FloatKernel:
+    """A model compiled to floats once: its coefficients, the saddle level
+    H1, the functions P, P', G, G', G'' and H(R, Y), and the roots R2 and R3.
+
+    The functions take a float or an ndarray R.  On a Python float each one
+    performs, in the same order, the float operations that P_of_R,
+    hamiltonian and G_of_R perform on a float argument, so the values are
+    bit-identical to theirs; on an ndarray the same expressions run
+    vectorised (numpy's array power may differ from the scalar one in the
+    last bit).  R2 and R3 are found on first use and kept; a failed search
+    raises and caches nothing.
+    """
+
+    def __init__(self, model: HydroModel):
+        nu = model.nu
+        self.R1 = float(model.R1)
+        self.nu, self.beta, self.sigma = float(nu), float(model.beta), float(model.sigma)
+        self.E = float(model.E)
+        self.H1 = float(saddle_level(model))
+        self.theorem_holds = model.theorem_holds()
+        # exponents, divisors and coefficients rounded once from their exact
+        # values, as P_of_R and hamiltonian round them
+        self._nu1, self._nu2, self._nu3 = float(nu + 1), float(nu + 2), float(nu + 3)
+        self._2nu1, self._2nu2 = float(2 * (nu + 1)), float(2 * (nu + 2))
+        self._nu2_sq = float((nu + 2) ** 2)
+        self._D2, self._2D2 = float(model.D**2), float(2 * model.D**2)
+        self._2E = float(2 * model.E)
+        self._dP_coef = self.beta * (self.nu + 3) / (self.nu + 2)
+        self.rhs = self._build_rhs(float(model.D) ** 2)
+
+    def P(self, R):
+        """P(R) = beta*R^(nu+3)/(nu+2) - E*R + D^2."""
+        return self.beta * R ** self._nu3 / self._nu2 - self.E * R + self._D2
+
+    def dP(self, R):
+        """P'(R) = beta*(nu+3)/(nu+2)*R^(nu+2) - E."""
+        return self._dP_coef * R ** (self.nu + 2) - self.E
+
+    def H(self, R, Y):
+        """H(R, Y), the conserved quantity."""
+        return (self._2D2 * R ** self._nu1 / self._nu1
+                + self.beta * R ** self._2nu2 / self._nu2_sq
+                + self.sigma * Y * Y * R ** self._2nu1
+                - self._2E * R ** self._nu2 / self._nu2)
+
+    def G(self, R):
+        """G(R) = H1 - H(R, 0)."""
+        return self.H1 - self.H(R, 0.0)
+
+    def dG(self, R):
+        """G'(R) = -2*R^nu*P(R)."""
+        return -2.0 * R ** self.nu * self.P(R)
+
+    def d2G(self, R):
+        """G''(R) = -2*(nu*R^(nu-1)*P + R^nu*P') (smooth, no cancellation)."""
+        nu = self.nu
+        return -2.0 * (nu * R ** (nu - 1.0) * self.P(R) + R**nu * self.dP(R))
+
+    def _build_rhs(self, D2: float):
+        nu, beta, sigma, E = self.nu, self.beta, self.sigma, self.E
+        e1, e2, e3, s1 = nu + 1, nu + 2, nu + 3, sigma * (nu + 1)
+
+        def rhs(_, state):
+            R, Y = state
+            R = max(R, R_FLOOR)
+            bracket = E * R - (D2 + beta * R ** e3 / e2 + s1 * R ** e1 * Y * Y)
+            return [Y, bracket / (sigma * R ** e2)]
+
+        return rhs
+
+    @functools.cached_property
+    def R2(self) -> float:
+        """The center: the root of P on (R1, infinity)."""
+        if not self.theorem_holds:
+            raise NoSecondRoot("precondition D^2 > beta*R1^(nu+3) fails")
+        lo = self.R1 * (1 + 1e-9)
+        hi = max(2.0 * self.R1, 1.0)
+        for _ in range(200):
+            if self.P(hi) > 0:
+                break
+            hi *= 2.0
+        else:
+            raise NoSecondRoot("P does not change sign beyond R1")
+        r2 = brentq(self.P, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        return _polish(self.P, self.dP, r2)
+
+    @functools.cached_property
+    def R3(self) -> float:
+        """The turning point: the first zero of G beyond the center."""
+        r2, g = self.R2, self.G
+        if g(r2) <= 0:
+            raise NoTurningPoint("G(R2) is not positive")
+        hi = 2.0 * r2
+        for _ in range(200):
+            if g(hi) < 0:
+                break
+            hi *= 2.0
+        else:
+            raise NoTurningPoint("G does not change sign beyond R2")
+        r3 = brentq(g, r2, hi, xtol=1e-15, rtol=8.9e-16)
+        r3 = _polish(g, self.dG, r3)
+        if not r3 > r2:
+            raise NoTurningPoint("turning point did not exceed the center")
+        return r3
+
+
 def G_prime(model: HydroModel, R: float) -> float:
     """G'(R) = -2*R^nu*P(R) (exact identity used for root polishing)."""
-    return -2.0 * float(R) ** float(model.nu) * float(P_of_R(model, float(R)))
+    return model.kernel.dG(float(R))
+
+
+def G_second(model: HydroModel, R: float) -> float:
+    """G''(R) = -2*(nu*R^(nu-1)*P + R^nu*P') (smooth, no cancellation)."""
+    return model.kernel.d2G(R)
 
 
 def _polish(f, df, x: float, steps: int = 4) -> float:
@@ -227,39 +349,12 @@ def _polish(f, df, x: float, steps: int = 4) -> float:
 
 def second_root(model: HydroModel) -> float:
     """R2, the center location: the root of P on (R1, infinity)."""
-    if not model.theorem_holds():
-        raise NoSecondRoot("precondition D^2 > beta*R1^(nu+3) fails")
-    f = lambda R: float(P_of_R(model, R))
-    lo = float(model.R1) * (1 + 1e-9)
-    hi = max(2.0 * float(model.R1), 1.0)
-    for _ in range(200):
-        if f(hi) > 0:
-            break
-        hi *= 2.0
-    else:
-        raise NoSecondRoot("P does not change sign beyond R1")
-    r2 = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return _polish(f, lambda R: P_prime(model, R), r2)
+    return model.kernel.R2
 
 
 def turning_point(model: HydroModel) -> float:
     """R3 > R2: first zero of G beyond the center (the homoclinic's peak)."""
-    r2 = second_root(model)
-    g = lambda R: float(G_of_R(model, R))
-    if g(r2) <= 0:
-        raise NoTurningPoint("G(R2) is not positive")
-    hi = 2.0 * r2
-    for _ in range(200):
-        if g(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise NoTurningPoint("G does not change sign beyond R2")
-    r3 = brentq(g, r2, hi, xtol=1e-15, rtol=8.9e-16)
-    r3 = _polish(g, lambda R: G_prime(model, R), r3)
-    if not r3 > r2:
-        raise NoTurningPoint("turning point did not exceed the center")
-    return r3
+    return model.kernel.R3
 
 
 @dataclass(frozen=True)
@@ -271,13 +366,14 @@ class CriticalPointReport:
 
 def Psi(model: HydroModel, R: float, R2: float | None = None) -> float:
     """The positive cofactor in P(R) = (R - R1)*(R - R2)*Psi(R)."""
-    R1 = float(model.R1)
-    R2 = second_root(model) if R2 is None else R2
+    k = model.kernel
+    R1 = k.R1
+    R2 = k.R2 if R2 is None else R2
     if abs(R - R1) < 1e-9:
-        return P_prime(model, R1) / (R1 - R2)
+        return k.dP(R1) / (R1 - R2)
     if abs(R - R2) < 1e-9:
-        return P_prime(model, R2) / (R2 - R1)
-    return float(P_of_R(model, R)) / ((R - R1) * (R - R2))
+        return k.dP(R2) / (R2 - R1)
+    return k.P(R) / ((R - R1) * (R - R2))
 
 
 def critical_points(model: HydroModel) -> CriticalPointReport:
@@ -286,43 +382,39 @@ def critical_points(model: HydroModel) -> CriticalPointReport:
     The linearization at (R*, 0) has eigenvalues lam^2 = -P'(R*)/(sigma*R*^(nu+2)):
     a real pair (saddle) at R1, an imaginary pair (center) at R2.
     """
-    r1 = float(model.R1)
-    r2 = second_root(model)
-    sigma, nu = float(model.sigma), float(model.nu)
+    k = model.kernel
+    r1, r2 = k.R1, k.R2
     points = []
     for r in (r1, r2):
-        lam_sq = -P_prime(model, r) / (sigma * r ** (nu + 2))
+        lam_sq = -k.dP(r) / (k.sigma * r ** (k.nu + 2))
         if lam_sq > 0:
             kind, eig = "saddle", (math.sqrt(lam_sq), -math.sqrt(lam_sq))
         else:
             kind, eig = "center", complex(0.0, math.sqrt(-lam_sq))
             eig = (eig, -eig)
         points.append((r, kind, eig))
-    r3 = turning_point(model)
-    grid = np.geomspace(1e-6 * r1, 10.0 * r3, 400)
-    psi_positive = all(
-        Psi(model, float(R), r2) > 0
-        for R in grid
-        if min(abs(R - r1), abs(R - r2)) > 1e-9
-    )
+    grid = np.geomspace(1e-6 * r1, 10.0 * k.R3, 400)
+    grid = grid[np.minimum(abs(grid - r1), abs(grid - r2)) > 1e-9]
+    psi_positive = bool(np.all(k.P(grid) / ((grid - r1) * (grid - r2)) > 0))
     return CriticalPointReport(points=tuple(points), R2=r2, Psi_positive=psi_positive)
 
 
 def saddle_angle(model: HydroModel) -> float:
     """Angle between the outgoing separatrix and the R axis at the saddle."""
-    r1 = float(model.R1)
-    r2 = second_root(model)
-    s = (r2 - r1) * Psi(model, r1, r2) / (float(model.sigma) * r1 ** (float(model.nu) + 2))
+    k = model.kernel
+    r1, r2 = k.R1, k.R2
+    s = (r2 - r1) * Psi(model, r1, r2) / (k.sigma * r1 ** (k.nu + 2))
     return math.atan(math.sqrt(s))
 
 
 def separatrix(model: HydroModel, R: float) -> tuple[float, float]:
     """(Y+, Y-) of the saddle separatrix at abscissa R in [R1, R3]."""
-    r1, r3 = float(model.R1), turning_point(model)
+    k = model.kernel
+    r1, r3 = k.R1, k.R3
     if not (r1 - 1e-12 <= R <= r3 + 1e-12):
         raise OutOfDomain(f"separatrix abscissa must lie in [R1, R3] = [{r1}, {r3}]")
-    g = float(G_of_R(model, R))
-    scale = float(model.sigma) * R ** (2 * (float(model.nu) + 1))
+    g = k.G(R)
+    scale = k.sigma * R ** (2 * (k.nu + 1))
     if g < -1e-12 * max(1.0, scale):
         raise OutOfDomain(f"G({R}) < 0")
     y = math.sqrt(max(g, 0.0) / scale)
@@ -344,24 +436,11 @@ class Trajectory:
     dense: object  # scipy OdeSolution for interpolation
 
 
-def _rhs(model: HydroModel):
-    nu, beta, sigma = float(model.nu), float(model.beta), float(model.sigma)
-    D2, E = float(model.D) ** 2, float(model.E)
-
-    def rhs(_, state):
-        R, Y = state
-        R = max(R, R_FLOOR)
-        bracket = E * R - (D2 + beta * R ** (nu + 3) / (nu + 2)
-                           + sigma * (nu + 1) * R ** (nu + 1) * Y * Y)
-        return [Y, bracket / (sigma * R ** (nu + 2))]
-
-    return rhs
-
-
 def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajectory:
     """Integrate the reduced system with an adaptive embedded Runge-Kutta pair.
 
-    Samples are the accepted solver steps; H is evaluated at each of them.
+    Samples are the accepted solver steps; H is evaluated at all of them in
+    one array expression.
     Integration halts with status "boundary" if R reaches the floor 1e-9.
     """
     if rel_tol < 1e-13:
@@ -377,15 +456,14 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     boundary.terminal = True
     boundary.direction = -1
 
-    sol = solve_ivp(_rhs(model), omega_span, [float(start[0]), float(start[1])],
+    k = model.kernel
+    sol = solve_ivp(k.rhs, omega_span, [float(start[0]), float(start[1])],
                     method="DOP853", rtol=rel_tol, atol=rel_tol * 1e-2,
                     dense_output=True, events=boundary)
     if sol.status == -1:
         raise StiffnessFailure(sol.message)
     R, Y = sol.y
-    H = np.array([float(hamiltonian(model, (float(r), float(y))))
-                  for r, y in zip(R, Y)])
-    return Trajectory(omega=sol.t, R=R, Y=Y, H=H,
+    return Trajectory(omega=sol.t, R=R, Y=Y, H=k.H(R, Y),
                       status="boundary" if sol.status == 1 else "completed",
                       dense=sol.sol)
 
@@ -395,22 +473,51 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
 
 def quadrature_integrand(model: HydroModel, R: float) -> float:
     """d(omega)/dR along the homoclinic: sqrt(sigma)*R^(1+nu)/sqrt(G(R))."""
-    g = float(G_of_R(model, R))
+    k = model.kernel
+    g = k.G(R)
     if g <= 0:
         raise OutOfDomain(f"G({R}) <= 0")
-    return math.sqrt(float(model.sigma)) * R ** (1 + float(model.nu)) / math.sqrt(g)
+    return math.sqrt(k.sigma) * R ** (1 + k.nu) / math.sqrt(g)
 
 
-_GAUSS8_X, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
-_GAUSS8_X = 0.5 * (_GAUSS8_X + 1.0)  # nodes on [0, 1]
-_GAUSS8_W = 0.5 * _GAUSS8_W
+def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def G_second(model: HydroModel, R: float) -> float:
-    """G''(R) = -2*(nu*R^(nu-1)*P + R^nu*P') (smooth, no cancellation)."""
-    nu = float(model.nu)
-    return -2.0 * (nu * R ** (nu - 1.0) * float(P_of_R(model, R))
-                   + R**nu * P_prime(model, R))
+_GAUSS8 = _gauss01(8)  # inner rule of the cancellation-free cofactors
+_GAUSS10, _GAUSS20 = _gauss01(10), _gauss01(20)
+
+#: Fewest rule applications per half of the homoclinic (s and t).
+MIN_PANELS = 64
+
+
+def panel_quadrature(fun, grid: np.ndarray, parts: int = 1) -> np.ndarray:
+    """Integrals of fun over the panels [grid[i], grid[i+1]], all at once.
+
+    Each panel is cut into ``parts`` equal pieces and each piece gets a
+    20-point Gauss-Legendre rule; the 10-point rule on the same piece gives
+    its error estimate |Q20 - Q10|.  fun maps an array of abscissae to an
+    array of values of the same shape and is called once.  Raises
+    QuadratureFailure for the first piece whose integral or estimate is not
+    finite, or whose estimate exceeds 1e-8*max(1, |integral|).
+    """
+    edges = grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(parts + 1) / parts)
+    edges[:, -1] = grid[1:]
+    lo, width = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
+    nodes = np.concatenate([_GAUSS20[0], _GAUSS10[0]])
+    with np.errstate(all="ignore"):
+        values = fun(lo[:, None] + width[:, None] * nodes)
+        q20 = values[:, :20] @ _GAUSS20[1] * width
+        q10 = values[:, 20:] @ _GAUSS10[1] * width
+        err = np.abs(q20 - q10)
+        bad = ~np.isfinite(q20) | ~(err <= 1e-8 * np.maximum(1.0, np.abs(q20)))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureFailure(
+            f"panel [{lo[i]}, {lo[i] + width[i]}] error estimate {err[i]}")
+    return q20.reshape(-1, parts).sum(axis=1)
 
 
 def homoclinic_profile(model: HydroModel, n: int = 400,
@@ -421,44 +528,40 @@ def homoclinic_profile(model: HydroModel, n: int = 400,
     R3 (inverse-square-root, removed by s = sqrt(R3 - R)) and a double root
     at the saddle abscissa R1 (logarithmic, removed by R = R1 + exp(t)).
     Near R1 the smooth cofactor G(R)/(R - R1)^2 is evaluated through the
-    cancellation-free representation  integral_0^1 (1-x)*G''(R1 + x*(R-R1)) dx.
+    cancellation-free representation  integral_0^1 (1-x)*G''(R1 + x*(R-R1)) dx
+    (and near R3, G(R)/(R3 - R) through integral_0^1 -G'(R3 - x*(R3-R)) dx),
+    each with an 8-point Gauss-Legendre rule.  The grids in s and t are
+    uniform; every panel is integrated by one fixed composite rule
+    (``panel_quadrature``: 20-point Gauss-Legendre, error estimate against
+    the 10-point rule, QuadratureFailure when a panel's estimate exceeds
+    1e-8*max(1, |piece|)), vectorised over all panels and inner nodes, and
+    the pieces are summed in order.  On a coarse grid each panel is cut into
+    equal parts so that each half gets at least MIN_PANELS rule applications.
     The returned branch has omega >= 0 increasing while R falls from R3 to
     R1 + delta; the orbit is even in omega, so the other side is the mirror.
     """
     if n < 2:
         raise ValueError("need at least two sample points")
-    r1, r3 = float(model.R1), turning_point(model)
-    nu, sigma = float(model.nu), float(model.sigma)
+    k = model.kernel
+    r1, r3 = k.R1, k.R3
+    root_sigma = math.sqrt(k.sigma)
     r_mid = 0.5 * (r1 + r3)
+    x8, w8 = _GAUSS8
 
-    def phi_peak(s: float) -> float:
-        # G(R3 - s^2)/s^2 = -integral_0^1 G'(R3 - x*s^2) dx: cancellation-free
-        return -float(np.dot(_GAUSS8_W,
-                             [G_prime(model, r3 - x * s * s) for x in _GAUSS8_X]))
+    def integrand_s(s: np.ndarray) -> np.ndarray:
+        s2 = s * s
+        phi = -(k.dG(r3 - x8 * s2[..., None]) @ w8)  # G(R3 - s^2)/s^2
+        return 2.0 * root_sigma * (r3 - s2) ** (1 + k.nu) / np.sqrt(phi)
 
-    def integrand_s(s: float) -> float:
-        return 2.0 * math.sqrt(sigma) * (r3 - s * s) ** (1 + nu) / math.sqrt(phi_peak(s))
-
-    def phi_saddle(d: float) -> float:
-        # G(R1 + d)/d^2 via the second-derivative integral representation
-        return float(np.dot(_GAUSS8_W,
-                            [(1.0 - x) * G_second(model, r1 + x * d) for x in _GAUSS8_X]))
-
-    def integrand_t(t: float) -> float:
-        d = math.exp(t)
-        return math.sqrt(sigma) * (r1 + d) ** (1 + nu) / math.sqrt(phi_saddle(d))
+    def integrand_t(t: np.ndarray) -> np.ndarray:
+        d = np.exp(t)
+        phi = k.d2G(r1 + x8 * d[..., None]) @ ((1.0 - x8) * w8)  # G(R1 + d)/d^2
+        # negated: t decreases along the grid while omega grows
+        return -root_sigma * (r1 + d) ** (1 + k.nu) / np.sqrt(phi)
 
     def accumulate(fun, grid, omega0):
-        out = np.empty(len(grid))
-        out[0] = omega0
-        for i in range(1, len(grid)):
-            piece, err = quad(fun, grid[i - 1], grid[i],
-                              epsabs=1e-12, epsrel=1e-10, limit=200)
-            if not math.isfinite(piece) or err > 1e-8 * max(1.0, abs(piece)):
-                raise QuadratureFailure(
-                    f"panel [{grid[i-1]}, {grid[i]}] error estimate {err}")
-            out[i] = out[i - 1] + piece
-        return out
+        parts = -(-MIN_PANELS // (len(grid) - 1))  # coarse grids: split each panel
+        return np.cumsum(np.concatenate([[omega0], panel_quadrature(fun, grid, parts)]))
 
     n_s = max(n // 2, 2)
     n_t = max(n - n_s, 2)
@@ -466,7 +569,7 @@ def homoclinic_profile(model: HydroModel, n: int = 400,
     omega_s = accumulate(integrand_s, s_grid, 0.0)
     # t decreasing: R walks from r_mid down to r1 + delta
     t_grid = np.linspace(math.log(r_mid - r1), math.log(delta), n_t)
-    omega_t = accumulate(lambda t: -integrand_t(t), t_grid, omega_s[-1])
+    omega_t = accumulate(integrand_t, t_grid, omega_s[-1])
     omega = np.concatenate([omega_s, omega_t[1:]])
     R = np.concatenate([r3 - s_grid**2, r1 + np.exp(t_grid[1:])])
     return omega, R

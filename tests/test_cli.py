@@ -137,6 +137,14 @@ class TestHydroCommands:
         r_vals = [float(l.split(",")[0]) for l in lines[1:]]
         assert abs(r_vals[0] - 1.0) < 1e-12
 
+    def test_failed_precondition_exit_3(self, tmp_path):
+        # D^2 < beta*R1^(nu+3): no center, a numeric failure rather than bad input
+        path = tmp_path / "no_center.json"
+        path.write_text('{"nu":0,"beta":2,"sigma":1,"D":1,"R1":1}')
+        r = run_cli("hydro-analyze", "--model", str(path))
+        assert r.returncode == 3
+        assert r.stderr.startswith("error:")
+
     def test_homoclinic_csv_even(self, hydro_model):
         r = run_cli("hydro-homoclinic", "--model", str(hydro_model), "--n", "40")
         assert r.returncode == 0, r.stderr

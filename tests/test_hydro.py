@@ -16,12 +16,15 @@ from twbench.hydro import (
     OutOfDomain,
     P_of_R,
     PhaseState,
+    QuadratureFailure,
+    _exact_root,
     critical_points,
     explicit_homoclinic,
     flow,
     hamiltonian,
     homoclinic_profile,
     reference_instance,
+    panel_quadrature,
     parse_hydro_model,
     quadrature_integrand,
     saddle_angle,
@@ -151,6 +154,75 @@ class TestGFunction:
             step = 1e-6
             numeric = (float(G_of_R(m, R + step)) - float(G_of_R(m, R - step))) / (2 * step)
             assert abs(numeric - G_prime(m, R)) < 1e-7 * max(1.0, abs(numeric))
+
+
+class TestExactRoot:
+    def test_large_perfect_square(self):
+        a = 10**200 + 7
+        assert len(str(a * a)) == 401
+        assert _exact_root(F(a * a), 2) == a
+        assert _exact_root(F(10**400), 2) == 10**200
+        assert _exact_root(F(1, a * a), 2) == F(1, a)
+
+    def test_large_perfect_cube(self):
+        a = 10**333 + 11
+        assert len(str(a**3)) == 1000
+        assert _exact_root(F(a**3), 3) == a
+        assert _exact_root(F(a**3, 8), 3) == F(a, 2)
+
+    def test_non_powers(self):
+        a = 10**200 + 7
+        assert _exact_root(F(a * a + 1), 2) is None
+        assert _exact_root(F(a**3 - 1), 3) is None
+        assert _exact_root(F(2), 2) is None
+        assert _exact_root(F(-4), 2) is None
+
+
+KERNEL_MODELS = [
+    dict(nu=F(0), beta=F(1, 2), sigma=F(1), D=F(1), R1=F(1)),
+    dict(nu=F(1, 2), beta=F(1, 4), sigma=F(1), D=F(3, 2), R1=F(4, 5)),
+    dict(nu=F(1), beta=F(1, 3), sigma=F(2), D=F(2), R1=F(1)),
+    dict(nu=F(-3, 2), beta=F(1), sigma=F(1), D=F(1), R1=F(1)),
+]
+
+
+class TestFloatKernel:
+    """The float kernel reproduces the exact formulas bit for bit on floats."""
+
+    @pytest.mark.parametrize("kwargs", KERNEL_MODELS)
+    def test_parity_with_exact_formulas(self, kwargs):
+        m = HydroModel(**kwargs)
+        k = m.kernel
+        assert k.H1 == float(saddle_level(m))
+        for R in np.linspace(0.05, 4.0, 401).tolist():
+            assert k.G(R) == float(G_of_R(m, R))
+            assert k.P(R) == float(P_of_R(m, R))
+
+    def test_vectorised_matches_scalar(self, worked):
+        k = worked.kernel
+        R = np.linspace(0.5, 3.0, 201)
+        for fn in (k.P, k.dP, k.G, k.dG, k.d2G):
+            scalar = np.array([fn(float(r)) for r in R])
+            assert np.allclose(fn(R), scalar, rtol=1e-14, atol=1e-15)
+
+    def test_built_once_roots_kept(self, worked):
+        assert worked.kernel is worked.kernel
+        assert second_root(worked) is worked.kernel.R2
+        assert turning_point(worked) is worked.kernel.R3
+
+    def test_failed_root_search_not_cached(self):
+        bad = HydroModel(nu=F(0), beta=F(8), sigma=F(1), D=F(1), R1=F(1))
+        for _ in range(2):
+            with pytest.raises(NoSecondRoot):
+                turning_point(bad)
+        assert "R2" not in vars(bad.kernel) and "R3" not in vars(bad.kernel)
+
+    @pytest.mark.parametrize("start", [(1.7, 0.0), (1.2, 0.1), (1.05, 0.02)])
+    def test_flow_H_matches_hamiltonian(self, worked, start):
+        traj = flow(worked, start, (0.0, 50.0))
+        exact = np.array([float(hamiltonian(worked, (float(r), float(y))))
+                          for r, y in zip(traj.R, traj.Y)])
+        assert np.max(np.abs(traj.H - exact) / np.abs(exact)) <= 1e-15
 
 
 class TestSeparatrix:
@@ -299,6 +371,32 @@ class TestHomoclinic:
         for i in range(1, len(R) - 1, 9):
             # profile omega >= 0 is the mirror of the closed form's branch
             assert abs(omega[i] + explicit_homoclinic(float(R[i])).corrected) < 1e-9
+
+
+class TestPanelQuadrature:
+    def test_unremoved_endpoint_singularity_fails_the_gate(self):
+        # 1/sqrt(x) on a grid starting at 0: the 10- and 20-point rules disagree
+        with pytest.raises(QuadratureFailure):
+            panel_quadrature(lambda x: 1.0 / np.sqrt(x), np.linspace(0.0, 1.0, 5))
+
+    def test_non_finite_piece_fails_the_gate(self):
+        with pytest.raises(QuadratureFailure):
+            panel_quadrature(lambda x: np.sqrt(x - 0.5), np.linspace(0.0, 1.0, 5))
+
+    def test_smooth_integrand(self):
+        grid = np.linspace(0.0, 2.0, 9)
+        pieces = panel_quadrature(np.exp, grid)
+        assert np.allclose(pieces, np.exp(grid[1:]) - np.exp(grid[:-1]), rtol=1e-14)
+        split = panel_quadrature(np.exp, grid, parts=3)
+        assert np.allclose(split, pieces, rtol=1e-14)
+
+    def test_two_panel_profile(self, worked):
+        omega, R = homoclinic_profile(worked, n=2)
+        assert len(omega) == len(R) == 3
+        assert omega[0] == 0.0 and R[0] == turning_point(worked)
+        assert np.all(np.diff(omega) > 0) and np.all(np.diff(R) < 0)
+        for w, r in zip(omega[1:], R[1:]):
+            assert abs(w + explicit_homoclinic(float(r)).corrected) < 1e-9
 
 
 class TestExplicitHomoclinic:
