@@ -9,7 +9,7 @@ Subpackages:
     cli      deterministic command-line front end
 """
 
-from .model import HyperbolicPDE, TravelFrame, parse_model, quartic_reduction, serialize_model
+from .model import HyperbolicPDE, parse_model, quartic_reduction, serialize_model
 from .reducer import (
     AlgebraicSystem,
     ClosedFormSolution,
@@ -20,7 +20,7 @@ from .reducer import (
     solve_numeric,
     verify_assignment,
 )
-from .symcore import ExpRational, ParamPoly, Rational, differentiate_xi, evaluate
+from .symcore import ExpRational, ParamPoly, Rational
 
 __version__ = "0.1.0"
 
@@ -32,10 +32,7 @@ __all__ = [
     "HyperbolicPDE",
     "ParamPoly",
     "Rational",
-    "TravelFrame",
     "Verdict",
-    "differentiate_xi",
-    "evaluate",
     "parse_model",
     "quartic_reduction",
     "reduce",

@@ -23,22 +23,22 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping
 
-from .model import HyperbolicPDE, TravelFrame
+from .model import HyperbolicPDE
 from .reducer import (
     AlgebraicSystem,
     ClosedFormSolution,
     ExpAnsatz,
     PoleInWindow,
     Verdict,
-    poles_of,
     reduce,
     residual_scan,
+    solution_from_assignment,
     verify_assignment,
 )
-from .symcore import ExpRational, ParamPoly, frac_str
+from .symcore import ParamPoly, exact_root, frac_str
 
 SCAN_WINDOW = (-10.0, 10.0)
 SCAN_SAMPLES = 1001
@@ -53,22 +53,11 @@ class BranchFailure(RuntimeError):
     """No sign branch of the derived radicals verifies."""
 
 
-def exact_sqrt(q: Fraction) -> Fraction | None:
-    """Exact rational square root, or None when irrational or negative."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    n, d = isqrt(q.numerator), isqrt(q.denominator)
-    if n * n == q.numerator and d * d == q.denominator:
-        return Fraction(n, d)
-    return None
-
-
 def _sqrt_branches(q: Fraction) -> list[Fraction | float]:
     """Both signs of sqrt(q): exact when possible, float otherwise."""
     if q < 0:
         raise Inadmissible(f"negative radicand {frac_str(Fraction(q))}")
-    root = exact_sqrt(q)
+    root = exact_root(q, 2)
     if root is None:
         root = math.sqrt(float(q))
     return [root, -root] if root else [root]
@@ -81,11 +70,17 @@ class Instance:
     pde: HyperbolicPDE
     ansatz: ExpAnsatz
     assignment: dict
-    solution: ClosedFormSolution
     branch: str
-    exact: bool  # every assigned value is rational
     reading: str = "main"  # which reading of the printed table this tests
-    scan_window: tuple | None = None  # pole-aware override of SCAN_WINDOW
+
+    @cached_property
+    def solution(self) -> ClosedFormSolution:
+        return solution_from_assignment(self.ansatz, self.assignment)
+
+    @property
+    def exact(self) -> bool:
+        """Every assigned value is rational, so the exact verdict applies."""
+        return not any(isinstance(x, float) for x in self.assignment.values())
 
 
 @dataclass(frozen=True)
@@ -108,6 +103,8 @@ class Family:
     instances: Callable[[Mapping[str, Fraction]], list[Instance]]
     draw: Callable[[random.Random], dict[str, Fraction]]
     adopted: str = "main"  # reading whose verdict the family's status reports
+    # residual scan of a printed variant that is reported, not adjudicated
+    printed_argument_scan: Callable[[Mapping[str, Fraction]], float] | None = None
 
 
 FAMILIES: dict[str, Family] = {}
@@ -116,6 +113,31 @@ FAMILIES: dict[str, Family] = {}
 def _register(family: Family):
     FAMILIES[family.entry.family_id] = family
     return family
+
+
+def _admissible_draw(propose, check, instances=None):
+    """A family's draw: retry ``propose`` until its free values are admissible.
+
+    ``propose`` returns None to reject its own values early.  With
+    ``instances`` each draw is also instantiated, since some tables are
+    inadmissible only at their derived values, and rejected when every branch
+    has |alpha| > 4, which would make the residual scan ill-conditioned.
+    """
+    def draw(rng: random.Random) -> dict[str, Fraction]:
+        while True:
+            fv = propose(rng)
+            if fv is None:
+                continue
+            try:
+                check(fv)
+                insts = instances(fv) if instances else None
+            except Inadmissible:
+                continue
+            if insts is not None and all(abs(float(i.assignment["alpha"])) > 4 for i in insts):
+                continue
+            return fv
+
+    return draw
 
 
 def _frac(rng: random.Random, lo: int = -8, hi: int = 8, den: int = 4) -> Fraction:
@@ -139,64 +161,24 @@ def _small_alpha(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(1, 6), rng.randint(2, 4))
 
 
-def _poles(den_coeffs: Sequence, alpha) -> tuple[float, ...]:
-    return poles_of(den_coeffs, alpha)
-
-
-def _solution(num, den, alpha, v, power=1) -> ClosedFormSolution:
-    """Build the profile from numeric E-coefficient lists, declaring poles."""
-    E = ParamPoly.var("E")
-
-    def poly(coeffs):
-        acc = ParamPoly.const(0)
-        for k, c in enumerate(coeffs):
-            if isinstance(c, float):
-                c = Fraction(str(c))
-            acc = acc + ParamPoly.const(c) * E**k
-        return acc
-
-    return ClosedFormSolution(
-        expression=ExpRational(poly(num), poly(den)),
-        alpha=alpha,
-        velocity=v,
-        frame=TravelFrame("xi", v, "x+vt"),
-        power=power,
-        poles=_poles(den, alpha),
-    )
-
-
 def _h(alpha, v, tau, kappa):
     return alpha * (v * v * tau - kappa)
 
 
-def _is_exact(values) -> bool:
-    return all(not isinstance(x, float) for x in values)
-
-
 def _negate_slot(c):
-    if isinstance(c, str):
-        return -ParamPoly.var(c)
-    if isinstance(c, ParamPoly):
-        return -c
-    return -c
+    return -ParamPoly.var(c) if isinstance(c, str) else -c
 
 
-def _square_branches(pde, a_slots, b_slots, assignment, num, den, alpha, v,
-                     exact, reading="main"):
+def _square_branches(pde, a_slots, b_slots, assignment, reading="main"):
     """Both sign branches of sqrt(u) for a squared ansatz u = w^2.
 
     Negating the numerator of w leaves u unchanged but flips every
     half-integer power u^(nu) = w^(2*nu) with odd 2*nu, so a condition table
     can verify on either branch.
     """
-    out = []
-    for sign, label in ((1, "w+"), (-1, "w-")):
-        slots = tuple(c if sign > 0 else _negate_slot(c) for c in a_slots)
-        ansatz = ExpAnsatz(a=slots, b=b_slots, power=2)
-        sol = _solution([sign * c for c in num], den, alpha, v, power=2)
-        out.append(Instance(pde, ansatz, assignment, sol, label, exact,
-                            reading=reading))
-    return out
+    flipped = tuple(_negate_slot(c) for c in a_slots)
+    return [Instance(pde, ExpAnsatz(a=a, b=b_slots, power=2), assignment, label, reading=reading)
+            for a, label in ((a_slots, "w+"), (flipped, "w-"))]
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +223,17 @@ def _family_I():
                                       Fraction(2): lam2, Fraction(3): lam3})
         ansatz = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
         assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
-        sol = _solution([a0, a1], [b0, b1], alpha, v)
-        return [Instance(pde, ansatz, assignment, sol, "direct", True)]
+        return [Instance(pde, ansatz, assignment, "direct")]
 
-    def draw(rng):
-        while True:
-            b0 = _nonzero(rng)
-            b1 = _positive(rng) if b0 > 0 else -_positive(rng)  # b0*b1 > 0: pole-free
-            fv = {
-                "a0": _frac(rng), "a1": _frac(rng), "b0": b0, "b1": b1,
-                "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
-                "lam3": _frac(rng), "tau": rng.choice((Fraction(0), _positive(rng, 4))),
-                "kappa": _positive(rng, 4), "B": rng.choice((Fraction(0), _positive(rng, 4))),
-            }
-            try:
-                check(fv)
-                instances(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        b0 = _nonzero(rng)
+        b1 = _positive(rng) if b0 > 0 else -_positive(rng)  # b0*b1 > 0: pole-free
+        return {
+            "a0": _frac(rng), "a1": _frac(rng), "b0": b0, "b1": b1,
+            "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
+            "lam3": _frac(rng), "tau": rng.choice((Fraction(0), _positive(rng, 4))),
+            "kappa": _positive(rng, 4), "B": rng.choice((Fraction(0), _positive(rng, 4))),
+        }
 
     entry = CatalogEntry(
         family_id="I",
@@ -278,6 +252,7 @@ def _family_I():
             "b2, a2 where only b1, a1 exist)",
         ),
     )
+    draw = _admissible_draw(propose, check, instances)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -335,36 +310,24 @@ def _family_I_tanh():
                     if alpha == 0:
                         continue
                     assignment = {"a0": c, "a1": -c, "alpha": alpha, "v": v}
-                    sol = _solution([c, -c], [1, 1], alpha, v)
-                    out.append(Instance(pde, ansatz, assignment, sol,
-                                        f"v{'+-'[i]} a0{'+-'[j]} alpha{'+-'[si]}",
-                                        _is_exact((c, alpha, v))))
+                    out.append(Instance(pde, ansatz, assignment,
+                                        f"v{'+-'[i]} a0{'+-'[j]} alpha{'+-'[si]}"))
         if not out:
             raise Inadmissible("no branch produces a nonzero velocity")
         return out
 
-    def draw(rng):
-        while True:
-            c = _positive(rng, 4)
-            lam2 = _nonzero(rng, -4, 4)
-            lam0 = -c * c * lam2
-            A = rng.choice((Fraction(0), _positive(rng, 3)))
-            B = Fraction(1)
-            kappa = _positive(rng, 4)
-            tau = rng.choice((Fraction(0), _positive(rng, 3)))
-            s = _positive(rng, 8)
-            lam3 = (A * A * B * B + 16 * kappa * lam2 * lam2 * tau - s * s) / (8 * kappa)
-            fv = {"lam0": lam0, "lam2": lam2, "lam3": lam3,
-                  "A": A, "B": B, "kappa": kappa, "tau": tau}
-            try:
-                check(fv)
-                insts = instances(fv)
-            except Inadmissible:
-                continue
-            # keep |alpha| small enough for a well-conditioned scan window
-            if all(abs(float(i.assignment["alpha"])) > 4 for i in insts):
-                continue
-            return fv
+    def propose(rng):
+        c = _positive(rng, 4)
+        lam2 = _nonzero(rng, -4, 4)
+        lam0 = -c * c * lam2
+        A = rng.choice((Fraction(0), _positive(rng, 3)))
+        B = Fraction(1)
+        kappa = _positive(rng, 4)
+        tau = rng.choice((Fraction(0), _positive(rng, 3)))
+        s = _positive(rng, 8)
+        lam3 = (A * A * B * B + 16 * kappa * lam2 * lam2 * tau - s * s) / (8 * kappa)
+        return {"lam0": lam0, "lam2": lam2, "lam3": lam3,
+                "A": A, "B": B, "kappa": kappa, "tau": tau}
 
     entry = CatalogEntry(
         family_id="I-tanh",
@@ -387,6 +350,7 @@ def _family_I_tanh():
             "the source's own B = 1 cross-reference",
         ),
     )
+    draw = _admissible_draw(propose, check, instances)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -438,40 +402,30 @@ def _family_I_kink2():
                 alpha_printed = -P / (4 * B * v * b0)
                 alpha = 2 * alpha_printed  # ansatz variable is exp(2*alpha_printed*xi)
                 assignment = {"b0": b0, "alpha": alpha, "v": v}
-                sol = _solution([2], [b0, b0], alpha, v)
-                out.append(Instance(pde, ansatz, assignment, sol,
-                                    f"b0{'+-'[bi]} v{'+-'[vi]}",
-                                    _is_exact((b0, alpha, v))))
+                out.append(Instance(pde, ansatz, assignment, f"b0{'+-'[bi]} v{'+-'[vi]}"))
         if not out:
             raise Inadmissible("no branch yields a usable (b0, v) pair")
         return out
 
-    def draw(rng):
-        while True:
-            b0 = _nonzero(rng, -4, 4)
-            lam1 = _nonzero(rng, -4, 4)
-            B = _positive(rng, 3)
-            v = _nonzero(rng, -3, 3)
-            alpha_printed = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(2, 4))
-            tau = rng.choice((Fraction(0), _positive(rng, 3)))
-            lam2 = (-4 * B * v * b0 * alpha_printed - 3 * b0 * lam1) / 2
-            lam3 = -b0 * (b0 * lam1 + 2 * lam2) / 4
-            P = 2 * lam2 + 3 * b0 * lam1
-            S = (4 * lam2**2 * tau + 4 * b0 * lam2 * (B * B + 3 * lam1 * tau)
-                 + b0**2 * lam1 * (2 * B * B + 9 * lam1 * tau))
-            if P == 0 or S <= 0:
-                continue
-            kappa = v * v * S / (P * P)
-            if kappa <= 0:
-                continue
-            fv = {"lam1": lam1, "lam2": lam2, "lam3": lam3, "B": B,
-                  "kappa": kappa, "tau": tau}
-            try:
-                check(fv)
-                instances(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        b0 = _nonzero(rng, -4, 4)
+        lam1 = _nonzero(rng, -4, 4)
+        B = _positive(rng, 3)
+        v = _nonzero(rng, -3, 3)
+        alpha_printed = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(2, 4))
+        tau = rng.choice((Fraction(0), _positive(rng, 3)))
+        lam2 = (-4 * B * v * b0 * alpha_printed - 3 * b0 * lam1) / 2
+        lam3 = -b0 * (b0 * lam1 + 2 * lam2) / 4
+        P = 2 * lam2 + 3 * b0 * lam1
+        S = (4 * lam2**2 * tau + 4 * b0 * lam2 * (B * B + 3 * lam1 * tau)
+             + b0**2 * lam1 * (2 * B * B + 9 * lam1 * tau))
+        if P == 0 or S <= 0:
+            return None
+        kappa = v * v * S / (P * P)
+        if kappa <= 0:
+            return None
+        return {"lam1": lam1, "lam2": lam2, "lam3": lam3, "B": B,
+                "kappa": kappa, "tau": tau}
 
     entry = CatalogEntry(
         family_id="I-kink2",
@@ -488,6 +442,7 @@ def _family_I_kink2():
         annotations=("A = lam0 = 0 by construction; the profile variable is "
                      "exp(2*alpha*xi), so the ansatz growth rate is twice the printed alpha",),
     )
+    draw = _admissible_draw(propose, check, instances)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -530,25 +485,18 @@ def _family_II():
                                       Fraction(1): lam1, Fraction(3, 2): lam_3h,
                                       Fraction(2): lam2})
         assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
-        return _square_branches(pde, ("a0", "a1"), ("b0", "b1"), assignment,
-                                [a0, a1], [b0, b1], alpha, v, True)
+        return _square_branches(pde, ("a0", "a1"), ("b0", "b1"), assignment)
 
-    def draw(rng):
-        while True:
-            b0 = _nonzero(rng, -4, 4)
-            b1 = _positive(rng, 4) if b0 > 0 else -_positive(rng, 4)
-            a0 = _nonzero(rng, -4, 4)
-            a1 = -a0 * b1 / b0  # |a0/b0| = |a1/b1| with opposite signs
-            fv = {"a0": a0, "a1": a1, "b0": b0, "b1": b1,
-                  "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
-                  "B": rng.choice((Fraction(0), _positive(rng, 3))),
-                  "tau": rng.choice((Fraction(0), _positive(rng, 3))),
-                  "kappa": _positive(rng, 4)}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        b0 = _nonzero(rng, -4, 4)
+        b1 = _positive(rng, 4) if b0 > 0 else -_positive(rng, 4)
+        a0 = _nonzero(rng, -4, 4)
+        a1 = -a0 * b1 / b0  # |a0/b0| = |a1/b1| with opposite signs
+        return {"a0": a0, "a1": a1, "b0": b0, "b1": b1,
+                "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
+                "B": rng.choice((Fraction(0), _positive(rng, 3))),
+                "tau": rng.choice((Fraction(0), _positive(rng, 3))),
+                "kappa": _positive(rng, 4)}
 
     entry = CatalogEntry(
         family_id="II",
@@ -567,6 +515,7 @@ def _family_II():
         annotations=("the solitary-wave condition is printed with subscripts a2, b2 "
                      "where the displayed solution has a1, b1; the a1/b1 reading is adopted",),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -623,34 +572,21 @@ def _family_III():
                 if v == 0:
                     continue
                 assignment = {"a1": a1, "a2": a2, "a3": a3, "alpha": alpha, "v": v}
-                den = [-a1**3, -3 * a1**2 * a2, 3 * a1 * a2**2, a3**3]
-                sol = _solution([0, a1, a2], den, alpha, v)
-                # the denominator always vanishes somewhere; scan clear of it
-                window = _pole_free_window(sol.poles)
-                out.append(Instance(pde, ansatz, assignment, sol,
-                                    f"v{'+-'[vi]}",
-                                    _is_exact((a1, a2, a3, alpha, v)),
-                                    reading=reading, scan_window=window))
+                out.append(Instance(pde, ansatz, assignment, f"v{'+-'[vi]}", reading=reading))
         return out
 
-    def draw(rng):
-        while True:
-            lam1 = _positive(rng, 4)
-            q = _positive(rng, 4)
-            lam3 = q * q * lam1
-            A = _positive(rng, 4)
-            tau = _positive(rng, 3)
-            v = _nonzero(rng, -4, 4)
-            kappa = v * v * tau - A * A / lam3
-            if kappa < 0:
-                continue
-            fv = {"lam1": lam1, "lam3": lam3, "A": A, "kappa": kappa,
-                  "tau": tau, "a1": _nonzero(rng, -3, 3)}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        lam1 = _positive(rng, 4)
+        q = _positive(rng, 4)
+        lam3 = q * q * lam1
+        A = _positive(rng, 4)
+        tau = _positive(rng, 3)
+        v = _nonzero(rng, -4, 4)
+        kappa = v * v * tau - A * A / lam3
+        if kappa < 0:
+            return None
+        return {"lam1": lam1, "lam3": lam3, "A": A, "kappa": kappa,
+                "tau": tau, "a1": _nonzero(rng, -3, 3)}
 
     entry = CatalogEntry(
         family_id="III",
@@ -673,6 +609,7 @@ def _family_III():
             "the largest pole-free subinterval of [-10, 10]",
         ),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw, adopted="a3_as_a2"))
 
 
@@ -711,7 +648,6 @@ def _family_IVa():
         ansatz = ExpAnsatz(a=(pa["a0"], 2 * pa["a1"], pa["a0"]),
                            b=(pa["b0"], 2 * pa["b1"], pa["b0"]))
         assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
-        sol = _solution([a0, 2 * a1, a0], [b0, 2 * b1, b0], alpha, v)
         readings = {
             "corrected-lam3": -2 * b0**2 * (b0**2 - b1**2) * alpha * h / D2,
             "as-printed": -2 * b0 * (b0**2 - b1**2) * alpha * h / D2,
@@ -721,22 +657,15 @@ def _family_IVa():
             pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
                                 reaction={Fraction(0): lam0, Fraction(1): lam1,
                                           Fraction(2): lam2, Fraction(3): lam3})
-            out.append(Instance(pde, ansatz, assignment, sol, "direct", True,
-                                reading=reading))
+            out.append(Instance(pde, ansatz, assignment, "direct", reading=reading))
         return out
 
-    def draw(rng):
-        while True:
-            fv = {"a0": _nonzero(rng, -4, 4), "a1": _frac(rng, -4, 4),
-                  "b0": _positive(rng, 4), "b1": _positive(rng, 4),
-                  "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
-                  "tau": rng.choice((Fraction(0), _positive(rng, 3))),
-                  "kappa": _positive(rng, 4)}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        return {"a0": _nonzero(rng, -4, 4), "a1": _frac(rng, -4, 4),
+                "b0": _positive(rng, 4), "b1": _positive(rng, 4),
+                "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
+                "tau": rng.choice((Fraction(0), _positive(rng, 3))),
+                "kappa": _positive(rng, 4)}
 
     entry = CatalogEntry(
         family_id="IVa",
@@ -758,6 +687,7 @@ def _family_IVa():
             "special case printed alongside is consistent only with the correction",
         ),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw, adopted="corrected-lam3"))
 
 
@@ -811,36 +741,28 @@ def _family_IVa_special():
                     if v == 0:
                         continue
                     assignment = {"a0": a0, "a1": a1, "alpha": alpha, "v": v}
-                    sol = _solution([a0, 2 * a1, a0], [1, 0, 1], alpha, v)
-                    out.append(Instance(pde, ansatz, assignment, sol,
-                                        f"a1{'+-'[i]} v{'+-'[j]}",
-                                        _is_exact((a0, a1, v)), reading=reading))
+                    out.append(Instance(pde, ansatz, assignment,
+                                        f"a1{'+-'[i]} v{'+-'[j]}", reading=reading))
         if not out:
             raise Inadmissible("no reading has a non-negative a1 radicand")
         return out
 
-    def draw(rng):
-        while True:
-            lam2 = _frac(rng, -4, 4)
-            lam3 = _nonzero(rng, -4, 4)
-            # corrected relation: a1^2 = (2/3)*(lam2^2 - 3*lam1*lam3)/lam3^2
-            a1 = _frac(rng, -4, 4)
-            lam1 = (lam2 * lam2 - Fraction(3, 2) * lam3**2 * a1**2) / (3 * lam3)
-            alpha = _small_alpha(rng)
-            tau = _positive(rng, 3)
-            v = _nonzero(rng, -3, 3)
-            kappa = v * v * tau - (lam1 - lam2**2 / (3 * lam3)) / alpha**2
-            if kappa < 0:
-                continue
-            a0 = -lam2 / (3 * lam3)
-            lam0 = -(lam1 * a0 + lam2 * a0**2 + lam3 * a0**3)
-            fv = {"lam0": lam0, "lam1": lam1, "lam2": lam2, "lam3": lam3,
-                  "kappa": kappa, "tau": tau, "alpha": alpha}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        lam2 = _frac(rng, -4, 4)
+        lam3 = _nonzero(rng, -4, 4)
+        # corrected relation: a1^2 = (2/3)*(lam2^2 - 3*lam1*lam3)/lam3^2
+        a1 = _frac(rng, -4, 4)
+        lam1 = (lam2 * lam2 - Fraction(3, 2) * lam3**2 * a1**2) / (3 * lam3)
+        alpha = _small_alpha(rng)
+        tau = _positive(rng, 3)
+        v = _nonzero(rng, -3, 3)
+        kappa = v * v * tau - (lam1 - lam2**2 / (3 * lam3)) / alpha**2
+        if kappa < 0:
+            return None
+        a0 = -lam2 / (3 * lam3)
+        lam0 = -(lam1 * a0 + lam2 * a0**2 + lam3 * a0**3)
+        return {"lam0": lam0, "lam1": lam1, "lam2": lam2, "lam3": lam3,
+                "kappa": kappa, "tau": tau, "alpha": alpha}
 
     entry = CatalogEntry(
         family_id="IVa-special",
@@ -863,6 +785,7 @@ def _family_IVa_special():
             "is consistent with the correction)",
         ),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw, adopted="corrected-a1"))
 
 
@@ -896,21 +819,13 @@ def _family_IVb():
                                       Fraction(3, 2): lam_3h, Fraction(2): lam2})
         pb0, pb1 = ParamPoly.var("b0"), ParamPoly.var("b1")
         assignment = {"b0": b0, "b1": b1, "alpha": alpha, "v": v}
-        return _square_branches(pde, (1, 2, 1), (pb0, 2 * pb0 + 4 * pb1, pb0),
-                                assignment, [Fraction(1), Fraction(2), Fraction(1)],
-                                [b0, 2 * b0 + 4 * b1, b0], alpha, v, True)
+        return _square_branches(pde, (1, 2, 1), (pb0, 2 * pb0 + 4 * pb1, pb0), assignment)
 
-    def draw(rng):
-        while True:
-            fv = {"b0": _positive(rng, 4), "b1": _positive(rng, 4),
-                  "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
-                  "tau": rng.choice((Fraction(0), _positive(rng, 3))),
-                  "kappa": _positive(rng, 4)}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        return {"b0": _positive(rng, 4), "b1": _positive(rng, 4),
+                "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
+                "tau": rng.choice((Fraction(0), _positive(rng, 3))),
+                "kappa": _positive(rng, 4)}
 
     entry = CatalogEntry(
         family_id="IVb",
@@ -926,6 +841,7 @@ def _family_IVb():
         expected="PASS",
         annotations=(),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -960,22 +876,14 @@ def _family_IVc():
                                 reaction={Fraction(0): lam0, Fraction(1, 2): lam_h,
                                           Fraction(1): lam1, Fraction(3, 2): lam_3h})
             out.extend(_square_branches(pde, (pa0, 2 * pa0 + 4 * pa1, pa0), (1, 2, 1),
-                                        assignment, [a0, 2 * a0 + 4 * a1, a0],
-                                        [Fraction(1), Fraction(2), Fraction(1)],
-                                        alpha, v, True, reading=reading))
+                                        assignment, reading=reading))
         return out
 
-    def draw(rng):
-        while True:
-            fv = {"a0": _frac(rng, -4, 4), "a1": _nonzero(rng, -4, 4),
-                  "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
-                  "tau": rng.choice((Fraction(0), _positive(rng, 3))),
-                  "kappa": _positive(rng, 4)}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        return {"a0": _frac(rng, -4, 4), "a1": _nonzero(rng, -4, 4),
+                "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
+                "tau": rng.choice((Fraction(0), _positive(rng, 3))),
+                "kappa": _positive(rng, 4)}
 
     entry = CatalogEntry(
         family_id="IVc",
@@ -995,6 +903,7 @@ def _family_IVc():
             "sign-corrected lam1/2 = -(9*a0^2 + 6*a0*a1)*alpha*h/a1 is adopted",
         ),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw, adopted="corrected-lam1/2"))
 
 
@@ -1022,25 +931,17 @@ def _family_IVd():
                                       Fraction(2): lam2})
         pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
         assignment = {"a0": a0, "a1": a1, "alpha": alpha, "v": v}
-        return _square_branches(pde, (0, 2, 0), (pa0, 2 * pa1, pa0), assignment,
-                                [Fraction(0), Fraction(2), Fraction(0)],
-                                [a0, 2 * a1, a0], alpha, v, True)
+        return _square_branches(pde, (0, 2, 0), (pa0, 2 * pa1, pa0), assignment)
 
-    def draw(rng):
-        while True:
-            a0 = _nonzero(rng, -4, 4)
-            # |a1| < |a0| keeps the denominator a0*cosh + a1 away from zero
-            a1 = Fraction(rng.randint(-abs(a0.numerator) + 1, abs(a0.numerator) - 1),
-                          a0.denominator) if abs(a0.numerator) > 1 else Fraction(0)
-            fv = {"a0": a0, "a1": a1,
-                  "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
-                  "tau": rng.choice((Fraction(0), _positive(rng, 3))),
-                  "kappa": _positive(rng, 4)}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        a0 = _nonzero(rng, -4, 4)
+        # |a1| < |a0| keeps the denominator a0*cosh + a1 away from zero
+        a1 = Fraction(rng.randint(-abs(a0.numerator) + 1, abs(a0.numerator) - 1),
+                      a0.denominator) if abs(a0.numerator) > 1 else Fraction(0)
+        return {"a0": a0, "a1": a1,
+                "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
+                "tau": rng.choice((Fraction(0), _positive(rng, 3))),
+                "kappa": _positive(rng, 4)}
 
     entry = CatalogEntry(
         family_id="IVd",
@@ -1055,6 +956,7 @@ def _family_IVd():
         expected="PASS",
         annotations=("equivalent to u = [a0*cosh(alpha*xi) + a1]^-2 up to gauge",),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -1089,27 +991,18 @@ def _family_IVe_a():
                             reaction={Fraction(1): lam1, Fraction(3): lam3})
         ansatz = ExpAnsatz(a=(0, "a1"), b=(1, 0, 1))
         # amp*sech(k*xi) = 2*amp*E/(1 + E^2) with E = exp(k*xi)
-        assignment = {"a1": 2 * amp, "alpha": k, "v": v}
-        sol = _solution([0, 2 * amp], [1, 0, 1], k, v)
-        return [Instance(pde, ansatz, assignment, sol, "direct",
-                         _is_exact((k, amp)))]
+        return [Instance(pde, ansatz, {"a1": 2 * amp, "alpha": k, "v": v}, "direct")]
 
-    def draw(rng):
-        while True:
-            k = _nonzero(rng, -3, 3)
-            amp = _positive(rng, 4)
-            tau = _positive(rng, 3)
-            v = _nonzero(rng, -3, 3)
-            H = tau * v * v * Fraction(rng.randint(1, 4), 4)
-            kappa = tau * v * v - H
-            lam1 = k * k * H
-            lam3 = -2 * lam1 / (amp * amp)
-            fv = {"lam1": lam1, "lam3": lam3, "tau": tau, "kappa": kappa, "v": v}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        k = _nonzero(rng, -3, 3)
+        amp = _positive(rng, 4)
+        tau = _positive(rng, 3)
+        v = _nonzero(rng, -3, 3)
+        H = tau * v * v * Fraction(rng.randint(1, 4), 4)
+        kappa = tau * v * v - H
+        lam1 = k * k * H
+        lam3 = -2 * lam1 / (amp * amp)
+        return {"lam1": lam1, "lam3": lam3, "tau": tau, "kappa": kappa, "v": v}
 
     entry = CatalogEntry(
         family_id="IVe-a",
@@ -1120,6 +1013,7 @@ def _family_IVe_a():
         expected="PASS",
         annotations=(),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -1134,50 +1028,40 @@ def _family_IVe_b():
         if _H_of(fv) <= 0:
             raise Inadmissible("need H = tau*v^2 - kappa > 0")
 
+    c = ParamPoly.var("c")
+    # amp*tanh(k*xi) = amp*(E^2 - 1)/(E^2 + 1) with E = exp(k*xi)
+    ansatz = ExpAnsatz(a=(-c, 0, c), b=(1, 0, 1))
+
+    def tanh_instance(fv, k, amp, branch):
+        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
+                            reaction={Fraction(1): fv["lam1"], Fraction(3): fv["lam3"]})
+        return Instance(pde, ansatz, {"c": amp, "alpha": k, "v": fv["v"]}, branch)
+
     def instances(fv):
         check(fv)
-        lam1, lam3 = fv["lam1"], fv["lam3"]
-        tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
         H = _H_of(fv)
-        k = _sqrt_branches(-lam1 / (2 * H))[0]  # corrected argument
-        amp = _sqrt_branches(-lam1 / lam3)[0]
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(1): lam1, Fraction(3): lam3})
-        c = ParamPoly.var("c")
-        ansatz = ExpAnsatz(a=(-c, 0, c), b=(1, 0, 1))
-        # amp*tanh(k*xi) = amp*(E^2 - 1)/(E^2 + 1) with E = exp(k*xi)
-        assignment = {"c": amp, "alpha": k, "v": v}
-        sol = _solution([-amp, 0, amp], [1, 0, 1], k, v)
-        return [Instance(pde, ansatz, assignment, sol, "corrected-argument",
-                         _is_exact((k, amp)))]
+        k = _sqrt_branches(-fv["lam1"] / (2 * H))[0]  # corrected argument
+        amp = _sqrt_branches(-fv["lam1"] / fv["lam3"])[0]
+        return [tanh_instance(fv, k, amp, "corrected-argument")]
 
     def printed_argument_scan(fv) -> float:
         """Residual of the tanh profile with the printed argument sqrt(-lam1)/(2H)."""
         check(fv)
-        H = _H_of(fv)
-        k = math.sqrt(float(-fv["lam1"])) / (2 * float(H))
+        k = math.sqrt(float(-fv["lam1"])) / (2 * float(_H_of(fv)))
         amp = math.sqrt(float(-fv["lam1"] / fv["lam3"]))
-        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                            reaction={Fraction(1): fv["lam1"], Fraction(3): fv["lam3"]})
-        sol = _solution([-amp, 0, amp], [1, 0, 1], k, fv["v"])
-        return residual_scan(pde, sol, SCAN_WINDOW, SCAN_SAMPLES)
+        printed = tanh_instance(fv, k, amp, "printed-argument")
+        return residual_scan(printed.pde, printed.solution, SCAN_WINDOW, SCAN_SAMPLES)
 
-    def draw(rng):
-        while True:
-            k = _nonzero(rng, -3, 3)
-            amp = _positive(rng, 4)
-            tau = _positive(rng, 3)
-            v = _nonzero(rng, -3, 3)
-            H = tau * v * v * Fraction(rng.randint(1, 4), 4)
-            kappa = tau * v * v - H
-            lam1 = -2 * H * k * k
-            lam3 = -lam1 / (amp * amp)
-            fv = {"lam1": lam1, "lam3": lam3, "tau": tau, "kappa": kappa, "v": v}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        k = _nonzero(rng, -3, 3)
+        amp = _positive(rng, 4)
+        tau = _positive(rng, 3)
+        v = _nonzero(rng, -3, 3)
+        H = tau * v * v * Fraction(rng.randint(1, 4), 4)
+        kappa = tau * v * v - H
+        lam1 = -2 * H * k * k
+        lam3 = -lam1 / (amp * amp)
+        return {"lam1": lam1, "lam3": lam3, "tau": tau, "kappa": kappa, "v": v}
 
     entry = CatalogEntry(
         family_id="IVe-b",
@@ -1192,9 +1076,9 @@ def _family_IVe_b():
             "variant is scanned and reported alongside",
         ),
     )
-    fam = _register(Family(entry, check, instances, draw))
-    fam.instances.printed_argument_scan = printed_argument_scan  # type: ignore[attr-defined]
-    return fam
+    draw = _admissible_draw(propose, check)
+    return _register(Family(entry, check, instances, draw,
+                            printed_argument_scan=printed_argument_scan))
 
 
 def _family_IVe_c():
@@ -1221,24 +1105,16 @@ def _family_IVe_c():
                             reaction={Fraction(1): lam1, Fraction(2): lam2})
         ansatz = ExpAnsatz(a=(0, "a1"), b=(1, 2, 1))
         # amp*sech^2(k*xi/2) = 4*amp*E/(1 + E)^2 with E = exp(k*xi)
-        assignment = {"a1": 4 * amp, "alpha": k, "v": v}
-        sol = _solution([0, 4 * amp], [1, 2, 1], k, v)
-        return [Instance(pde, ansatz, assignment, sol, "direct", _is_exact((k,)))]
+        return [Instance(pde, ansatz, {"a1": 4 * amp, "alpha": k, "v": v}, "direct")]
 
-    def draw(rng):
-        while True:
-            k = _nonzero(rng, -3, 3)
-            tau = _positive(rng, 3)
-            v = _nonzero(rng, -3, 3)
-            H = tau * v * v * Fraction(rng.randint(1, 4), 4)
-            kappa = tau * v * v - H
-            fv = {"lam1": k * k * H, "lam2": _nonzero(rng, -4, 4),
-                  "tau": tau, "kappa": kappa, "v": v}
-            try:
-                check(fv)
-            except Inadmissible:
-                continue
-            return fv
+    def propose(rng):
+        k = _nonzero(rng, -3, 3)
+        tau = _positive(rng, 3)
+        v = _nonzero(rng, -3, 3)
+        H = tau * v * v * Fraction(rng.randint(1, 4), 4)
+        kappa = tau * v * v - H
+        return {"lam1": k * k * H, "lam2": _nonzero(rng, -4, 4),
+                "tau": tau, "kappa": kappa, "v": v}
 
     entry = CatalogEntry(
         family_id="IVe-c",
@@ -1249,6 +1125,7 @@ def _family_IVe_c():
         expected="PASS",
         annotations=(),
     )
+    draw = _admissible_draw(propose, check)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -1279,24 +1156,14 @@ def _family_burgers():
         pde = HyperbolicPDE(tau=Fraction(0), A=A, B=B, kappa=kappa, reaction={})
         ansatz = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
         assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
-        sol = _solution([a0, a1], [b0, b1], alpha, v)
-        return [Instance(pde, ansatz, assignment, sol, "direct", True)]
+        return [Instance(pde, ansatz, assignment, "direct")]
 
-    def draw(rng):
-        while True:
-            b0 = _nonzero(rng, -4, 4)
-            b1 = _positive(rng, 4) if b0 > 0 else -_positive(rng, 4)
-            fv = {"a0": _frac(rng, -4, 4), "a1": _frac(rng, -4, 4),
-                  "b0": b0, "b1": b1, "A": _positive(rng, 4),
-                  "B": _positive(rng, 3), "kappa": _positive(rng, 3)}
-            try:
-                check(fv)
-                insts = instances(fv)
-            except Inadmissible:
-                continue
-            if abs(float(insts[0].assignment["alpha"])) > 4:
-                continue
-            return fv
+    def propose(rng):
+        b0 = _nonzero(rng, -4, 4)
+        b1 = _positive(rng, 4) if b0 > 0 else -_positive(rng, 4)
+        return {"a0": _frac(rng, -4, 4), "a1": _frac(rng, -4, 4),
+                "b0": b0, "b1": b1, "A": _positive(rng, 4),
+                "B": _positive(rng, 3), "kappa": _positive(rng, 3)}
 
     entry = CatalogEntry(
         family_id="Burgers-shock",
@@ -1311,6 +1178,7 @@ def _family_burgers():
         annotations=("independent oracle: one integration of the travelling "
                      "Burgers equation against the front's two asymptotic states",),
     )
+    draw = _admissible_draw(propose, check, instances)
     return _register(Family(entry, check, instances, draw))
 
 
@@ -1337,10 +1205,12 @@ def get_family(family_id: str) -> Family:
         raise KeyError(f"unknown family {family_id!r}; known: {', '.join(FAMILIES)}") from None
 
 
-def _judge(inst: Instance, system: AlgebraicSystem) -> tuple[Verdict | None, float | None, str | None]:
+def _judge(inst: Instance, system: AlgebraicSystem,
+           shape: str) -> tuple[Verdict | None, float | None, str | None]:
     """Exact verdict (when rational), scan residual, and any scan failure note."""
     verdict = verify_assignment(system, inst.assignment) if inst.exact else None
-    window = inst.scan_window or SCAN_WINDOW
+    # a singular profile's denominator always vanishes somewhere; scan clear of it
+    window = _pole_free_window(inst.solution.poles) if shape == "singular" else SCAN_WINDOW
     try:
         scan = residual_scan(inst.pde, inst.solution, window, SCAN_SAMPLES)
         note = None
@@ -1379,7 +1249,7 @@ def instantiate(family_id: str, free_values: Mapping[str, Fraction]):
         key = (inst.pde, inst.ansatz)
         if key not in systems:
             systems[key] = reduce(inst.pde, inst.ansatz)
-        verdict, scan, note = _judge(inst, systems[key])
+        verdict, scan, note = _judge(inst, systems[key], fam.entry.shape)
         ok = verdict.passed if verdict is not None else (scan is not None and scan < SCAN_TOL)
         if ok:
             return dict(inst.assignment), inst.solution
@@ -1417,7 +1287,7 @@ def verify_entry(family_id: str, trials: int = 5, seed: int = 1) -> dict:
             if key not in systems:
                 systems[key] = reduce(inst.pde, inst.ansatz)
             system = systems[key]
-            verdict, scan, note = _judge(inst, system)
+            verdict, scan, note = _judge(inst, system, fam.entry.shape)
             exact_ok = verdict.passed if verdict is not None else None
             scan_ok = scan is not None and scan < SCAN_TOL
             ok = (exact_ok if exact_ok is not None else scan_ok) and scan_ok
@@ -1458,10 +1328,9 @@ def verify_entry(family_id: str, trials: int = 5, seed: int = 1) -> dict:
         report["readings"] = {
             r: "PASS" if ok else "FAIL-DOCUMENTED" for r, ok in sorted(readings_pass.items())
         }
-    if family_id == "IVe-b":
+    if fam.printed_argument_scan is not None:
         probe = random.Random(f"{seed}:{family_id}:printed")
-        printed = fam.instances.printed_argument_scan(fam.draw(probe))  # type: ignore[attr-defined]
-        report["printed_argument_scan"] = _fmt(printed)
+        report["printed_argument_scan"] = _fmt(fam.printed_argument_scan(fam.draw(probe)))
     return report
 
 

@@ -41,7 +41,11 @@ def _parse_assignments(text: str) -> dict[str, Fraction]:
         if "=" not in item:
             raise model.SchemaError(f"expected name=value, got {item!r}")
         name, _, raw = item.partition("=")
-        out[name.strip()] = Fraction(raw.strip())
+        name, raw = name.strip(), raw.strip()
+        try:
+            out[name] = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise model.SchemaError(f"{name}: not a rational number: {raw!r}") from None
     return out
 
 

@@ -33,6 +33,8 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
+from .symcore import exact_root
+
 Number = Union[Fraction, int, float]
 
 R_FLOOR = 1e-9
@@ -58,33 +60,6 @@ class QuadratureFailure(RuntimeError):
     """Quadrature error estimate above tolerance."""
 
 
-def _integer_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for an integer n >= 0, in integer arithmetic only."""
-    if n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
-    while True:  # Newton from above decreases monotonically to the floor
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _exact_root(q: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of a non-negative rational, or None."""
-    if q < 0:
-        return None
-    def iroot(n: int) -> int | None:
-        r = _integer_root(n, k)
-        return r if r**k == n else None
-    a, b = iroot(q.numerator), iroot(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
-
-
 def _rpow(base: Number, exp: Fraction) -> Number:
     """base**exp, exact Fraction when representable, float otherwise."""
     exp = Fraction(exp)
@@ -93,7 +68,7 @@ def _rpow(base: Number, exp: Fraction) -> Number:
     base = Fraction(base)
     if exp.denominator == 1:
         return base ** int(exp)
-    root = _exact_root(base if exp >= 0 else 1 / base, exp.denominator)
+    root = exact_root(base if exp >= 0 else 1 / base, exp.denominator)
     if root is not None:
         return root ** abs(exp.numerator)
     return float(base) ** float(exp)

@@ -51,19 +51,6 @@ class DegenerateFrame(ValueError):
 
 
 @dataclass(frozen=True)
-class TravelFrame:
-    """A travelling variable, e.g. xi = x + v*t or omega = x - D*t."""
-
-    symbol: str
-    velocity: Union[str, Fraction]
-    orientation: str  # "x+vt" or "x-Dt"
-
-    def __post_init__(self):
-        if self.orientation not in ("x+vt", "x-Dt"):
-            raise DomainError(f"unknown frame orientation {self.orientation!r}")
-
-
-@dataclass(frozen=True)
 class HyperbolicPDE:
     """Coefficients of the PDE and its reaction map."""
 
@@ -128,7 +115,10 @@ def _read_value(raw, where: str) -> ReactionValue:
         return raw
     if isinstance(raw, str):
         if _RATIONAL_RE.match(raw):
-            return Fraction(raw)
+            try:
+                return Fraction(raw)
+            except ZeroDivisionError:
+                raise SchemaError(f"{where}: zero denominator in {raw!r}") from None
         if _SYMBOL_RE.match(raw):
             return raw
         raise SchemaError(f"{where}: string must be a symbol name or p/q rational, got {raw!r}")

@@ -15,13 +15,13 @@ a xi-grid from the analytic derivatives, so the two routes are independent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
 import numpy as np
 
-from .model import HyperbolicPDE, TravelFrame
+from .model import HyperbolicPDE
 from .symcore import (
     E_NAME,
     ExpRational,
@@ -172,7 +172,6 @@ class ClosedFormSolution:
     expression: ExpRational  # w, with numeric coefficients
     alpha: float | Fraction
     velocity: float | Fraction
-    frame: TravelFrame = field(default_factory=lambda: TravelFrame("xi", "v", "x+vt"))
     power: int = 1
     poles: tuple[float, ...] = ()  # xi locations where the denominator vanishes
 
@@ -484,8 +483,8 @@ def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
     return tuple(sorted(np.log(r) / float(alpha) for r in real_pos))
 
 
-def solution_from_assignment(ansatz: ExpAnsatz, assignment: Mapping[str, Number],
-                             frame: TravelFrame | None = None) -> ClosedFormSolution:
+def solution_from_assignment(ansatz: ExpAnsatz,
+                             assignment: Mapping[str, Number]) -> ClosedFormSolution:
     """Instantiate the ansatz at a numeric assignment, declaring its poles."""
     env = dict(assignment)
 
@@ -512,7 +511,6 @@ def solution_from_assignment(ansatz: ExpAnsatz, assignment: Mapping[str, Number]
         expression=ExpRational(poly(num), poly(den)),
         alpha=alpha,
         velocity=velocity,
-        frame=frame or TravelFrame("xi", velocity, "x+vt"),
         power=ansatz.power,
         poles=poles_of(den, alpha),
     )

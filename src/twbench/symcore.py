@@ -11,6 +11,7 @@ Coefficients are ``fractions.Fraction`` throughout; floats enter only through
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -37,9 +38,31 @@ def frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(text: str) -> Fraction:
-    """Parse ``p``, ``p/q`` or a decimal literal into an exact rational."""
-    return Fraction(text.strip())
+def exact_root(q: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of a non-negative rational, or None.
+
+    Roots of the numerator and denominator are taken in integers only
+    (``isqrt``, integer Newton), so huge rationals cannot overflow a float.
+    """
+    if q < 0:
+        return None
+
+    def iroot(n: int) -> int | None:
+        if k == 2 or n < 2:
+            r = math.isqrt(n)
+        else:
+            r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+            while True:  # Newton from above decreases monotonically to the floor
+                y = ((k - 1) * r + n // r ** (k - 1)) // k
+                if y >= r:
+                    break
+                r = y
+        return r if r**k == n else None
+
+    a, b = iroot(q.numerator), iroot(q.denominator)
+    if a is None or b is None:
+        return None
+    return Fraction(a, b)
 
 
 def _coeff(value: Number) -> Fraction:
@@ -584,22 +607,3 @@ def poly_dxi(p: ParamPoly, alpha: "str | Number" = "alpha") -> ParamPoly:
     i = p.variables.index(E_NAME)
     scaled = ParamPoly(p.variables, {e: c * e[i] for e, c in p.terms.items() if e[i]})
     return scaled * ParamPoly.lift(alpha)
-
-
-def differentiate_xi(f: "ExpRational | ParamPoly", alpha: "str | Number" = "alpha") -> ExpRational:
-    """d/dxi of a rational function in E under dE/dxi = alpha*E."""
-    return ExpRational.lift(f).differentiate_xi(alpha)
-
-
-def evaluate(f: "ParamPoly | ExpRational", assignment: Mapping[str, Number],
-             E_value: Number | None = None) -> Number:
-    """Evaluate a polynomial or rational function at a point.
-
-    Exact Fraction result when every input is exact; float otherwise.
-    """
-    if isinstance(f, ExpRational):
-        return f.evaluate(assignment, E_value)
-    env = dict(assignment)
-    if E_value is not None:
-        env[E_NAME] = E_value
-    return f.evaluate(env)

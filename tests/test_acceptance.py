@@ -27,7 +27,7 @@ from twbench.hydro import (
     turning_point,
 )
 from twbench.reducer import reduce, residual_scan, verify_assignment
-from twbench.symcore import ParamPoly, evaluate
+from twbench.symcore import ParamPoly
 
 from conftest import rand_frac, rand_poly
 from equiv import random_trial
@@ -223,7 +223,7 @@ def test_criterion_8_symcore_property_suite():
         p = rand_poly(rng, max_terms=3, max_deg=2)
         q = rand_poly(rng, max_terms=3, max_deg=2)
         sigma = {n: rand_frac(rng) for n in ("x", "y", "z")}
-        if evaluate(p * q, sigma) != evaluate(p, sigma) * evaluate(q, sigma):
+        if (p * q).evaluate(sigma) != p.evaluate(sigma) * q.evaluate(sigma):
             failures.append("evaluation homomorphism")
             break
 

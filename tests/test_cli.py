@@ -71,6 +71,31 @@ class TestPipeline:
         assert "error" in r.stderr
 
 
+ZERO_DENOMINATOR_CASES = {
+    "assign": ["verify", "--system", "{system}", "--assign", "x=1/0"],
+    "fix": ["solve", "--system", "{system}", "--fix", "x=1/0"],
+    "free": ["eval", "--family", "IVe-a", "--free", "lam1=1/0,lam3=-2,tau=1,kappa=1,v=2",
+             "--range=-2:2:5"],
+    "pde_model": ["reduce", "--model", "{pde}", "--ansatz", "1/1"],
+    "hydro_model": ["hydro-analyze", "--model", "{hydro}"],
+}
+
+
+@pytest.mark.parametrize("site", list(ZERO_DENOMINATOR_CASES))
+def test_zero_denominator_is_input_error(site, tmp_path):
+    paths = {"system": tmp_path / "sys.json", "pde": tmp_path / "pde.json",
+             "hydro": tmp_path / "hydro.json"}
+    paths["system"].write_text(json.dumps({
+        "unknowns": ["x"], "parameters": [],
+        "equations": ["x^2 + 1"], "provenance": {"0": 0}}))
+    paths["pde"].write_text('{"tau":0,"A":2,"B":1,"kappa":1,"reaction":{"1":"1/0"}}')
+    paths["hydro"].write_text('{"nu":0,"beta":"1/0","sigma":1,"D":1,"R1":1}')
+    args = [a.format(**paths) for a in ZERO_DENOMINATOR_CASES[site]]
+    r = run_cli(*args)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 class TestCatalogCommands:
     def test_list(self):
         r = run_cli("catalog", "list")

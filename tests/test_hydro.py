@@ -17,7 +17,6 @@ from twbench.hydro import (
     P_of_R,
     PhaseState,
     QuadratureFailure,
-    _exact_root,
     critical_points,
     explicit_homoclinic,
     flow,
@@ -34,7 +33,7 @@ from twbench.hydro import (
     turning_point,
 )
 from twbench.model import SchemaError
-from twbench.symcore import ParamPoly
+from twbench.symcore import ParamPoly, exact_root
 
 R2_EXACT = (-1 + math.sqrt(17.0)) / 2
 R3_EXACT = 2 * math.sqrt(2.0) - 1
@@ -160,22 +159,22 @@ class TestExactRoot:
     def test_large_perfect_square(self):
         a = 10**200 + 7
         assert len(str(a * a)) == 401
-        assert _exact_root(F(a * a), 2) == a
-        assert _exact_root(F(10**400), 2) == 10**200
-        assert _exact_root(F(1, a * a), 2) == F(1, a)
+        assert exact_root(F(a * a), 2) == a
+        assert exact_root(F(10**400), 2) == 10**200
+        assert exact_root(F(1, a * a), 2) == F(1, a)
 
     def test_large_perfect_cube(self):
         a = 10**333 + 11
         assert len(str(a**3)) == 1000
-        assert _exact_root(F(a**3), 3) == a
-        assert _exact_root(F(a**3, 8), 3) == F(a, 2)
+        assert exact_root(F(a**3), 3) == a
+        assert exact_root(F(a**3, 8), 3) == F(a, 2)
 
     def test_non_powers(self):
         a = 10**200 + 7
-        assert _exact_root(F(a * a + 1), 2) is None
-        assert _exact_root(F(a**3 - 1), 3) is None
-        assert _exact_root(F(2), 2) is None
-        assert _exact_root(F(-4), 2) is None
+        assert exact_root(F(a * a + 1), 2) is None
+        assert exact_root(F(a**3 - 1), 3) is None
+        assert exact_root(F(2), 2) is None
+        assert exact_root(F(-4), 2) is None
 
 
 KERNEL_MODELS = [

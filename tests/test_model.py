@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import twbench
 from twbench.model import (
     DegenerateFrame,
     DomainError,
@@ -104,3 +105,8 @@ class TestQuarticReduction:
         pde = parse_model('{"tau":1,"A":1,"B":0,"kappa":1,"reaction":{"1":1}}')
         with pytest.raises(DomainError):
             quartic_reduction(pde, v=F(2), c0=F(0))
+
+
+def test_package_exports_resolve():
+    missing = [name for name in twbench.__all__ if not hasattr(twbench, name)]
+    assert missing == []
