@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .model import HyperbolicPDE
+from .model import HyperbolicPDE, NumericFailure, SchemaError
 from .reducer import (
     AlgebraicSystem,
     ClosedFormSolution,
@@ -49,7 +49,7 @@ class Inadmissible(ValueError):
     """Free parameter values violate a family's admissibility predicates."""
 
 
-class BranchFailure(RuntimeError):
+class BranchFailure(RuntimeError, NumericFailure):
     """No sign branch of the derived radicals verifies."""
 
 
@@ -1238,9 +1238,16 @@ def instantiate(family_id: str, free_values: Mapping[str, Fraction]):
 
     Returns (assignment, solution) for the first branch that verifies (exact
     annihilation when the assignment is rational, residual scan below 1e-9
-    otherwise).  Raises Inadmissible or BranchFailure.
+    otherwise).  Raises SchemaError when the names given are not the family's
+    free parameters, Inadmissible or BranchFailure.
     """
     fam = get_family(family_id)
+    free = fam.entry.free
+    problems = [f"missing {name}" for name in free if name not in free_values]
+    problems += [f"unknown {name}" for name in free_values if name not in free]
+    if problems:
+        raise SchemaError(f"{family_id} free parameters: {', '.join(problems)} "
+                          f"(expected {', '.join(free)})")
     fam.check(free_values)
     insts = [i for i in fam.instances(free_values) if i.reading == fam.adopted]
     systems: dict = {}

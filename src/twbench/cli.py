@@ -6,7 +6,7 @@ rationals as "p/q" strings, and JSON keys are sorted, so identical inputs and
 seeds produce byte-identical output.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input or schema,
-3 numeric non-convergence.
+3 numeric failure (any ``model.NumericFailure``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog, hydro, model, reducer
+from . import catalog, model, reducer
 from .symcore import frac_str
 
 
@@ -155,12 +155,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _hydro_model(args) -> hydro.HydroModel:
-    return hydro.parse_hydro_model(_read(args.model))
+# The hydro handlers import hydro (and with it scipy) on first use, so the
+# exact pipeline's commands start without it.
 
 
 def _cmd_hydro_analyze(args) -> int:
-    m = _hydro_model(args)
+    from . import hydro
+    m = hydro.parse_hydro_model(_read(args.model))
     report = hydro.critical_points(m)
     r3 = hydro.turning_point(m)
     points = []
@@ -186,7 +187,8 @@ def _cmd_hydro_analyze(args) -> int:
 
 
 def _cmd_hydro_orbit(args) -> int:
-    m = _hydro_model(args)
+    from . import hydro
+    m = hydro.parse_hydro_model(_read(args.model))
     try:
         r0, y0 = (float(x) for x in args.start.split(","))
     except ValueError:
@@ -197,7 +199,8 @@ def _cmd_hydro_orbit(args) -> int:
 
 
 def _cmd_hydro_separatrix(args) -> int:
-    m = _hydro_model(args)
+    from . import hydro
+    m = hydro.parse_hydro_model(_read(args.model))
     r1, r3 = float(m.R1), hydro.turning_point(m)
     rows = []
     for R in np.linspace(r1, r3, args.samples):
@@ -208,7 +211,8 @@ def _cmd_hydro_separatrix(args) -> int:
 
 
 def _cmd_hydro_homoclinic(args) -> int:
-    m = _hydro_model(args)
+    from . import hydro
+    m = hydro.parse_hydro_model(_read(args.model))
     omega, R = hydro.homoclinic_profile(m, n=args.n)
     # full even profile: mirror the omega >= 0 branch
     rows = [(-w, r) for w, r in zip(omega[::-1], R[::-1])]
@@ -298,12 +302,11 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     # numeric failures first: some of them subclass ValueError
-    except (reducer.PoleInWindow, hydro.StiffnessFailure, hydro.QuadratureFailure,
-            hydro.NoSecondRoot, hydro.NoTurningPoint, catalog.BranchFailure) as exc:
+    except model.NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (model.SchemaError, model.DomainError, hydro.OutOfDomain,
-            catalog.Inadmissible, FileNotFoundError, KeyError, ValueError) as exc:
+    except (model.SchemaError, model.DomainError, catalog.Inadmissible,
+            FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,6 +33,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
+from .model import NumericFailure
 from .symcore import exact_root
 
 Number = Union[Fraction, int, float]
@@ -40,11 +41,11 @@ Number = Union[Fraction, int, float]
 R_FLOOR = 1e-9
 
 
-class NoSecondRoot(ValueError):
+class NoSecondRoot(ValueError, NumericFailure):
     """Theorem precondition fails: no second critical point beyond R1."""
 
 
-class NoTurningPoint(ValueError):
+class NoTurningPoint(ValueError, NumericFailure):
     """G has no zero beyond the center (should not happen when nu > -2)."""
 
 
@@ -52,11 +53,11 @@ class OutOfDomain(ValueError):
     """Argument outside the curve's domain (e.g. G < 0)."""
 
 
-class StiffnessFailure(RuntimeError):
+class StiffnessFailure(RuntimeError, NumericFailure):
     """Adaptive integrator step underflow."""
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(RuntimeError, NumericFailure):
     """Quadrature error estimate above tolerance."""
 
 

@@ -42,6 +42,10 @@ class SchemaError(ValueError):
     """Input document does not match the model schema."""
 
 
+class NumericFailure(Exception):
+    """A computation on valid input did not succeed; the CLI exits 3."""
+
+
 class DomainError(ValueError):
     """Well-formed input with out-of-domain values."""
 

@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import HyperbolicPDE
+from .model import HyperbolicPDE, NumericFailure
 from .symcore import (
     E_NAME,
     ExpRational,
@@ -47,7 +47,7 @@ class MissingUnknown(KeyError):
     """Assignment does not cover every unknown of the system."""
 
 
-class PoleInWindow(ValueError):
+class PoleInWindow(ValueError, NumericFailure):
     """Residual scan hit an undeclared pole of the solution."""
 
 

@@ -18,6 +18,7 @@ from twbench.catalog import (
     verify_entry,
 )
 from twbench.cli import main as cli_main
+from twbench.model import SchemaError
 from twbench.reducer import reduce, residual_scan, sample_solution, verify_assignment
 from twbench.symcore import exact_root
 
@@ -91,6 +92,13 @@ class TestInstantiate:
             "a0": F(0), "a1": F(1), "b0": F(1), "b1": F(1),
             "A": F(2), "B": F(1), "kappa": F(1)})
         assert assignment["v"] == F(-1) and assignment["alpha"] == F(-1)
+
+    def test_free_parameter_names_checked(self):
+        paper = {"lam1": F(1), "lam3": F(-2), "tau": F(1), "kappa": F(1), "v": F(2)}
+        with pytest.raises(SchemaError, match="missing lam1"):
+            instantiate("IVe-a", {k: v for k, v in paper.items() if k != "lam1"})
+        with pytest.raises(SchemaError, match="unknown lamm"):
+            instantiate("IVe-a", {**paper, "lamm": F(5)})
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

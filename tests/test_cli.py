@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from twbench import catalog, hydro, model, reducer
 
 REPO = Path(__file__).resolve().parent.parent
 EXPECTATIONS = REPO / "expectations.json"
@@ -96,6 +99,39 @@ def test_zero_denominator_is_input_error(site, tmp_path):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
 
 
+EXIT_3_CLASSES = [
+    (reducer.PoleInWindow, ValueError),
+    (catalog.BranchFailure, RuntimeError),
+    (hydro.NoSecondRoot, ValueError),
+    (hydro.NoTurningPoint, ValueError),
+    (hydro.StiffnessFailure, RuntimeError),
+    (hydro.QuadratureFailure, RuntimeError),
+]
+
+
+@pytest.mark.parametrize("cls, old_base", EXIT_3_CLASSES,
+                         ids=[cls.__name__ for cls, _ in EXIT_3_CLASSES])
+def test_exit_3_classes_are_numeric_failures(cls, old_base):
+    exc = cls("boom")
+    assert isinstance(exc, model.NumericFailure)
+    assert isinstance(exc, old_base)
+
+
+def test_exact_commands_do_not_import_scipy():
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from twbench import cli
+        for argv in (["catalog", "list"],
+                     ["reduce", "--model", "models/burgers.json", "--ansatz", "1/1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        print(sorted(m for m in ("scipy", "twbench.hydro") if m in sys.modules))
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 class TestCatalogCommands:
     def test_list(self):
         r = run_cli("catalog", "list")
@@ -127,6 +163,17 @@ class TestCatalogCommands:
         assert len(lines) == 6
         mid = float(lines[3].split(",")[1])
         assert abs(mid - 1.0) < 1e-12  # sech peak amplitude
+
+
+    @pytest.mark.parametrize("free, name", [
+        ("lam3=-2,tau=1,kappa=1,v=2", "missing lam1"),
+        ("lam1=1,lam3=-2,tau=1,kappa=1,v=2,lamm=5", "unknown lamm"),
+    ], ids=["missing", "unknown"])
+    def test_eval_free_parameter_names(self, free, name):
+        r = run_cli("eval", "--family", "IVe-a", "--free", free, "--range=-1:1:3")
+        assert r.returncode == 2
+        assert r.stderr.startswith("error:") and name in r.stderr
+        assert r.stdout == ""
 
 
 class TestHydroCommands:
