@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .model import HyperbolicPDE, NumericFailure, SchemaError
+from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
 from .reducer import (
     AlgebraicSystem,
     ClosedFormSolution,
@@ -45,8 +45,12 @@ SCAN_SAMPLES = 1001
 SCAN_TOL = 1e-9
 
 
-class Inadmissible(ValueError):
+class Inadmissible(InputError):
     """Free parameter values violate a family's admissibility predicates."""
+
+
+class UnknownFamily(InputError, KeyError):
+    """No family has the requested id."""
 
 
 class BranchFailure(RuntimeError, NumericFailure):
@@ -1199,10 +1203,9 @@ def list_families() -> list[CatalogEntry]:
 
 
 def get_family(family_id: str) -> Family:
-    try:
-        return FAMILIES[family_id]
-    except KeyError:
-        raise KeyError(f"unknown family {family_id!r}; known: {', '.join(FAMILIES)}") from None
+    if family_id not in FAMILIES:
+        raise UnknownFamily(f"unknown family {family_id!r}; known: {', '.join(FAMILIES)}")
+    return FAMILIES[family_id]
 
 
 def _judge(inst: Instance, system: AlgebraicSystem,
@@ -1275,7 +1278,7 @@ def verify_entry(family_id: str, trials: int = 5, seed: int = 1) -> dict:
     independently and reports are reproducible.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise DomainError("trials must be >= 1")
     fam = get_family(family_id)
     rng = random.Random(f"{seed}:{family_id}")
     overall_pass = True
@@ -1363,8 +1366,11 @@ def _fmt(x) -> str | None:
 
 
 def load_expectations(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def matches_expectations(report: dict, expected_entry: dict) -> bool:

@@ -5,8 +5,8 @@ reports or CSV curves: floats are printed with 17 significant digits, exact
 rationals as "p/q" strings, and JSON keys are sorted, so identical inputs and
 seeds produce byte-identical output.
 
-Exit codes: 0 success, 1 verification mismatch, 2 invalid input or schema,
-3 numeric failure (any ``model.NumericFailure``).
+Exit codes: 0 success, 1 verification mismatch, 2 invalid input (``model.InputError``),
+3 numeric failure (``model.NumericFailure``); any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -42,17 +42,18 @@ def _parse_assignments(text: str) -> dict[str, Fraction]:
             raise model.SchemaError(f"expected name=value, got {item!r}")
         name, _, raw = item.partition("=")
         name, raw = name.strip(), raw.strip()
-        try:
-            out[name] = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise model.SchemaError(f"{name}: not a rational number: {raw!r}") from None
+        out[name] = model.parse_fields(raw, ",", (Fraction,),
+                                       f"{name}: not a rational number: {raw!r}")[0]
     return out
 
 
 def _emit(text: str, out_path: str | None):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise model.InputError(str(exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -68,8 +69,11 @@ def _csv(header: str, rows, out_path: str | None):
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise model.InputError(str(exc)) from None
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -77,10 +81,8 @@ def _read(path: str) -> str:
 
 def _cmd_reduce(args) -> int:
     pde = model.parse_model(_read(args.model))
-    try:
-        m_deg, n_deg = (int(x) for x in args.ansatz.split("/"))
-    except ValueError:
-        raise model.SchemaError("--ansatz must look like M/N (numerator/denominator degree)")
+    m_deg, n_deg = model.parse_fields(
+        args.ansatz, "/", (int, int), "--ansatz must look like M/N (numerator/denominator degree)")
     ansatz = reducer.ExpAnsatz(
         a=tuple(f"a{i}" for i in range(m_deg + 1)),
         b=tuple(f"b{i}" for i in range(n_deg + 1)),
@@ -142,11 +144,8 @@ def _cmd_catalog(args) -> int:
 def _cmd_eval(args) -> int:
     free = _parse_assignments(args.free)
     _, solution = catalog.instantiate(args.family, free)
-    try:
-        lo, hi, n = args.range.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise model.SchemaError("--range must look like lo:hi:n")
+    lo, hi, n = model.parse_fields(args.range, ":", (float, float, int),
+                                   "--range must look like lo:hi:n")
     if n < 2:
         raise model.SchemaError("--range needs n >= 2")
     xi = np.linspace(lo, hi, n)
@@ -189,10 +188,7 @@ def _cmd_hydro_analyze(args) -> int:
 def _cmd_hydro_orbit(args) -> int:
     from . import hydro
     m = hydro.parse_hydro_model(_read(args.model))
-    try:
-        r0, y0 = (float(x) for x in args.start.split(","))
-    except ValueError:
-        raise model.SchemaError("--start must look like R,Y")
+    r0, y0 = model.parse_fields(args.start, ",", (float, float), "--start must look like R,Y")
     traj = hydro.flow(m, (r0, y0), (0.0, args.span), rel_tol=args.rtol)
     _csv("omega,R,Y,H", zip(traj.omega, traj.R, traj.Y, traj.H), args.out)
     return 0
@@ -201,6 +197,8 @@ def _cmd_hydro_orbit(args) -> int:
 def _cmd_hydro_separatrix(args) -> int:
     from . import hydro
     m = hydro.parse_hydro_model(_read(args.model))
+    if args.samples < 0:
+        raise model.DomainError(f"Number of samples, {args.samples}, must be non-negative.")
     r1, r3 = float(m.R1), hydro.turning_point(m)
     rows = []
     for R in np.linspace(r1, r3, args.samples):
@@ -233,13 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="PDE model JSON file")
     p.add_argument("--ansatz", required=True, help="degrees M/N of the ansatz")
     p.add_argument("--power", type=int, default=1, choices=(1, 2))
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("verify", help="exactly verify an assignment against a system")
     p.add_argument("--system", required=True, help="system JSON file from `reduce`")
     p.add_argument("--assign", required=True, help="comma list name=rational")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("solve", help="multistart damped-Newton solve of a system")
@@ -247,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix", default="", help="comma list name=rational to pin")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--starts", type=int, default=32)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("catalog", help="list or verify the closed-form families")
@@ -256,19 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--expectations", default="./expectations.json")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_catalog)
 
     p = sub.add_parser("eval", help="sample a family's closed-form solution to CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--free", required=True, help="comma list name=rational")
     p.add_argument("--range", required=True, help="lo:hi:n sampling window")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("hydro-analyze", help="critical points, levels and angles")
     p.add_argument("--model", required=True, help="hydro model JSON file")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_hydro_analyze)
 
     p = sub.add_parser("hydro-orbit", help="integrate a phase trajectory to CSV")
@@ -276,21 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="initial R,Y")
     p.add_argument("--span", type=float, default=100.0)
     p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_hydro_orbit)
 
     p = sub.add_parser("hydro-separatrix", help="sample the saddle separatrix to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_hydro_separatrix)
 
     p = sub.add_parser("hydro-homoclinic", help="homoclinic profile by quadrature to CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=400)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_hydro_homoclinic)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
@@ -301,14 +292,9 @@ def main(argv=None) -> int:
         parser.error("catalog verify requires --family")
     try:
         return args.handler(args)
-    # numeric failures first: some of them subclass ValueError
-    except model.NumericFailure as exc:
+    except model.TwbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (model.SchemaError, model.DomainError, catalog.Inadmissible,
-            FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 
-from .model import NumericFailure
+from .model import DomainError, InputError, NumericFailure, read_document
 from .symcore import exact_root
 
 Number = Union[Fraction, int, float]
@@ -49,7 +49,7 @@ class NoTurningPoint(ValueError, NumericFailure):
     """G has no zero beyond the center (should not happen when nu > -2)."""
 
 
-class OutOfDomain(ValueError):
+class OutOfDomain(InputError):
     """Argument outside the curve's domain (e.g. G < 0)."""
 
 
@@ -142,27 +142,7 @@ def parse_hydro_model(text: str) -> HydroModel:
 
     Numbers are exact decimals; "p/q" strings are exact rationals.
     """
-    import json as _json
-
-    from .model import SchemaError, _read_value
-
-    try:
-        doc = _json.loads(text, parse_float=Fraction, parse_int=Fraction)
-    except ValueError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object")
-    expected = {"nu", "beta", "sigma", "D", "R1"}
-    if set(doc) != expected:
-        raise SchemaError(f"keys mismatch: missing {sorted(expected - set(doc))}, "
-                          f"unknown {sorted(set(doc) - expected)}")
-    fields = {}
-    for name in expected:
-        value = _read_value(doc[name], name)
-        if isinstance(value, str):
-            raise SchemaError(f"{name} must be numeric")
-        fields[name] = value
-    return HydroModel(**fields)
+    return HydroModel(**read_document(text, ("nu", "beta", "sigma", "D", "R1")))
 
 
 # -- the critical-point polynomial and Hamiltonian ---------------------------
@@ -419,12 +399,15 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     one array expression.
     Integration halts with status "boundary" if R reaches the floor 1e-9.
     """
-    if rel_tol < 1e-13:
-        raise ValueError("rel_tol below 1e-13 is not resolvable in double precision")
+    if not rel_tol >= 1e-13:
+        raise DomainError("rel_tol below 1e-13 is not resolvable in double precision")
     if isinstance(start, PhaseState):
         start = (start.R, start.Y)
     if isinstance(omega_span, (int, float)):
         omega_span = (0.0, float(omega_span))
+    y0 = [float(start[0]), float(start[1])]
+    if not all(map(math.isfinite, [*y0, *omega_span])):
+        raise DomainError("the start and the span must be finite")
 
     def boundary(_, state):
         return state[0] - R_FLOOR
@@ -433,9 +416,8 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     boundary.direction = -1
 
     k = model.kernel
-    sol = solve_ivp(k.rhs, omega_span, [float(start[0]), float(start[1])],
-                    method="DOP853", rtol=rel_tol, atol=rel_tol * 1e-2,
-                    dense_output=True, events=boundary)
+    sol = solve_ivp(k.rhs, omega_span, y0, method="DOP853", rtol=rel_tol,
+                    atol=rel_tol * 1e-2, dense_output=True, events=boundary)
     if sol.status == -1:
         raise StiffnessFailure(sol.message)
     R, Y = sol.y
@@ -517,7 +499,7 @@ def homoclinic_profile(model: HydroModel, n: int = 400,
     R1 + delta; the orbit is even in omega, so the other side is the mirror.
     """
     if n < 2:
-        raise ValueError("need at least two sample points")
+        raise DomainError("need at least two sample points")
     k = model.kernel
     r1, r3 = k.R1, k.R3
     root_sigma = math.sqrt(k.sigma)

@@ -21,36 +21,41 @@ from .symcore import frac_str
 
 ReactionValue = Union[Fraction, str]
 
-#: Allowed reaction exponents, as exact half-integers.
-ALLOWED_EXPONENTS = (
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(2),
-    Fraction(3),
-)
+_EXPONENT_KEYS = {key: Fraction(key) for key in ("0", "1/2", "1", "3/2", "2", "3")}
 
-_EXPONENT_KEYS = {"0": Fraction(0), "1/2": Fraction(1, 2), "1": Fraction(1),
-                  "3/2": Fraction(3, 2), "2": Fraction(2), "3": Fraction(3)}
+#: Allowed reaction exponents, as exact half-integers.
+ALLOWED_EXPONENTS = tuple(_EXPONENT_KEYS.values())
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z_]\w*$")
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
-class SchemaError(ValueError):
+class TwbenchError(Exception):
+    """Base of the errors twbench reports; the CLI exits with ``exit_code``."""
+
+    exit_code: int
+    __str__ = Exception.__str__  # a KeyError subclass would print a repr
+
+
+class InputError(TwbenchError, ValueError):
+    """Invalid input: a file, a document, an option; the CLI exits 2."""
+    exit_code = 2
+
+
+class NumericFailure(TwbenchError):
+    """A computation on valid input did not succeed; the CLI exits 3."""
+    exit_code = 3
+
+
+class SchemaError(InputError):
     """Input document does not match the model schema."""
 
 
-class NumericFailure(Exception):
-    """A computation on valid input did not succeed; the CLI exits 3."""
-
-
-class DomainError(ValueError):
+class DomainError(InputError):
     """Well-formed input with out-of-domain values."""
 
 
-class DegenerateFrame(ValueError):
+class DegenerateFrame(InputError):
     """Travelling frame with tau*v^2 - kappa = 0."""
 
 
@@ -66,12 +71,10 @@ class HyperbolicPDE:
 
     def __post_init__(self):
         for name in ("tau", "A", "B", "kappa"):
-            value = getattr(self, name)
-            if not isinstance(value, Fraction):
-                object.__setattr__(self, name, Fraction(value))
-        for name in ("tau", "A", "B", "kappa"):
-            if getattr(self, name) < 0:
+            value = Fraction(getattr(self, name))
+            if value < 0:
                 raise DomainError(f"{name} must be non-negative")
+            object.__setattr__(self, name, value)
         if not (self.tau or self.A or self.B or self.kappa):
             raise DomainError("at least one of tau, A, B, kappa must be nonzero")
         cleaned = {}
@@ -114,7 +117,7 @@ class QuarticReduction:
     H: Fraction
 
 
-def _read_value(raw, where: str) -> ReactionValue:
+def _read_value(raw, where: str, symbolic: bool = True) -> ReactionValue:
     if isinstance(raw, Fraction):
         return raw
     if isinstance(raw, str):
@@ -123,10 +126,45 @@ def _read_value(raw, where: str) -> ReactionValue:
                 return Fraction(raw)
             except ZeroDivisionError:
                 raise SchemaError(f"{where}: zero denominator in {raw!r}") from None
+            except ValueError as exc:  # more digits than int() converts
+                raise SchemaError(f"{where}: {exc}") from None
         if _SYMBOL_RE.match(raw):
+            if not symbolic:
+                raise SchemaError(f"{where} must be numeric")
             return raw
         raise SchemaError(f"{where}: string must be a symbol name or p/q rational, got {raw!r}")
     raise SchemaError(f"{where}: expected number or string, got {type(raw).__name__}")
+
+
+def read_document(text: str, numeric: tuple[str, ...], other: tuple[str, ...] = ()) -> dict:
+    """A JSON object with exactly the keys ``numeric`` and ``other``, numbers as exact
+    Fractions; ``numeric`` values are checked in declared order, first bad one reported."""
+    try:
+        doc = json.loads(text, parse_float=Fraction, parse_int=Fraction)
+    except ValueError as exc:
+        raise SchemaError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("top-level value must be an object")
+    expected = set(numeric) | set(other)
+    if set(doc) != expected:
+        missing = expected - set(doc)
+        extra = set(doc) - expected
+        raise SchemaError(f"keys mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
+    fields = {name: _read_value(doc[name], name, symbolic=False) for name in numeric}
+    fields.update((name, doc[name]) for name in other)
+    return fields
+
+
+def parse_fields(text: str, sep: str, kinds: tuple, usage: str) -> list:
+    """``text`` split at ``sep``, part i converted by ``kinds[i]``; a wrong
+    count or a failed conversion raises SchemaError(usage)."""
+    parts = text.split(sep)
+    try:
+        if len(parts) == len(kinds):
+            return [kind(part) for kind, part in zip(kinds, parts)]
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise SchemaError(usage)
 
 
 def parse_model(text: str) -> HyperbolicPDE:
@@ -136,30 +174,15 @@ def parse_model(text: str) -> HyperbolicPDE:
     "p/q" strings which are exact rationals (for lossless round-trips of
     non-decimal coefficients).
     """
-    try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=Fraction)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("top-level value must be an object")
-    expected = {"tau", "A", "B", "kappa", "reaction"}
-    if set(doc) != expected:
-        missing = expected - set(doc)
-        extra = set(doc) - expected
-        raise SchemaError(f"keys mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
-    fields = {}
-    for name in ("tau", "A", "B", "kappa"):
-        value = _read_value(doc[name], name)
-        if isinstance(value, str):
-            raise SchemaError(f"{name} must be numeric")
-        fields[name] = value
-    if not isinstance(doc["reaction"], dict):
+    fields = read_document(text, ("tau", "A", "B", "kappa"), ("reaction",))
+    raw = fields.pop("reaction")
+    if not isinstance(raw, dict):
         raise SchemaError("reaction must be an object")
     reaction = {}
-    for key, raw in doc["reaction"].items():
+    for key, value in raw.items():
         if key not in _EXPONENT_KEYS:
             raise SchemaError(f"reaction exponent key {key!r} not in {sorted(_EXPONENT_KEYS)}")
-        reaction[_EXPONENT_KEYS[key]] = _read_value(raw, f"reaction[{key}]")
+        reaction[_EXPONENT_KEYS[key]] = _read_value(value, f"reaction[{key}]")
     return HyperbolicPDE(reaction=reaction, **fields)
 
 

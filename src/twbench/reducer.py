@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .model import HyperbolicPDE, NumericFailure
+from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
 from .symcore import (
     E_NAME,
     ExpRational,
@@ -35,15 +35,15 @@ from .symcore import (
 Coefficient = Union[str, Fraction, int, ParamPoly]
 
 
-class PowerMismatch(ValueError):
+class PowerMismatch(InputError):
     """Half-integer reaction exponents require the squared ansatz (p = 2)."""
 
 
-class EmptyAnsatz(ValueError):
+class EmptyAnsatz(InputError):
     """Ansatz with no terms, or an identically-zero numerator/denominator."""
 
 
-class MissingUnknown(KeyError):
+class MissingUnknown(InputError, KeyError):
     """Assignment does not cover every unknown of the system."""
 
 
@@ -69,7 +69,7 @@ class ExpAnsatz:
 
     def __post_init__(self):
         if self.power not in (1, 2):
-            raise ValueError("ansatz power must be 1 or 2")
+            raise DomainError("ansatz power must be 1 or 2")
         if not self.a or not self.b:
             raise EmptyAnsatz("coefficient lists must be non-empty")
         if all(_is_zero_number(c) for c in self.a):
@@ -92,10 +92,6 @@ class ExpAnsatz:
     def denominator(self) -> ParamPoly:
         E = ParamPoly.var(E_NAME)
         return sum((ParamPoly.lift(c) * E**k for k, c in enumerate(self.b)), ParamPoly.const(0))
-
-    def base(self) -> ExpRational:
-        """w as a rational function of E (before raising to `power`)."""
-        return ExpRational(self.numerator(), self.denominator(), reduce=False)
 
     def symbols(self) -> tuple[str, ...]:
         """Unknowns, in slot order: numerator, denominator, alpha, velocity."""
@@ -136,19 +132,32 @@ class AlgebraicSystem:
 
     @staticmethod
     def from_json(text: str) -> "AlgebraicSystem":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
+        if not isinstance(doc, dict):
+            raise SchemaError("top-level value must be an object")
         for key in ("unknowns", "parameters", "equations", "provenance"):
             if key not in doc:
-                raise ValueError(f"system document missing key {key!r}")
-        equations = tuple(parse_poly_text(s) for s in doc["equations"])
-        unknowns = tuple(doc["unknowns"])
-        parameters = tuple(doc["parameters"])
+                raise SchemaError(f"system document missing key {key!r}")
+        names = [doc[key] for key in ("unknowns", "parameters", "equations")]
+        if not all(isinstance(v, list) and all(isinstance(s, str) for s in v) for v in names):
+            raise SchemaError("unknowns, parameters and equations must be lists of strings")
+        unknowns, parameters, texts = map(tuple, names)
+        try:
+            equations = tuple(parse_poly_text(s) for s in texts)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
         allowed = set(unknowns) | set(parameters)
         for eq in equations:
             stray = set(eq.variables) - allowed
             if stray:
-                raise ValueError(f"equation uses undeclared symbols {sorted(stray)}")
-        provenance = tuple(doc["provenance"][str(i)] for i in range(len(equations)))
+                raise SchemaError(f"equation uses undeclared symbols {sorted(stray)}")
+        given = doc["provenance"] if isinstance(doc["provenance"], dict) else {}
+        provenance = tuple(given.get(str(i)) for i in range(len(equations)))
+        if not all(type(k) is int for k in provenance):
+            raise SchemaError("provenance must give each equation index an integer E power")
         return AlgebraicSystem(unknowns, equations, provenance, parameters)
 
 
@@ -194,7 +203,7 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz) -> AlgebraicSystem:
         raise PowerMismatch("half-integer reaction exponents require power 2")
     clash = set(ansatz.symbols()) & (set(pde.symbols()) | {E_NAME})
     if clash:
-        raise ValueError(f"ansatz symbols collide with model symbols: {sorted(clash)}")
+        raise DomainError(f"ansatz symbols collide with model symbols: {sorted(clash)}")
 
     f = ansatz.numerator()
     g = ansatz.denominator()
@@ -254,7 +263,7 @@ def verify_assignment(system: AlgebraicSystem, assignment: Mapping[str, Number])
         needed.update(eq.variables)
     missing = needed - set(values)
     if missing:
-        raise MissingUnknown(", ".join(sorted(missing)))
+        raise MissingUnknown(f"missing unknowns: {', '.join(sorted(missing))}")
 
     residuals = tuple(eq.evaluate(values) for eq in system.equations)
     failing = [i for i, r in enumerate(residuals) if r != 0]
@@ -277,37 +286,34 @@ def solve_numeric(
 
     Returns every distinct solution with residual sup-norm below 1e-12,
     deduplicated at sup-distance 1e-8 and sorted lexicographically.  An empty
-    list reports that no start converged.
+    list reports that no start converged.  The pins in ``fixed`` are
+    substituted exactly; one that is not a symbol of the system raises
+    SchemaError.
     """
     if starts < 1:
-        raise ValueError("starts must be >= 1")
-    fixed = {k: Fraction(v) if not isinstance(v, float) else v for k, v in (fixed or {}).items()}
-    exact_fixed = {k: v for k, v in fixed.items() if not isinstance(v, float)}
-    float_fixed = {k: v for k, v in fixed.items() if isinstance(v, float)}
-
-    equations = [eq.substitute(exact_fixed) for eq in system.equations]
-    unknowns = [u for u in system.all_symbols() if u not in fixed]
-    if float_fixed:
-        # floats cannot be substituted exactly; keep them as frozen unknowns
-        env = dict(float_fixed)
-    else:
-        env = {}
-
+        raise DomainError("starts must be >= 1")
+    if seed < 0:
+        raise DomainError("expected non-negative integer")
+    fixed = {k: Fraction(v) for k, v in (fixed or {}).items()}
+    symbols = system.all_symbols()
+    stray = [k for k in fixed if k not in symbols]
+    if stray:
+        raise SchemaError(f"pinned names not in the system: {', '.join(stray)} "
+                          f"(symbols: {', '.join(symbols)})")
+    equations = [eq.substitute(fixed) for eq in system.equations]
+    unknowns = [u for u in symbols if u not in fixed]
     live = [eq for eq in equations if not eq.is_zero()]
     if not unknowns:
-        ok = all(abs(float(eq.evaluate(env)) if env else float(eq.constant_value())) < 1e-12
-                 for eq in live)
+        ok = all(abs(float(eq.constant_value())) < 1e-12 for eq in live)
         return [{}] if ok else []
     jacobian = [[eq.diff(u) for u in unknowns] for eq in live]
 
     def f_at(x: np.ndarray) -> np.ndarray:
-        point = dict(env)
-        point.update(zip(unknowns, x))
+        point = dict(zip(unknowns, x))
         return np.array([float(eq.evaluate(point)) for eq in live], dtype=float)
 
     def j_at(x: np.ndarray) -> np.ndarray:
-        point = dict(env)
-        point.update(zip(unknowns, x))
+        point = dict(zip(unknowns, x))
         return np.array(
             [[float(d.evaluate(point)) for d in row] for row in jacobian], dtype=float
         )

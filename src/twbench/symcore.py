@@ -144,9 +144,6 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.variables
-
     def constant_value(self) -> Fraction:
         if self.variables:
             raise ValueError("not a constant polynomial")
@@ -385,7 +382,7 @@ class ParamPoly:
         return f"ParamPoly({self.to_text()})"
 
 
-_FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?)$")
+_FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/0*[1-9]\d*)?)|(?P<var>[A-Za-z_]\w*)(?:\^(?P<exp>\d+))?)$")
 
 
 def parse_poly_text(text: str) -> ParamPoly:

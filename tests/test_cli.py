@@ -5,8 +5,10 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from twbench import catalog, hydro, model, reducer
+from twbench import catalog, cli, hydro, model, reducer
 
 REPO = Path(__file__).resolve().parent.parent
 EXPECTATIONS = REPO / "expectations.json"
@@ -130,6 +132,151 @@ def test_exact_commands_do_not_import_scipy():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+# A system with unknowns x and y whose one equation has no real root.
+SYSTEM = {"unknowns": ["x", "y"], "parameters": [],
+          "equations": ["x^2 + y^2 + 1"], "provenance": {"0": 0}}
+
+INPUT_DOCUMENTS = {
+    "system": json.dumps(SYSTEM),
+    "hydro": '{"nu":0,"beta":0.5,"sigma":1,"D":1,"R1":1}',
+    "no_provenance": json.dumps(dict(SYSTEM, provenance={})),
+    "not_object": "5",
+    "equation_not_text": json.dumps(dict(SYSTEM, equations=[3])),
+    "zero_denominator": json.dumps(dict(SYSTEM, equations=["x^2 + 1/0"])),
+}
+
+EXIT_2_CASES = {
+    "solve-seed": ["solve", "--system", "{system}", "--seed", "-1"],
+    "solve-starts": ["solve", "--system", "{system}", "--starts", "0"],
+    "separatrix-samples": ["hydro-separatrix", "--model", "{hydro}", "--samples", "-1"],
+    "orbit-rtol": ["hydro-orbit", "--model", "{hydro}", "--start", "1.7,0",
+                   "--rtol", "1e-20"],
+    "homoclinic-n": ["hydro-homoclinic", "--model", "{hydro}", "--n", "1"],
+    "catalog-trials": ["catalog", "verify", "--family", "IVd", "--trials", "0"],
+    "catalog-expectations": ["catalog", "verify", "--family", "IVd", "--trials", "1",
+                             "--expectations", "{missing}"],
+    "catalog-out": ["catalog", "list", "--out", "{missing_dir}/x.json"],
+    "system-provenance": ["verify", "--system", "{no_provenance}", "--assign", "x=1,y=1"],
+    "unknown-family": ["eval", "--family", "IVz", "--free", "a=1", "--range=0:1:3"],
+    # these three ended in a traceback (exit 1) before InputError existed
+    "system-not-object": ["verify", "--system", "{not_object}", "--assign", "x=1"],
+    "system-equation-not-text": ["verify", "--system", "{equation_not_text}",
+                                 "--assign", "x=1"],
+    "system-zero-denominator": ["verify", "--system", "{zero_denominator}",
+                                "--assign", "x=1"],
+}
+
+
+@pytest.fixture
+def input_paths(tmp_path):
+    paths = {"missing": tmp_path / "missing.json", "missing_dir": tmp_path / "missing-dir"}
+    for name, text in INPUT_DOCUMENTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize("case", list(EXIT_2_CASES))
+def test_exit_2_matrix(case, input_paths):
+    r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args, stderr", [
+    (["verify", "--system", "{system}", "--assign", "x=1"], "error: missing unknowns: y\n"),
+    (["eval", "--family", "IVz", "--free", "a=1", "--range=0:1:3"],
+     f"error: unknown family 'IVz'; known: {', '.join(catalog.FAMILIES)}\n"),
+    (["solve", "--system", "{system}", "--fix", "x=1,zz=1,ww=2", "--starts", "2"],
+     "error: pinned names not in the system: zz, ww (symbols: x, y)\n"),
+], ids=["missing-unknowns", "unknown-family", "misspelt-pin"])
+def test_input_error_messages(args, stderr, input_paths):
+    r = run_cli(*(a.format(**input_paths) for a in args))
+    assert r.returncode == 2
+    assert r.stderr == stderr
+
+
+def test_internal_errors_propagate(monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    with pytest.raises(KeyError):
+        cli.main(["catalog", "list"])
+
+
+# -- fuzzing: every parser either parses or raises model.InputError ------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_VALUE = (st.integers(-5, 5) | st.floats() | st.sampled_from(["1/2", "-3/4", "2/0", "lam", "1x"])
+          | _JSON)
+_POLY_TEXT = st.text(alphabet="xyz0123456789/^*+- ", max_size=16)
+
+
+def _document(keys, values=_VALUE, **special):
+    """Objects near a schema: the declared keys, one of them dropped, or any keys."""
+    exact = st.fixed_dictionaries({k: special.get(k, values) for k in keys})
+    dropped = exact.flatmap(lambda d: st.sampled_from(sorted(d)).map(
+        lambda k: {n: v for n, v in d.items() if n != k}))
+    loose = st.dictionaries(st.sampled_from(list(keys)) | st.text(max_size=4), values,
+                            max_size=len(keys) + 1)
+    return exact | dropped | loose
+
+
+_MODEL_DOCS = _document(
+    ("tau", "A", "B", "kappa", "reaction"),
+    reaction=st.dictionaries(st.sampled_from(["0", "1/2", "1", "3/2", "2", "3", "5"]),
+                             _VALUE, max_size=4) | _JSON)
+_HYDRO_DOCS = _document(("nu", "beta", "sigma", "D", "R1"))
+_SYSTEM_DOCS = _document(
+    ("unknowns", "parameters", "equations", "provenance"),
+    unknowns=st.lists(st.sampled_from(["x", "y", "z"]) | _JSON, max_size=3) | _JSON,
+    parameters=st.lists(st.sampled_from(["z"]) | _JSON, max_size=2) | _JSON,
+    equations=st.lists(_POLY_TEXT | _JSON, max_size=3) | _JSON,
+    provenance=st.dictionaries(st.sampled_from(["0", "1", "2"]), st.integers(-3, 3) | _JSON,
+                               max_size=3) | _JSON,
+)
+
+# without the "explain" phase: after a failure it re-runs these nested
+# strategies for minutes before reporting
+_FUZZ = settings(max_examples=150, deadline=None, database=None,
+                 phases=[Phase.explicit, Phase.generate, Phase.shrink])
+
+
+def _parses_or_input_error(parse, text):
+    try:
+        parse(text)
+    except model.InputError:
+        pass
+
+
+@pytest.mark.parametrize("parse, documents", [
+    (model.parse_model, _MODEL_DOCS),
+    (hydro.parse_hydro_model, _HYDRO_DOCS),
+    (reducer.AlgebraicSystem.from_json, _SYSTEM_DOCS),
+], ids=["parse_model", "parse_hydro_model", "system_from_json"])
+def test_fuzz_documents(parse, documents):
+    @_FUZZ
+    @given(documents.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=40))
+    def check(text):
+        _parses_or_input_error(parse, text)
+
+    check()
+
+
+@_FUZZ
+@given(st.lists(st.text(alphabet="xy=,/-0123456789 .e", max_size=8), max_size=4).map(",".join)
+       | st.text(max_size=30))
+def test_fuzz_assignments(text):
+    _parses_or_input_error(cli._parse_assignments, text)
 
 
 class TestCatalogCommands:
