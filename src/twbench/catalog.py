@@ -14,17 +14,23 @@ Notation used by the derived formulas:
     h     = alpha*(v^2*tau - kappa)
     Delta = a1*b0 - a0*b1
     Theta = a1*b0 + a0*b1
+    H     = tau*v^2 - kappa
+
+The rational derived formulas are evaluated from the same text that
+``catalog list`` prints; formulas with radicals are written out in code.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Mapping
+from functools import cache, cached_property
+from typing import Callable, Iterator, Mapping
 
 from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
 from .reducer import (
@@ -67,6 +73,77 @@ def _sqrt_branches(q: Fraction) -> list[Fraction | float]:
     return [root, -root] if root else [root]
 
 
+# Shared notation of the derived formulas, as in the module docstring.
+NOTATION = {
+    "h": "alpha*(v^2*tau - kappa)",
+    "Delta": "a1*b0 - a0*b1",
+    "Theta": "a1*b0 + a0*b1",
+    "H": "tau*v^2 - kappa",
+}
+
+_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+@cache
+def _formula(text: str) -> Callable[[Mapping[str, Fraction]], Fraction]:
+    """Compile formula text once into a function of a name lookup.
+
+    The text may use ``+ - * /``, ``^`` to an integer literal, unary minus,
+    parentheses, integer literals (read as Fractions) and names.  ``^``
+    becomes ``**`` before parsing: Python's ``^`` is XOR and binds loosest,
+    so ``x/Delta^2`` would read as ``(x/Delta)^2``.
+    """
+    return _compile(ast.parse(text.replace("^", "**"), mode="eval").body)
+
+
+def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
+    match node:
+        case ast.BinOp(left, ast.Pow(), ast.Constant(int() as n)):
+            base = _compile(left)
+            return lambda names: base(names) ** n
+        case ast.BinOp(left, op, right) if type(op) in _ARITHMETIC:
+            f, a, b = _ARITHMETIC[type(op)], _compile(left), _compile(right)
+            return lambda names: f(a(names), b(names))
+        case ast.UnaryOp(ast.USub(), operand):
+            a = _compile(operand)
+            return lambda names: -a(names)
+        case ast.Constant(int() as n):
+            value = Fraction(n)
+            return lambda names: value
+        case ast.Name(name):
+            return operator.itemgetter(name)
+    raise ValueError(f"formula syntax not supported: {ast.unparse(node)}")
+
+
+class _Derived(dict):
+    """Free values, then a family's formulas, then the shared notation.
+
+    Each formula is evaluated exactly on first use and kept.  Free values
+    must be rational, so no float operation can depend on the order in which
+    a formula is written.
+    """
+
+    def __init__(self, free_values: Mapping[str, Fraction],
+                 formulas: Mapping[str, str] = NOTATION):
+        super().__init__(free_values)
+        for name, value in free_values.items():
+            if isinstance(value, int):
+                self[name] = Fraction(value)
+            elif not isinstance(value, Fraction):
+                raise TypeError(f"{name} = {value!r} is not rational")
+        self.formulas = {**NOTATION, **formulas}
+
+    def __missing__(self, name):
+        value = self[name] = _formula(self.formulas[name])(self)
+        return value
+
+
+def _reaction(values, names) -> dict[Fraction, Fraction]:
+    """Reaction map from coefficients named lam<nu>, e.g. lam3/2 -> {3/2: ...}."""
+    return {Fraction(name[3:]): values[name] for name in names}
+
+
 @dataclass(frozen=True)
 class Instance:
     """One fully numeric instantiation of a family (one radical branch)."""
@@ -103,7 +180,6 @@ class CatalogEntry:
 @dataclass(frozen=True)
 class Family:
     entry: CatalogEntry
-    check: Callable[[Mapping[str, Fraction]], None]
     instances: Callable[[Mapping[str, Fraction]], list[Instance]]
     draw: Callable[[random.Random], dict[str, Fraction]]
     adopted: str = "main"  # reading whose verdict the family's status reports
@@ -165,14 +241,6 @@ def _small_alpha(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(1, 6), rng.randint(2, 4))
 
 
-def _h(alpha, v, tau, kappa):
-    return alpha * (v * v * tau - kappa)
-
-
-def _negate_slot(c):
-    return -ParamPoly.var(c) if isinstance(c, str) else -c
-
-
 def _square_branches(pde, a_slots, b_slots, assignment, reading="main"):
     """Both sign branches of sqrt(u) for a squared ansatz u = w^2.
 
@@ -180,7 +248,7 @@ def _square_branches(pde, a_slots, b_slots, assignment, reading="main"):
     half-integer power u^(nu) = w^(2*nu) with odd 2*nu, so a condition table
     can verify on either branch.
     """
-    flipped = tuple(_negate_slot(c) for c in a_slots)
+    flipped = tuple(-ParamPoly.var(c) if isinstance(c, str) else -c for c in a_slots)
     return [Instance(pde, ExpAnsatz(a=a, b=b_slots, power=2), assignment, label, reading=reading)
             for a, label in ((a_slots, "w+"), (flipped, "w-"))]
 
@@ -192,11 +260,17 @@ def _square_branches(pde, a_slots, b_slots, assignment, reading="main"):
 
 def _family_I():
     free = ("a0", "a1", "b0", "b1", "alpha", "v", "lam3", "tau", "kappa", "B")
+    derived = {
+        "lam0": "-a0*a1*alpha*(B*v*Delta + h*Theta)/Delta^2",
+        "lam1": "(alpha*b0*b1*(B*v*Theta*Delta + h*Theta^2) + lam3*a0*a1*Delta^2)/(b0*b1*Delta^2)",
+        "lam2": "-(alpha*b0^2*b1^2*(B*v*Delta + h*Theta) + lam3*Delta^2*Theta)/(b0*b1*Delta^2)",
+        "A": "(2*h*alpha*b0^2*b1^2 - lam3*Delta^2)/(alpha*b0*b1*Delta)",
+    }
 
     def check(fv):
         if fv["b0"] * fv["b1"] == 0:
             raise Inadmissible("b0*b1 = 0")
-        if fv["a1"] * fv["b0"] - fv["a0"] * fv["b1"] == 0:
+        if _Derived(fv)["Delta"] == 0:
             raise Inadmissible("Delta = 0")
         if fv["alpha"] == 0:
             raise Inadmissible("alpha = 0")
@@ -205,28 +279,15 @@ def _family_I():
 
     def instances(fv):
         check(fv)
-        a0, a1, b0, b1 = fv["a0"], fv["a1"], fv["b0"], fv["b1"]
-        alpha, v, lam3 = fv["alpha"], fv["v"], fv["lam3"]
-        tau, kappa, B = fv["tau"], fv["kappa"], fv["B"]
-        h = _h(alpha, v, tau, kappa)
-        Delta = a1 * b0 - a0 * b1
-        Theta = a1 * b0 + a0 * b1
-        D2 = Delta * Delta
-        lam0 = -a0 * a1 * alpha * (B * v * Delta + h * Theta) / D2
-        lam1 = (alpha * b0 * b1 * (B * v * Theta * Delta + h * Theta * Theta)
-                + lam3 * a0 * a1 * D2) / (b0 * b1 * D2)
-        lam2 = -(alpha * b0**2 * b1**2 * (B * v * Delta + h * Theta)
-                 + lam3 * D2 * Theta) / (b0 * b1 * D2)
-        A = -(-2 * h * alpha * b0**2 * b1**2 + lam3 * D2) / (alpha * b0 * b1 * Delta)
-        if A < 0:
+        d = _Derived(fv, derived)
+        if d["A"] < 0:
             raise Inadmissible("derived A is negative")
-        if not (tau or B or kappa or A):
+        if not (fv["tau"] or fv["B"] or fv["kappa"] or d["A"]):
             raise Inadmissible("all linear coefficients vanish")
-        pde = HyperbolicPDE(tau=tau, A=A, B=B, kappa=kappa,
-                            reaction={Fraction(0): lam0, Fraction(1): lam1,
-                                      Fraction(2): lam2, Fraction(3): lam3})
+        pde = HyperbolicPDE(tau=fv["tau"], A=d["A"], B=fv["B"], kappa=fv["kappa"],
+                            reaction=_reaction(d, ("lam0", "lam1", "lam2", "lam3")))
         ansatz = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
-        assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
+        assignment = {n: fv[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
         return [Instance(pde, ansatz, assignment, "direct")]
 
     def propose(rng):
@@ -243,12 +304,7 @@ def _family_I():
         family_id="I",
         shape="kink-like",
         free=free,
-        derived={
-            "lam0": "-a0*a1*alpha*(B*v*Delta + h*Theta)/Delta^2",
-            "lam1": "(alpha*b0*b1*(B*v*Theta*Delta + h*Theta^2) + lam3*a0*a1*Delta^2)/(b0*b1*Delta^2)",
-            "lam2": "-(alpha*b0^2*b1^2*(B*v*Delta + h*Theta) + lam3*Delta^2*Theta)/(b0*b1*Delta^2)",
-            "A": "(2*h*alpha*b0^2*b1^2 - lam3*Delta^2)/(alpha*b0*b1*Delta)",
-        },
+        derived=derived,
         admissibility=("b0*b1 != 0", "Delta != 0", "alpha != 0", "derived A >= 0"),
         expected="PASS",
         annotations=(
@@ -257,7 +313,7 @@ def _family_I():
         ),
     )
     draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +323,15 @@ def _family_I():
 
 def _family_I_tanh():
     free = ("lam0", "lam2", "lam3", "A", "B", "kappa", "tau")
+    derived = {
+        "lam1": "lam0*lam3/lam2",
+        "v": "lam2*(A*B + sqrt(A^2*B^2 - 8*kappa*lam3 + 16*kappa*lam2^2*tau))/(2*lam3 - 4*lam2^2*tau)",
+        "alpha": "2*sqrt(-lam0*lam2)/v",
+        "a0": "sqrt(-lam0/lam2)", "a1": "-a0", "b0": "1", "b1": "1",
+    }
 
-    def _parts(fv):
+    def check(fv):
+        """Raise Inadmissible, or return the radicand and denominator of v."""
         lam0, lam2, lam3 = fv["lam0"], fv["lam2"], fv["lam3"]
         A, B, kappa, tau = fv["A"], fv["B"], fv["kappa"], fv["tau"]
         if lam2 == 0 or lam0 * lam2 >= 0:
@@ -287,26 +350,21 @@ def _family_I_tanh():
             raise Inadmissible("velocity formula denominator vanishes")
         return disc, denom
 
-    def check(fv):
-        _parts(fv)
-
     def instances(fv):
-        disc, denom = _parts(fv)
-        lam0, lam2, lam3 = fv["lam0"], fv["lam2"], fv["lam3"]
-        A, B, kappa, tau = fv["A"], fv["B"], fv["kappa"], fv["tau"]
-        lam1 = lam0 * lam3 / lam2
-        pde = HyperbolicPDE(tau=tau, A=A, B=B, kappa=kappa,
-                            reaction={Fraction(0): lam0, Fraction(1): lam1,
-                                      Fraction(2): lam2, Fraction(3): lam3})
+        disc, denom = check(fv)
+        lam0, lam2 = fv["lam0"], fv["lam2"]
+        A, B = fv["A"], fv["B"]
+        pde = HyperbolicPDE(tau=fv["tau"], A=A, B=B, kappa=fv["kappa"],
+                            reaction=_reaction(_Derived(fv, derived),
+                                               ("lam0", "lam1", "lam2", "lam3")))
         ansatz = ExpAnsatz(a=("a0", "a1"), b=(1, 1))
         out = []
-        roots_disc = _sqrt_branches(disc)
         amp_raw = -lam0 / lam2
-        for i, s in enumerate(dict.fromkeys(roots_disc)):
+        for i, s in enumerate(_sqrt_branches(disc)):
             v = lam2 * (A * B + s) / denom
             if v == 0:
                 continue
-            for j, c in enumerate(dict.fromkeys(_sqrt_branches(amp_raw))):
+            for j, c in enumerate(_sqrt_branches(amp_raw)):
                 # alpha = 2*sqrt(-lam0*lam2)/v; sqrt(-lam0*lam2) = |lam2|*sqrt(-lam0/lam2)
                 k_mag = abs(lam2) * abs(c) if not isinstance(c, float) else abs(float(lam2)) * abs(c)
                 for si, sgn in enumerate((1, -1)):
@@ -337,12 +395,7 @@ def _family_I_tanh():
         family_id="I-tanh",
         shape="kink-like",
         free=free,
-        derived={
-            "lam1": "lam0*lam3/lam2",
-            "v": "lam2*(A*B + sqrt(A^2*B^2 - 8*kappa*lam3 + 16*kappa*lam2^2*tau))/(2*lam3 - 4*lam2^2*tau)",
-            "alpha": "2*sqrt(-lam0*lam2)/v",
-            "a0": "sqrt(-lam0/lam2)", "a1": "-a0", "b0": "1", "b1": "1",
-        },
+        derived=derived,
         admissibility=("lam2 != 0", "lam0*lam2 < 0", "velocity discriminant >= 0",
                        "2*lam3 - 4*lam2^2*tau != 0", "B = 1"),
         expected="PASS",
@@ -355,7 +408,7 @@ def _family_I_tanh():
         ),
     )
     draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +426,7 @@ def _family_I_kink2():
         disc = lam2 * lam2 - 4 * lam1 * lam3
         if disc < 0:
             raise Inadmissible("negative b0 discriminant")
-        return [(-lam2 + s) / lam1 for s in dict.fromkeys(_sqrt_branches(disc))]
+        return [(-lam2 + s) / lam1 for s in _sqrt_branches(disc)]
 
     def check(fv):
         if fv["B"] <= 0 or fv["kappa"] <= 0 or fv["tau"] < 0:
@@ -389,7 +442,7 @@ def _family_I_kink2():
                                       Fraction(2): lam2, Fraction(3): lam3})
         ansatz = ExpAnsatz(a=(2,), b=("b0", "b0"))
         out = []
-        for bi, b0 in enumerate(dict.fromkeys(_b0_branches(fv))):
+        for bi, b0 in enumerate(_b0_branches(fv)):
             if b0 == 0:
                 continue
             P = 2 * lam2 + 3 * b0 * lam1
@@ -400,7 +453,7 @@ def _family_I_kink2():
             if S <= 0:
                 continue
             v_sq = kappa * P * P / S
-            for vi, v in enumerate(dict.fromkeys(_sqrt_branches(v_sq))):
+            for vi, v in enumerate(_sqrt_branches(v_sq)):
                 if v == 0:
                     continue
                 alpha_printed = -P / (4 * B * v * b0)
@@ -447,7 +500,7 @@ def _family_I_kink2():
                      "exp(2*alpha*xi), so the ansatz growth rate is twice the printed alpha",),
     )
     draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +510,13 @@ def _family_I_kink2():
 
 def _family_II():
     free = ("a0", "a1", "b0", "b1", "alpha", "v", "B", "tau", "kappa")
+    derived = {
+        "lam0": "2*a0^2*a1^2*alpha*h/Delta^2",
+        "lam1/2": "-2*a0*a1*alpha*(3*h*Theta + B*v*Delta)/Delta^2",
+        "lam1": "2*alpha*(h*(3*Theta^2 - Delta^2) + B*v*Delta*Theta)/Delta^2",
+        "lam3/2": "-2*b0*b1*alpha*(5*h*Theta + B*v*Delta)/Delta^2",
+        "lam2": "6*b0^2*b1^2*h*alpha/Delta^2",
+    }
 
     def check(fv):
         if fv["b0"] * fv["b1"] <= 0:
@@ -472,23 +532,9 @@ def _family_II():
 
     def instances(fv):
         check(fv)
-        a0, a1, b0, b1 = fv["a0"], fv["a1"], fv["b0"], fv["b1"]
-        alpha, v = fv["alpha"], fv["v"]
-        B, tau, kappa = fv["B"], fv["tau"], fv["kappa"]
-        h = _h(alpha, v, tau, kappa)
-        Delta = a1 * b0 - a0 * b1
-        Theta = a1 * b0 + a0 * b1
-        D2 = Delta * Delta
-        lam0 = 2 * a0**2 * a1**2 * alpha * h / D2
-        lam_h = -2 * a0 * a1 * alpha * (3 * h * Theta + B * v * Delta) / D2
-        lam1 = 2 * alpha * (h * (3 * Theta**2 - D2) + B * v * Delta * Theta) / D2
-        lam_3h = -2 * b0 * b1 * alpha * (5 * h * Theta + B * v * Delta) / D2
-        lam2 = 6 * b0**2 * b1**2 * h * alpha / D2
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=B, kappa=kappa,
-                            reaction={Fraction(0): lam0, Fraction(1, 2): lam_h,
-                                      Fraction(1): lam1, Fraction(3, 2): lam_3h,
-                                      Fraction(2): lam2})
-        assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
+        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=fv["B"], kappa=fv["kappa"],
+                            reaction=_reaction(_Derived(fv, derived), derived))
+        assignment = {n: fv[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
         return _square_branches(pde, ("a0", "a1"), ("b0", "b1"), assignment)
 
     def propose(rng):
@@ -506,13 +552,7 @@ def _family_II():
         family_id="II",
         shape="soliton-like",
         free=free,
-        derived={
-            "lam0": "2*a0^2*a1^2*alpha*h/Delta^2",
-            "lam1/2": "-2*a0*a1*alpha*(3*h*Theta + B*v*Delta)/Delta^2",
-            "lam1": "2*alpha*(h*(3*Theta^2 - Delta^2) + B*v*Delta*Theta)/Delta^2",
-            "lam3/2": "-2*b0*b1*alpha*(5*h*Theta + B*v*Delta)/Delta^2",
-            "lam2": "6*b0^2*b1^2*h*alpha/Delta^2",
-        },
+        derived=derived,
         admissibility=("b0*b1 > 0", "|a0|/|b0| = |a1|/|b1|", "a0/b0 != a1/b1",
                        "alpha != 0"),
         expected="PASS",
@@ -520,7 +560,7 @@ def _family_II():
                      "where the displayed solution has a1, b1; the a1/b1 reading is adopted",),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +571,10 @@ def _family_II():
 def _family_III():
     free = ("lam1", "lam3", "A", "kappa", "tau", "a1")
 
-    def _q(fv):
-        lam1, lam3 = fv["lam1"], fv["lam3"]
-        if lam1 <= 0 or lam3 <= 0:
-            raise Inadmissible("lam1 and lam3 must be positive")
-        return _sqrt_branches(lam3 / lam1)[0]
-
     def check(fv):
-        _q(fv)
+        """Raise Inadmissible, or return sqrt(lam3/lam1)."""
+        if fv["lam1"] <= 0 or fv["lam3"] <= 0:
+            raise Inadmissible("lam1 and lam3 must be positive")
         if fv["A"] <= 0:
             raise Inadmissible("A must be positive")
         if fv["tau"] <= 0:
@@ -547,12 +583,12 @@ def _family_III():
             raise Inadmissible("kappa must be non-negative")
         if fv["a1"] == 0:
             raise Inadmissible("a1 = 0")
+        return _sqrt_branches(fv["lam3"] / fv["lam1"])[0]
 
     def instances(fv):
-        check(fv)
+        q = check(fv)
         lam1, lam3 = fv["lam1"], fv["lam3"]
         A, kappa, tau, a1 = fv["A"], fv["kappa"], fv["tau"], fv["a1"]
-        q = _q(fv)
         a2 = -q / (6 * a1)
         alpha = q * lam1 / A  # sqrt(lam1*lam3) = q*lam1
         v_sq = (A * A / lam3 + kappa) / tau
@@ -572,7 +608,7 @@ def _family_III():
                    3 * ParamPoly.var("a1") * ParamPoly.var("a2") ** 2,
                    ParamPoly.var("a3") ** 3),
             )
-            for vi, v in enumerate(dict.fromkeys(_sqrt_branches(v_sq))):
+            for vi, v in enumerate(_sqrt_branches(v_sq)):
                 if v == 0:
                     continue
                 assignment = {"a1": a1, "a2": a2, "a3": a3, "alpha": alpha, "v": v}
@@ -614,7 +650,7 @@ def _family_III():
         ),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw, adopted="a3_as_a2"))
+    return _register(Family(entry, instances, draw, adopted="a3_as_a2"))
 
 
 # ---------------------------------------------------------------------------
@@ -624,13 +660,23 @@ def _family_III():
 
 def _family_IVa():
     free = ("a0", "a1", "b0", "b1", "alpha", "v", "tau", "kappa")
+    derived = {
+        "lam0": "a0*(2*a0^2*b0 - a1^2*b0 - a0*a1*b1)*alpha*h/Delta^2",
+        "lam1": "(a1^2*b0^2 + 4*a0*a1*b0*b1 + a0^2*(-6*b0^2 + b1^2))*alpha*h/Delta^2",
+        "lam2": "3*b0*(2*a0*b0^2 - a1*b0*b1 - a0*b1^2)*alpha*h/Delta^2",
+        "lam3": "-2*b0*(b0^2 - b1^2)*alpha*h/Delta^2",
+    }
+    readings = {
+        "corrected-lam3": {**derived, "lam3": "-2*b0^2*(b0^2 - b1^2)*alpha*h/Delta^2"},
+        "as-printed": derived,
+    }
 
     def check(fv):
         if fv["a0"] == 0 or fv["b0"] == 0:
             raise Inadmissible("need a0 != 0 and b0 != 0")
         if fv["a1"] == 0 and fv["b1"] == 0:
             raise Inadmissible("need |a1| + |b1| != 0")
-        if fv["a1"] * fv["b0"] - fv["a0"] * fv["b1"] == 0:
+        if _Derived(fv)["Delta"] == 0:
             raise Inadmissible("Delta = 0")
         if fv["alpha"] == 0:
             raise Inadmissible("alpha = 0")
@@ -639,28 +685,14 @@ def _family_IVa():
 
     def instances(fv):
         check(fv)
-        a0, a1, b0, b1 = fv["a0"], fv["a1"], fv["b0"], fv["b1"]
-        alpha, v, tau, kappa = fv["alpha"], fv["v"], fv["tau"], fv["kappa"]
-        h = _h(alpha, v, tau, kappa)
-        Delta = a1 * b0 - a0 * b1
-        D2 = Delta * Delta
-        lam0 = a0 * (2 * a0**2 * b0 - a1**2 * b0 - a0 * a1 * b1) * alpha * h / D2
-        lam1 = (a1**2 * b0**2 + 4 * a0 * a1 * b0 * b1
-                + a0**2 * (-6 * b0**2 + b1**2)) * alpha * h / D2
-        lam2 = 3 * b0 * (2 * a0 * b0**2 - a1 * b0 * b1 - a0 * b1**2) * alpha * h / D2
         pa = {n: ParamPoly.var(n) for n in ("a0", "a1", "b0", "b1")}
         ansatz = ExpAnsatz(a=(pa["a0"], 2 * pa["a1"], pa["a0"]),
                            b=(pa["b0"], 2 * pa["b1"], pa["b0"]))
-        assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
-        readings = {
-            "corrected-lam3": -2 * b0**2 * (b0**2 - b1**2) * alpha * h / D2,
-            "as-printed": -2 * b0 * (b0**2 - b1**2) * alpha * h / D2,
-        }
+        assignment = {n: fv[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
         out = []
-        for reading, lam3 in readings.items():
-            pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                                reaction={Fraction(0): lam0, Fraction(1): lam1,
-                                          Fraction(2): lam2, Fraction(3): lam3})
+        for reading, formulas in readings.items():
+            pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
+                                reaction=_reaction(_Derived(fv, formulas), formulas))
             out.append(Instance(pde, ansatz, assignment, "direct", reading=reading))
         return out
 
@@ -675,24 +707,19 @@ def _family_IVa():
         family_id="IVa",
         shape="soliton-like",
         free=free,
-        derived={
-            "lam0": "a0*(2*a0^2*b0 - a1^2*b0 - a0*a1*b1)*alpha*h/Delta^2",
-            "lam1": "(a1^2*b0^2 + 4*a0*a1*b0*b1 + a0^2*(-6*b0^2 + b1^2))*alpha*h/Delta^2",
-            "lam2": "3*b0*(2*a0*b0^2 - a1*b0*b1 - a0*b1^2)*alpha*h/Delta^2",
-            "lam3": "-2*b0*(b0^2 - b1^2)*alpha*h/Delta^2",
-        },
+        derived=derived,
         admissibility=("a0 != 0", "b0 != 0", "|a1| + |b1| != 0", "Delta != 0",
                        "alpha != 0"),
         expected="PASS",
         annotations=(
-            "the printed lam3 = -2*b0*(b0^2 - b1^2)*alpha*h/Delta^2 drops a factor "
-            "of b0; the corrected lam3 = -2*b0^2*(b0^2 - b1^2)*alpha*h/Delta^2 "
+            f"the printed lam3 = {derived['lam3']} drops a factor of b0; the corrected "
+            f"lam3 = {readings['corrected-lam3']['lam3']} "
             "(re-derived by exact interpolation) is adopted; the b1 = 0, b0 = 1 "
             "special case printed alongside is consistent only with the correction",
         ),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw, adopted="corrected-lam3"))
+    return _register(Family(entry, instances, draw, adopted="corrected-lam3"))
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +729,14 @@ def _family_IVa():
 
 def _family_IVa_special():
     free = ("lam0", "lam1", "lam2", "lam3", "kappa", "tau", "alpha")
+    derived = {
+        "a0": "-lam2/(3*lam3)",
+        "a1": "sqrt(2*(lam2^2 - lam1*lam3)/lam3^2)",
+        "v": "+/- sqrt((lam1 - lam2^2/(3*lam3) + kappa*alpha^2)/(tau*alpha^2))",
+    }
 
     def check(fv):
+        """Raise Inadmissible, or return a0 and the radicand of v."""
         if fv["lam3"] == 0:
             raise Inadmissible("lam3 = 0")
         if fv["alpha"] == 0:
@@ -712,7 +745,7 @@ def _family_IVa_special():
             raise Inadmissible("tau must be positive for the velocity formula")
         if fv["kappa"] < 0:
             raise Inadmissible("kappa must be non-negative")
-        a0 = -fv["lam2"] / (3 * fv["lam3"])
+        a0 = _Derived(fv, derived)["a0"]
         side = fv["lam0"] + fv["lam1"] * a0 + fv["lam2"] * a0**2 + fv["lam3"] * a0**3
         if side != 0:
             raise Inadmissible("side condition lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0 fails")
@@ -720,16 +753,13 @@ def _family_IVa_special():
                  + fv["kappa"] * fv["alpha"] ** 2) / (fv["tau"] * fv["alpha"] ** 2)
         if v_rad < 0:
             raise Inadmissible("negative radicand for v")
+        return a0, v_rad
 
     def instances(fv):
-        check(fv)
-        lam0, lam1, lam2, lam3 = fv["lam0"], fv["lam1"], fv["lam2"], fv["lam3"]
-        kappa, tau, alpha = fv["kappa"], fv["tau"], fv["alpha"]
-        a0 = -lam2 / (3 * lam3)
-        v_rad = (lam1 - lam2**2 / (3 * lam3) + kappa * alpha**2) / (tau * alpha**2)
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(0): lam0, Fraction(1): lam1,
-                                      Fraction(2): lam2, Fraction(3): lam3})
+        a0, v_rad = check(fv)
+        lam1, lam2, lam3 = fv["lam1"], fv["lam2"], fv["lam3"]
+        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
+                            reaction=_reaction(fv, ("lam0", "lam1", "lam2", "lam3")))
         pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
         ansatz = ExpAnsatz(a=(pa0, 2 * pa1, pa0), b=(1, 0, 1))
         readings = {
@@ -740,11 +770,11 @@ def _family_IVa_special():
         for reading, a1_rad in readings.items():
             if a1_rad < 0:
                 continue
-            for i, a1 in enumerate(dict.fromkeys(_sqrt_branches(a1_rad))):
-                for j, v in enumerate(dict.fromkeys(_sqrt_branches(v_rad))):
+            for i, a1 in enumerate(_sqrt_branches(a1_rad)):
+                for j, v in enumerate(_sqrt_branches(v_rad)):
                     if v == 0:
                         continue
-                    assignment = {"a0": a0, "a1": a1, "alpha": alpha, "v": v}
+                    assignment = {"a0": a0, "a1": a1, "alpha": fv["alpha"], "v": v}
                     out.append(Instance(pde, ansatz, assignment,
                                         f"a1{'+-'[i]} v{'+-'[j]}", reading=reading))
         if not out:
@@ -763,7 +793,7 @@ def _family_IVa_special():
         kappa = v * v * tau - (lam1 - lam2**2 / (3 * lam3)) / alpha**2
         if kappa < 0:
             return None
-        a0 = -lam2 / (3 * lam3)
+        a0 = _Derived({"lam2": lam2, "lam3": lam3}, derived)["a0"]
         lam0 = -(lam1 * a0 + lam2 * a0**2 + lam3 * a0**3)
         return {"lam0": lam0, "lam1": lam1, "lam2": lam2, "lam3": lam3,
                 "kappa": kappa, "tau": tau, "alpha": alpha}
@@ -772,11 +802,7 @@ def _family_IVa_special():
         family_id="IVa-special",
         shape="soliton-like",
         free=free,
-        derived={
-            "a0": "-lam2/(3*lam3)",
-            "a1": "sqrt(2*(lam2^2 - lam1*lam3)/lam3^2)",
-            "v": "+/- sqrt((lam1 - lam2^2/(3*lam3) + kappa*alpha^2)/(tau*alpha^2))",
-        },
+        derived=derived,
         admissibility=("lam3 != 0", "alpha != 0", "tau > 0", "v radicand >= 0",
                        "a1 radicand >= 0",
                        "lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0"),
@@ -790,7 +816,7 @@ def _family_IVa_special():
         ),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw, adopted="corrected-a1"))
+    return _register(Family(entry, instances, draw, adopted="corrected-a1"))
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +826,12 @@ def _family_IVa_special():
 
 def _family_IVb():
     free = ("b0", "b1", "alpha", "v", "tau", "kappa")
+    derived = {
+        "lam1/2": "-3*alpha*h/b1",
+        "lam1": "(12*b0 + 4*b1)*alpha*h/b1",
+        "lam3/2": "-(15*b0^2 + 10*b0*b1)*alpha*h/b1",
+        "lam2": "(6*b0^2*b1 + 6*b0^3)*alpha*h/b1",
+    }
 
     def check(fv):
         if fv["b1"] == 0:
@@ -811,18 +843,10 @@ def _family_IVb():
 
     def instances(fv):
         check(fv)
-        b0, b1 = fv["b0"], fv["b1"]
-        alpha, v, tau, kappa = fv["alpha"], fv["v"], fv["tau"], fv["kappa"]
-        h = _h(alpha, v, tau, kappa)
-        lam_h = -3 * alpha * h / b1
-        lam1 = (12 * b0 + 4 * b1) * alpha * h / b1
-        lam_3h = -(15 * b0**2 + 10 * b0 * b1) * alpha * h / b1
-        lam2 = (6 * b0**2 * b1 + 6 * b0**3) * alpha * h / b1
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(1, 2): lam_h, Fraction(1): lam1,
-                                      Fraction(3, 2): lam_3h, Fraction(2): lam2})
+        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
+                            reaction=_reaction(_Derived(fv, derived), derived))
         pb0, pb1 = ParamPoly.var("b0"), ParamPoly.var("b1")
-        assignment = {"b0": b0, "b1": b1, "alpha": alpha, "v": v}
+        assignment = {n: fv[n] for n in ("b0", "b1", "alpha", "v")}
         return _square_branches(pde, (1, 2, 1), (pb0, 2 * pb0 + 4 * pb1, pb0), assignment)
 
     def propose(rng):
@@ -835,22 +859,27 @@ def _family_IVb():
         family_id="IVb",
         shape="soliton-like",
         free=free,
-        derived={
-            "lam1/2": "-3*alpha*h/b1",
-            "lam1": "(12*b0 + 4*b1)*alpha*h/b1",
-            "lam3/2": "-(15*b0^2 + 10*b0*b1)*alpha*h/b1",
-            "lam2": "(6*b0^2*b1 + 6*b0^3)*alpha*h/b1",
-        },
+        derived=derived,
         admissibility=("b1 != 0", "alpha != 0"),
         expected="PASS",
         annotations=(),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 def _family_IVc():
     free = ("a0", "a1", "alpha", "v", "tau", "kappa")
+    derived = {
+        "lam0": "2*a0^2*(a0 + a1)*alpha*h/a1",
+        "lam1/2": "(9*a0^2 + 6*a0*a1)*alpha*h/a1",
+        "lam1": "(12*a0 + 4*a1)*alpha*h/a1",
+        "lam3/2": "-5*alpha*h/a1",
+    }
+    readings = {
+        "corrected-lam1/2": {**derived, "lam1/2": "-(9*a0^2 + 6*a0*a1)*alpha*h/a1"},
+        "as-printed": derived,
+    }
 
     def check(fv):
         if fv["a1"] == 0:
@@ -862,23 +891,12 @@ def _family_IVc():
 
     def instances(fv):
         check(fv)
-        a0, a1 = fv["a0"], fv["a1"]
-        alpha, v, tau, kappa = fv["alpha"], fv["v"], fv["tau"], fv["kappa"]
-        h = _h(alpha, v, tau, kappa)
-        lam0 = 2 * a0**2 * (a0 + a1) * alpha * h / a1
-        lam1 = (12 * a0 + 4 * a1) * alpha * h / a1
-        lam_3h = -5 * alpha * h / a1
         pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
-        assignment = {"a0": a0, "a1": a1, "alpha": alpha, "v": v}
-        readings = {
-            "corrected-lam1/2": -(9 * a0**2 + 6 * a0 * a1) * alpha * h / a1,
-            "as-printed": (9 * a0**2 + 6 * a0 * a1) * alpha * h / a1,
-        }
+        assignment = {n: fv[n] for n in ("a0", "a1", "alpha", "v")}
         out = []
-        for reading, lam_h in readings.items():
-            pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                                reaction={Fraction(0): lam0, Fraction(1, 2): lam_h,
-                                          Fraction(1): lam1, Fraction(3, 2): lam_3h})
+        for reading, formulas in readings.items():
+            pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
+                                reaction=_reaction(_Derived(fv, formulas), formulas))
             out.extend(_square_branches(pde, (pa0, 2 * pa0 + 4 * pa1, pa0), (1, 2, 1),
                                         assignment, reading=reading))
         return out
@@ -893,26 +911,26 @@ def _family_IVc():
         family_id="IVc",
         shape="soliton-like",
         free=free,
-        derived={
-            "lam0": "2*a0^2*(a0 + a1)*alpha*h/a1",
-            "lam1/2": "(9*a0^2 + 6*a0*a1)*alpha*h/a1",
-            "lam1": "(12*a0 + 4*a1)*alpha*h/a1",
-            "lam3/2": "-5*alpha*h/a1",
-        },
+        derived=derived,
         admissibility=("a1 != 0", "alpha != 0"),
         expected="PASS",
         annotations=(
-            "the printed lam1/2 = (9*a0^2 + 6*a0*a1)*alpha*h/a1 does not verify on "
-            "either sqrt(u) branch (flipping the branch also flips lam3/2); the "
-            "sign-corrected lam1/2 = -(9*a0^2 + 6*a0*a1)*alpha*h/a1 is adopted",
+            f"the printed lam1/2 = {derived['lam1/2']} does not verify on either sqrt(u) "
+            "branch (flipping the branch also flips lam3/2); the sign-corrected "
+            f"lam1/2 = {readings['corrected-lam1/2']['lam1/2']} is adopted",
         ),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw, adopted="corrected-lam1/2"))
+    return _register(Family(entry, instances, draw, adopted="corrected-lam1/2"))
 
 
 def _family_IVd():
     free = ("a0", "a1", "alpha", "v", "tau", "kappa")
+    derived = {
+        "lam1": "4*alpha*h",
+        "lam3/2": "-10*a1*alpha*h",
+        "lam2": "(6*a1^2 - 6*a0^2)*alpha*h",
+    }
 
     def check(fv):
         if fv["a0"] == 0:
@@ -924,17 +942,10 @@ def _family_IVd():
 
     def instances(fv):
         check(fv)
-        a0, a1 = fv["a0"], fv["a1"]
-        alpha, v, tau, kappa = fv["alpha"], fv["v"], fv["tau"], fv["kappa"]
-        h = _h(alpha, v, tau, kappa)
-        lam1 = 4 * alpha * h
-        lam_3h = -10 * a1 * alpha * h
-        lam2 = (6 * a1**2 - 6 * a0**2) * alpha * h
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(1): lam1, Fraction(3, 2): lam_3h,
-                                      Fraction(2): lam2})
+        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
+                            reaction=_reaction(_Derived(fv, derived), derived))
         pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
-        assignment = {"a0": a0, "a1": a1, "alpha": alpha, "v": v}
+        assignment = {n: fv[n] for n in ("a0", "a1", "alpha", "v")}
         return _square_branches(pde, (0, 2, 0), (pa0, 2 * pa1, pa0), assignment)
 
     def propose(rng):
@@ -951,26 +962,18 @@ def _family_IVd():
         family_id="IVd",
         shape="soliton-like",
         free=free,
-        derived={
-            "lam1": "4*alpha*h",
-            "lam3/2": "-10*a1*alpha*h",
-            "lam2": "(6*a1^2 - 6*a0^2)*alpha*h",
-        },
+        derived=derived,
         admissibility=("a0 != 0", "alpha != 0"),
         expected="PASS",
         annotations=("equivalent to u = [a0*cosh(alpha*xi) + a1]^-2 up to gauge",),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 # ---------------------------------------------------------------------------
 # Families IVe-a/b/c: hyperbolic profiles of the nonlinear d'Alembert equation
 # ---------------------------------------------------------------------------
-
-
-def _H_of(fv):
-    return fv["tau"] * fv["v"] ** 2 - fv["kappa"]
 
 
 def _family_IVe_a():
@@ -981,14 +984,14 @@ def _family_IVe_a():
             raise Inadmissible("need lam1 > 0 and lam3 < 0")
         if fv["tau"] < 0 or fv["kappa"] < 0:
             raise Inadmissible("tau, kappa must be non-negative")
-        if _H_of(fv) <= 0:
+        if _Derived(fv)["H"] <= 0:
             raise Inadmissible("need H = tau*v^2 - kappa > 0")
 
     def instances(fv):
         check(fv)
         lam1, lam3 = fv["lam1"], fv["lam3"]
         tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
-        H = _H_of(fv)
+        H = _Derived(fv)["H"]
         k = _sqrt_branches(lam1 / H)[0]
         amp = _sqrt_branches(-2 * lam1 / lam3)[0]
         pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
@@ -1012,13 +1015,13 @@ def _family_IVe_a():
         family_id="IVe-a",
         shape="soliton-like",
         free=free,
-        derived={"u": "sqrt(-2*lam1/lam3)*sech(sqrt(lam1/H)*xi)", "H": "tau*v^2 - kappa"},
+        derived={"u": "sqrt(-2*lam1/lam3)*sech(sqrt(lam1/H)*xi)", "H": NOTATION["H"]},
         admissibility=("lam1 > 0", "lam3 < 0", "H > 0"),
         expected="PASS",
         annotations=(),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 def _family_IVe_b():
@@ -1029,7 +1032,7 @@ def _family_IVe_b():
             raise Inadmissible("need lam1 < 0 and lam3 > 0")
         if fv["tau"] < 0 or fv["kappa"] < 0:
             raise Inadmissible("tau, kappa must be non-negative")
-        if _H_of(fv) <= 0:
+        if _Derived(fv)["H"] <= 0:
             raise Inadmissible("need H = tau*v^2 - kappa > 0")
 
     c = ParamPoly.var("c")
@@ -1043,7 +1046,7 @@ def _family_IVe_b():
 
     def instances(fv):
         check(fv)
-        H = _H_of(fv)
+        H = _Derived(fv)["H"]
         k = _sqrt_branches(-fv["lam1"] / (2 * H))[0]  # corrected argument
         amp = _sqrt_branches(-fv["lam1"] / fv["lam3"])[0]
         return [tanh_instance(fv, k, amp, "corrected-argument")]
@@ -1051,7 +1054,7 @@ def _family_IVe_b():
     def printed_argument_scan(fv) -> float:
         """Residual of the tanh profile with the printed argument sqrt(-lam1)/(2H)."""
         check(fv)
-        k = math.sqrt(float(-fv["lam1"])) / (2 * float(_H_of(fv)))
+        k = math.sqrt(float(-fv["lam1"])) / (2 * float(_Derived(fv)["H"]))
         amp = math.sqrt(float(-fv["lam1"] / fv["lam3"]))
         printed = tanh_instance(fv, k, amp, "printed-argument")
         return residual_scan(printed.pde, printed.solution, SCAN_WINDOW, SCAN_SAMPLES)
@@ -1071,7 +1074,7 @@ def _family_IVe_b():
         family_id="IVe-b",
         shape="kink-like",
         free=free,
-        derived={"u": "sqrt(-lam1/lam3)*tanh(sqrt(-lam1/(2*H))*xi)", "H": "tau*v^2 - kappa"},
+        derived={"u": "sqrt(-lam1/lam3)*tanh(sqrt(-lam1/(2*H))*xi)", "H": NOTATION["H"]},
         admissibility=("lam1 < 0", "lam3 > 0", "H > 0"),
         expected="PASS",
         annotations=(
@@ -1081,7 +1084,7 @@ def _family_IVe_b():
         ),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw,
+    return _register(Family(entry, instances, draw,
                             printed_argument_scan=printed_argument_scan))
 
 
@@ -1095,14 +1098,14 @@ def _family_IVe_c():
             raise Inadmissible("lam2 = 0")
         if fv["tau"] < 0 or fv["kappa"] < 0:
             raise Inadmissible("tau, kappa must be non-negative")
-        if _H_of(fv) <= 0:
+        if _Derived(fv)["H"] <= 0:
             raise Inadmissible("need H = tau*v^2 - kappa > 0")
 
     def instances(fv):
         check(fv)
         lam1, lam2 = fv["lam1"], fv["lam2"]
         tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
-        H = _H_of(fv)
+        H = _Derived(fv)["H"]
         k = _sqrt_branches(lam1 / H)[0]
         amp = -3 * lam1 / (2 * lam2)
         pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
@@ -1124,13 +1127,13 @@ def _family_IVe_c():
         family_id="IVe-c",
         shape="soliton-like",
         free=free,
-        derived={"u": "-(3*lam1/(2*lam2))*sech^2(sqrt(lam1/H)*xi/2)", "H": "tau*v^2 - kappa"},
+        derived={"u": "-(3*lam1/(2*lam2))*sech^2(sqrt(lam1/H)*xi/2)", "H": NOTATION["H"]},
         admissibility=("lam1 > 0", "lam2 != 0", "H > 0"),
         expected="PASS",
         annotations=(),
     )
     draw = _admissible_draw(propose, check)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -1140,26 +1143,26 @@ def _family_IVe_c():
 
 def _family_burgers():
     free = ("a0", "a1", "b0", "b1", "A", "B", "kappa")
+    derived = {
+        "v": "-A*Theta/(2*B*b0*b1)",
+        "alpha": "-A*Delta/(2*kappa*b0*b1)",
+    }
 
     def check(fv):
         if fv["A"] <= 0 or fv["B"] <= 0 or fv["kappa"] <= 0:
             raise Inadmissible("need A > 0, B > 0, kappa > 0")
         if fv["b0"] * fv["b1"] <= 0:
             raise Inadmissible("need b0*b1 > 0")
-        if fv["a1"] * fv["b0"] - fv["a0"] * fv["b1"] == 0:
+        if _Derived(fv)["Delta"] == 0:
             raise Inadmissible("Delta = 0")
 
     def instances(fv):
         check(fv)
-        a0, a1, b0, b1 = fv["a0"], fv["a1"], fv["b0"], fv["b1"]
-        A, B, kappa = fv["A"], fv["B"], fv["kappa"]
-        Delta = a1 * b0 - a0 * b1
-        Theta = a1 * b0 + a0 * b1
-        v = -A * Theta / (2 * B * b0 * b1)
-        alpha = -A * Delta / (2 * kappa * b0 * b1)
-        pde = HyperbolicPDE(tau=Fraction(0), A=A, B=B, kappa=kappa, reaction={})
+        d = _Derived(fv, derived)
+        pde = HyperbolicPDE(tau=Fraction(0), A=fv["A"], B=fv["B"], kappa=fv["kappa"],
+                            reaction={})
         ansatz = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
-        assignment = {"a0": a0, "a1": a1, "b0": b0, "b1": b1, "alpha": alpha, "v": v}
+        assignment = {n: d[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
         return [Instance(pde, ansatz, assignment, "direct")]
 
     def propose(rng):
@@ -1173,17 +1176,14 @@ def _family_burgers():
         family_id="Burgers-shock",
         shape="kink-like",
         free=free,
-        derived={
-            "v": "-A*Theta/(2*B*b0*b1)",
-            "alpha": "-A*Delta/(2*kappa*b0*b1)",
-        },
+        derived=derived,
         admissibility=("A > 0", "B > 0", "kappa > 0", "b0*b1 > 0", "Delta != 0"),
         expected="PASS",
         annotations=("independent oracle: one integration of the travelling "
                      "Burgers equation against the front's two asymptotic states",),
     )
     draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, check, instances, draw))
+    return _register(Family(entry, instances, draw))
 
 
 for _builder in (_family_I, _family_I_tanh, _family_I_kink2, _family_II,
@@ -1208,18 +1208,24 @@ def get_family(family_id: str) -> Family:
     return FAMILIES[family_id]
 
 
-def _judge(inst: Instance, system: AlgebraicSystem,
-           shape: str) -> tuple[Verdict | None, float | None, str | None]:
-    """Exact verdict (when rational), scan residual, and any scan failure note."""
-    verdict = verify_assignment(system, inst.assignment) if inst.exact else None
-    # a singular profile's denominator always vanishes somewhere; scan clear of it
-    window = _pole_free_window(inst.solution.poles) if shape == "singular" else SCAN_WINDOW
-    try:
-        scan = residual_scan(inst.pde, inst.solution, window, SCAN_SAMPLES)
-        note = None
-    except PoleInWindow as exc:
-        scan, note = None, str(exc)
-    return verdict, scan, note
+def _judged(insts: list[Instance], shape: str) -> Iterator[
+        tuple[Instance, AlgebraicSystem, Verdict | None, float | None, str | None]]:
+    """Each instance with its system (reduced once per PDE and ansatz), exact
+    verdict (when rational), scan residual, and any scan failure note."""
+    systems: dict = {}
+    for inst in insts:
+        key = (inst.pde, inst.ansatz)
+        if key not in systems:
+            systems[key] = reduce(inst.pde, inst.ansatz)
+        verdict = verify_assignment(systems[key], inst.assignment) if inst.exact else None
+        # a singular profile's denominator always vanishes somewhere; scan clear of it
+        window = _pole_free_window(inst.solution.poles) if shape == "singular" else SCAN_WINDOW
+        try:
+            scan = residual_scan(inst.pde, inst.solution, window, SCAN_SAMPLES)
+            note = None
+        except PoleInWindow as exc:
+            scan, note = None, str(exc)
+        yield inst, systems[key], verdict, scan, note
 
 
 def _pole_free_window(poles, lo=-10.0, hi=10.0, margin=0.75):
@@ -1251,15 +1257,9 @@ def instantiate(family_id: str, free_values: Mapping[str, Fraction]):
     if problems:
         raise SchemaError(f"{family_id} free parameters: {', '.join(problems)} "
                           f"(expected {', '.join(free)})")
-    fam.check(free_values)
     insts = [i for i in fam.instances(free_values) if i.reading == fam.adopted]
-    systems: dict = {}
     rejected = []
-    for inst in insts:
-        key = (inst.pde, inst.ansatz)
-        if key not in systems:
-            systems[key] = reduce(inst.pde, inst.ansatz)
-        verdict, scan, note = _judge(inst, systems[key], fam.entry.shape)
+    for inst, _, verdict, scan, note in _judged(insts, fam.entry.shape):
         ok = verdict.passed if verdict is not None else (scan is not None and scan < SCAN_TOL)
         if ok:
             return dict(inst.assignment), inst.solution
@@ -1287,17 +1287,10 @@ def verify_entry(family_id: str, trials: int = 5, seed: int = 1) -> dict:
     details = []
     for _ in range(trials):
         fv = fam.draw(rng)
-        insts = fam.instances(fv)
-        systems: dict = {}
         chosen = None
         failures = []
         trial_readings: dict[str, bool] = {}
-        for inst in insts:
-            key = (inst.pde, inst.ansatz)
-            if key not in systems:
-                systems[key] = reduce(inst.pde, inst.ansatz)
-            system = systems[key]
-            verdict, scan, note = _judge(inst, system, fam.entry.shape)
+        for inst, system, verdict, scan, note in _judged(fam.instances(fv), fam.entry.shape):
             exact_ok = verdict.passed if verdict is not None else None
             scan_ok = scan is not None and scan < SCAN_TOL
             ok = (exact_ok if exact_ok is not None else scan_ok) and scan_ok
@@ -1366,11 +1359,15 @@ def _fmt(x) -> str | None:
 
 
 def load_expectations(path) -> dict:
+    """Read an expectations file: an object of objects, one per family."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InputError(str(exc)) from None
+    if not (isinstance(doc, dict) and all(isinstance(e, dict) for e in doc.values())):
+        raise SchemaError("expectations must be an object with an object per family")
+    return doc
 
 
 def matches_expectations(report: dict, expected_entry: dict) -> bool:

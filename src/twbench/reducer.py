@@ -503,15 +503,10 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     den = [value(c) for c in ansatz.b]
     alpha = value(ansatz.alpha)
     velocity = value(ansatz.velocity)
-    E = ParamPoly.var(E_NAME)
 
     def poly(coeffs):
-        acc = ParamPoly.const(0)
-        for k, c in enumerate(coeffs):
-            if isinstance(c, float):
-                c = Fraction(str(c))
-            acc = acc + ParamPoly.const(c) * E**k
-        return acc
+        # ascending powers: float evaluation sums the terms in this order
+        return ParamPoly((E_NAME,), {(k,): c for k, c in enumerate(coeffs)})
 
     return ClosedFormSolution(
         expression=ExpRational(poly(num), poly(den)),

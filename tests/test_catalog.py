@@ -2,15 +2,19 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twbench import catalog
 from twbench.catalog import (
     FAMILIES,
+    NOTATION,
     Inadmissible,
+    _Derived,
     instantiate,
     list_families,
     load_expectations,
@@ -208,6 +212,37 @@ class TestExpectations:
     def test_mismatch_detected(self):
         report = verify_entry("IVd", trials=1, seed=1)
         assert not matches_expectations(report, {"expected": "FAIL-DOCUMENTED"})
+
+
+class TestDerivedFormulas:
+    """The evaluator that turns each family's printed formula text into values."""
+
+    def test_power_binds_tighter_than_product_and_quotient(self):
+        d = _Derived({"x": F(2), "y": F(3)}, {"q": "x/y^2", "p": "2*x^3", "n": "-x^2"})
+        assert (d["q"], d["p"], d["n"]) == (F(2, 9), F(16), F(-4))
+
+    def test_literals_are_exact(self):
+        value = _Derived({}, {"r": "2/3"})["r"]
+        assert value == F(2, 3) and type(value) is F
+
+    def test_float_input_rejected(self):
+        with pytest.raises(TypeError):
+            _Derived({"x": 0.5}, {"r": "x"})
+
+    @pytest.mark.parametrize("text", ["sqrt(x)", "x^(1/2)", "0.5*x", "x % 3"])
+    def test_other_syntax_rejected(self, text):
+        with pytest.raises(ValueError):
+            _Derived({"x": F(4)}, {"r": text})["r"]
+
+    def test_notation_resolves_after_free_values(self):
+        fv = {"a0": F(1), "a1": F(2), "b0": F(3), "b1": F(5)}
+        assert _Derived(fv)["Delta"] == 2 * 3 - 1 * 5
+        assert _Derived({**fv, "Delta": F(7)})["Delta"] == 7
+
+    @pytest.mark.parametrize("name", list(NOTATION))
+    def test_notation_matches_module_docstring(self, name):
+        pattern = rf"^ *{re.escape(name)} *= {re.escape(NOTATION[name])}$"
+        assert re.search(pattern, catalog.__doc__, re.MULTILINE)
 
 
 class TestExactSqrt:

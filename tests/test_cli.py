@@ -145,6 +145,8 @@ INPUT_DOCUMENTS = {
     "not_object": "5",
     "equation_not_text": json.dumps(dict(SYSTEM, equations=[3])),
     "zero_denominator": json.dumps(dict(SYSTEM, equations=["x^2 + 1/0"])),
+    "expectations_not_object": "[1, 2]",
+    "expectations_entry_not_object": '{"IVd": [1, 2]}',
 }
 
 EXIT_2_CASES = {
@@ -166,6 +168,11 @@ EXIT_2_CASES = {
                                  "--assign", "x=1"],
     "system-zero-denominator": ["verify", "--system", "{zero_denominator}",
                                 "--assign", "x=1"],
+    # these two ended in an AttributeError traceback (exit 1)
+    "expectations-not-object": ["catalog", "verify", "--family", "IVd", "--trials", "1",
+                                "--expectations", "{expectations_not_object}"],
+    "expectations-entry-not-object": ["catalog", "verify", "--family", "IVd", "--trials", "1",
+                                      "--expectations", "{expectations_entry_not_object}"],
 }
 
 
