@@ -16,8 +16,11 @@ Notation used by the derived formulas:
     Theta = a1*b0 + a0*b1
     H     = tau*v^2 - kappa
 
-The rational derived formulas are evaluated from the same text that
-``catalog list`` prints; formulas with radicals are written out in code.
+The rational derived formulas, and the admissibility conditions of I, II,
+III, IVa, IVb, IVc, IVd, IVe-a/b/c and Burgers-shock, are evaluated from the
+same text that ``catalog list`` prints.  Formulas with radicals are written
+out in code, and so are the conditions of I-tanh, I-kink2 and IVa-special,
+whose tables state some in prose ("velocity discriminant >= 0").
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass
+import re
+from collections import ChainMap
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Iterator, Mapping
@@ -81,20 +86,30 @@ NOTATION = {
     "H": "tau*v^2 - kappa",
 }
 
-_ARITHMETIC = {ast.Add: operator.add, ast.Sub: operator.sub,
-               ast.Mult: operator.mul, ast.Div: operator.truediv}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+              ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge}
 
 
 @cache
 def _formula(text: str) -> Callable[[Mapping[str, Fraction]], Fraction]:
-    """Compile formula text once into a function of a name lookup.
+    """Compile formula or condition text once into a function of a name lookup.
 
     The text may use ``+ - * /``, ``^`` to an integer literal, unary minus,
-    parentheses, integer literals (read as Fractions) and names.  ``^``
-    becomes ``**`` before parsing: Python's ``^`` is XOR and binds loosest,
-    so ``x/Delta^2`` would read as ``(x/Delta)^2``.
+    parentheses, ``|x|``, integer literals (read as Fractions) and names, and
+    one comparison ``= != < <= > >=``; a leading ``derived`` (as in
+    ``derived A >= 0``) only says the name is a derived value.  ``^`` becomes
+    ``**`` before parsing: Python's ``^`` is XOR and binds loosest, so
+    ``x/Delta^2`` would read as ``(x/Delta)^2``.  Anything else, prose
+    included, raises ValueError.
     """
-    return _compile(ast.parse(text.replace("^", "**"), mode="eval").body)
+    python = re.sub(r"(?<![<>!=])=(?!=)", "==", re.sub(r"\|([^|]*)\|", r"abs(\1)", text))
+    try:
+        tree = ast.parse(python.removeprefix("derived ").replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise ValueError(f"formula syntax not supported: {text}") from None
+    return _compile(tree.body)
 
 
 def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
@@ -102,9 +117,13 @@ def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
         case ast.BinOp(left, ast.Pow(), ast.Constant(int() as n)):
             base = _compile(left)
             return lambda names: base(names) ** n
-        case ast.BinOp(left, op, right) if type(op) in _ARITHMETIC:
-            f, a, b = _ARITHMETIC[type(op)], _compile(left), _compile(right)
+        case ast.BinOp(left, op, right) | ast.Compare(left, [op], [right]) \
+                if type(op) in _OPERATORS:
+            f, a, b = _OPERATORS[type(op)], _compile(left), _compile(right)
             return lambda names: f(a(names), b(names))
+        case ast.Call(ast.Name("abs"), [operand], []):
+            a = _compile(operand)
+            return lambda names: abs(a(names))
         case ast.UnaryOp(ast.USub(), operand):
             a = _compile(operand)
             return lambda names: -a(names)
@@ -195,13 +214,26 @@ def _register(family: Family):
     return family
 
 
+def _admissible(entry: CatalogEntry, free_values: Mapping[str, Fraction]) -> _Derived:
+    """Check the printed admissibility conditions; return the free and derived values.
+
+    The conditions are checked in printed order, so an earlier one guards the
+    divisions of a later one (``b0*b1 > 0`` before ``a0/b0 != a1/b1``).
+    """
+    values = _Derived(free_values, entry.derived)
+    for condition in entry.admissibility:
+        if not _formula(condition)(values):
+            raise Inadmissible(f"{entry.family_id} needs {condition}")
+    return values
+
+
 def _admissible_draw(propose, check, instances=None):
     """A family's draw: retry ``propose`` until its free values are admissible.
 
     ``propose`` returns None to reject its own values early.  With
-    ``instances`` each draw is also instantiated, since some tables are
-    inadmissible only at their derived values, and rejected when every branch
-    has |alpha| > 4, which would make the residual scan ill-conditioned.
+    ``instances`` each draw is also instantiated, since radical tables are
+    inadmissible at some derived values, and rejected when every branch has
+    |alpha| > 4, which would make the residual scan ill-conditioned.
     """
     def draw(rng: random.Random) -> dict[str, Fraction]:
         while True:
@@ -241,16 +273,50 @@ def _small_alpha(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(1, 6), rng.randint(2, 4))
 
 
-def _square_branches(pde, a_slots, b_slots, assignment, reading="main"):
+def _square_branches(ansatz: ExpAnsatz) -> list[tuple[ExpAnsatz, str]]:
     """Both sign branches of sqrt(u) for a squared ansatz u = w^2.
 
     Negating the numerator of w leaves u unchanged but flips every
     half-integer power u^(nu) = w^(2*nu) with odd 2*nu, so a condition table
     can verify on either branch.
     """
-    flipped = tuple(-ParamPoly.var(c) if isinstance(c, str) else -c for c in a_slots)
-    return [Instance(pde, ExpAnsatz(a=a, b=b_slots, power=2), assignment, label, reading=reading)
-            for a, label in ((a_slots, "w+"), (flipped, "w-"))]
+    flipped = tuple(-ParamPoly.var(c) if isinstance(c, str) else -c for c in ansatz.a)
+    return [(ansatz, "w+"), (replace(ansatz, a=flipped), "w-")]
+
+
+def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
+                  readings: Mapping[str, Mapping[str, str]] | None = None,
+                  adopted: str = "main") -> Family:
+    """Register a family whose whole table is formula text.
+
+    Conditions and derived values come from ``entry``; tau, A, B and kappa
+    are free or derived values, or 0.  The reaction has a term per lam<nu>
+    name in ascending exponent order, the order ``residual_scan`` sums in.
+    The assignment gives each unknown of ``ansatz`` its value; a squared
+    ansatz yields both branches of sqrt(u).  ``readings`` maps a reading to
+    the formulas it writes differently, evaluated at the printed values; the
+    shared formulas are evaluated once for all readings.
+    """
+    names = (*entry.free, *entry.derived)
+    lams = sorted((n for n in names if n.startswith("lam")), key=lambda n: Fraction(n[3:]))
+    branches = _square_branches(ansatz) if ansatz.power == 2 else [(ansatz, "direct")]
+
+    def instances(fv):
+        printed = _admissible(entry, fv)
+        out = []
+        for reading, overrides in (readings or {"main": {}}).items():
+            values = ChainMap({n: _formula(t)(printed) for n, t in overrides.items()}, printed)
+            pde = HyperbolicPDE(**{n: values[n] if n in names else 0
+                                   for n in ("tau", "A", "B", "kappa")},
+                                reaction=_reaction(values, lams))
+            assignment = {n: values[n] for n in ansatz.symbols()}
+            out.extend(Instance(pde, a, assignment, label, reading) for a, label in branches)
+        return out
+
+    # a derived alpha can make the scan ill-conditioned; a free one is drawn small
+    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv),
+                            instances if "alpha" in entry.derived else None)
+    return _register(Family(entry, instances, draw, adopted))
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +332,6 @@ def _family_I():
         "lam2": "-(alpha*b0^2*b1^2*(B*v*Delta + h*Theta) + lam3*Delta^2*Theta)/(b0*b1*Delta^2)",
         "A": "(2*h*alpha*b0^2*b1^2 - lam3*Delta^2)/(alpha*b0*b1*Delta)",
     }
-
-    def check(fv):
-        if fv["b0"] * fv["b1"] == 0:
-            raise Inadmissible("b0*b1 = 0")
-        if _Derived(fv)["Delta"] == 0:
-            raise Inadmissible("Delta = 0")
-        if fv["alpha"] == 0:
-            raise Inadmissible("alpha = 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0 or fv["B"] < 0:
-            raise Inadmissible("tau, kappa, B must be non-negative")
-
-    def instances(fv):
-        check(fv)
-        d = _Derived(fv, derived)
-        if d["A"] < 0:
-            raise Inadmissible("derived A is negative")
-        if not (fv["tau"] or fv["B"] or fv["kappa"] or d["A"]):
-            raise Inadmissible("all linear coefficients vanish")
-        pde = HyperbolicPDE(tau=fv["tau"], A=d["A"], B=fv["B"], kappa=fv["kappa"],
-                            reaction=_reaction(d, ("lam0", "lam1", "lam2", "lam3")))
-        ansatz = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
-        assignment = {n: fv[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
-        return [Instance(pde, ansatz, assignment, "direct")]
 
     def propose(rng):
         b0 = _nonzero(rng)
@@ -312,8 +355,7 @@ def _family_I():
             "b2, a2 where only b1, a1 exist)",
         ),
     )
-    draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")), propose)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +470,13 @@ def _family_I_kink2():
             raise Inadmissible("negative b0 discriminant")
         return [(-lam2 + s) / lam1 for s in _sqrt_branches(disc)]
 
+    def alpha_v_parts(b0, lam1, lam2, B, tau):
+        """P = 2*lam2 + 3*b0*lam1 of the printed alpha and v, and the radicand S of v."""
+        P = 2 * lam2 + 3 * b0 * lam1
+        S = (4 * lam2**2 * tau + 4 * b0 * lam2 * (B * B + 3 * lam1 * tau)
+             + b0**2 * lam1 * (2 * B * B + 9 * lam1 * tau))
+        return P, S
+
     def check(fv):
         if fv["B"] <= 0 or fv["kappa"] <= 0 or fv["tau"] < 0:
             raise Inadmissible("need B > 0, kappa > 0, tau >= 0")
@@ -445,12 +494,8 @@ def _family_I_kink2():
         for bi, b0 in enumerate(_b0_branches(fv)):
             if b0 == 0:
                 continue
-            P = 2 * lam2 + 3 * b0 * lam1
-            if P == 0:
-                continue
-            S = (4 * lam2**2 * tau + 4 * b0 * lam2 * (B * B + 3 * lam1 * tau)
-                 + b0**2 * lam1 * (2 * B * B + 9 * lam1 * tau))
-            if S <= 0:
+            P, S = alpha_v_parts(b0, lam1, lam2, B, tau)
+            if P == 0 or S <= 0:
                 continue
             v_sq = kappa * P * P / S
             for vi, v in enumerate(_sqrt_branches(v_sq)):
@@ -473,9 +518,7 @@ def _family_I_kink2():
         tau = rng.choice((Fraction(0), _positive(rng, 3)))
         lam2 = (-4 * B * v * b0 * alpha_printed - 3 * b0 * lam1) / 2
         lam3 = -b0 * (b0 * lam1 + 2 * lam2) / 4
-        P = 2 * lam2 + 3 * b0 * lam1
-        S = (4 * lam2**2 * tau + 4 * b0 * lam2 * (B * B + 3 * lam1 * tau)
-             + b0**2 * lam1 * (2 * B * B + 9 * lam1 * tau))
+        P, S = alpha_v_parts(b0, lam1, lam2, B, tau)
         if P == 0 or S <= 0:
             return None
         kappa = v * v * S / (P * P)
@@ -518,25 +561,6 @@ def _family_II():
         "lam2": "6*b0^2*b1^2*h*alpha/Delta^2",
     }
 
-    def check(fv):
-        if fv["b0"] * fv["b1"] <= 0:
-            raise Inadmissible("need b0*b1 > 0")
-        if abs(fv["a0"] * fv["b1"]) != abs(fv["a1"] * fv["b0"]):
-            raise Inadmissible("need |a0|/|b0| = |a1|/|b1|")
-        if fv["a0"] * fv["b1"] == fv["a1"] * fv["b0"]:
-            raise Inadmissible("need a0/b0 != a1/b1")
-        if fv["alpha"] == 0:
-            raise Inadmissible("alpha = 0")
-        if fv["B"] < 0 or fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("linear coefficients must be non-negative")
-
-    def instances(fv):
-        check(fv)
-        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=fv["B"], kappa=fv["kappa"],
-                            reaction=_reaction(_Derived(fv, derived), derived))
-        assignment = {n: fv[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
-        return _square_branches(pde, ("a0", "a1"), ("b0", "b1"), assignment)
-
     def propose(rng):
         b0 = _nonzero(rng, -4, 4)
         b1 = _positive(rng, 4) if b0 > 0 else -_positive(rng, 4)
@@ -559,8 +583,7 @@ def _family_II():
         annotations=("the solitary-wave condition is printed with subscripts a2, b2 "
                      "where the displayed solution has a1, b1; the a1/b1 reading is adopted",),
     )
-    draw = _admissible_draw(propose, check)
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"), power=2), propose)
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +594,10 @@ def _family_II():
 def _family_III():
     free = ("lam1", "lam3", "A", "kappa", "tau", "a1")
 
-    def check(fv):
-        """Raise Inadmissible, or return sqrt(lam3/lam1)."""
-        if fv["lam1"] <= 0 or fv["lam3"] <= 0:
-            raise Inadmissible("lam1 and lam3 must be positive")
-        if fv["A"] <= 0:
-            raise Inadmissible("A must be positive")
-        if fv["tau"] <= 0:
-            raise Inadmissible("tau must be positive for the velocity formula")
-        if fv["kappa"] < 0:
-            raise Inadmissible("kappa must be non-negative")
-        if fv["a1"] == 0:
-            raise Inadmissible("a1 = 0")
-        return _sqrt_branches(fv["lam3"] / fv["lam1"])[0]
-
     def instances(fv):
-        q = check(fv)
+        _admissible(entry, fv)
         lam1, lam3 = fv["lam1"], fv["lam3"]
+        q = _sqrt_branches(lam3 / lam1)[0]
         A, kappa, tau, a1 = fv["A"], fv["kappa"], fv["tau"], fv["a1"]
         a2 = -q / (6 * a1)
         alpha = q * lam1 / A  # sqrt(lam1*lam3) = q*lam1
@@ -649,7 +659,7 @@ def _family_III():
             "the largest pole-free subinterval of [-10, 10]",
         ),
     )
-    draw = _admissible_draw(propose, check)
+    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
     return _register(Family(entry, instances, draw, adopted="a3_as_a2"))
 
 
@@ -667,34 +677,9 @@ def _family_IVa():
         "lam3": "-2*b0*(b0^2 - b1^2)*alpha*h/Delta^2",
     }
     readings = {
-        "corrected-lam3": {**derived, "lam3": "-2*b0^2*(b0^2 - b1^2)*alpha*h/Delta^2"},
-        "as-printed": derived,
+        "corrected-lam3": {"lam3": "-2*b0^2*(b0^2 - b1^2)*alpha*h/Delta^2"},
+        "as-printed": {},
     }
-
-    def check(fv):
-        if fv["a0"] == 0 or fv["b0"] == 0:
-            raise Inadmissible("need a0 != 0 and b0 != 0")
-        if fv["a1"] == 0 and fv["b1"] == 0:
-            raise Inadmissible("need |a1| + |b1| != 0")
-        if _Derived(fv)["Delta"] == 0:
-            raise Inadmissible("Delta = 0")
-        if fv["alpha"] == 0:
-            raise Inadmissible("alpha = 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-
-    def instances(fv):
-        check(fv)
-        pa = {n: ParamPoly.var(n) for n in ("a0", "a1", "b0", "b1")}
-        ansatz = ExpAnsatz(a=(pa["a0"], 2 * pa["a1"], pa["a0"]),
-                           b=(pa["b0"], 2 * pa["b1"], pa["b0"]))
-        assignment = {n: fv[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
-        out = []
-        for reading, formulas in readings.items():
-            pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                                reaction=_reaction(_Derived(fv, formulas), formulas))
-            out.append(Instance(pde, ansatz, assignment, "direct", reading=reading))
-        return out
 
     def propose(rng):
         return {"a0": _nonzero(rng, -4, 4), "a1": _frac(rng, -4, 4),
@@ -718,8 +703,10 @@ def _family_IVa():
             "special case printed alongside is consistent only with the correction",
         ),
     )
-    draw = _admissible_draw(propose, check)
-    return _register(Family(entry, instances, draw, adopted="corrected-lam3"))
+    pa = {n: ParamPoly.var(n) for n in ("a0", "a1", "b0", "b1")}
+    ansatz = ExpAnsatz(a=(pa["a0"], 2 * pa["a1"], pa["a0"]),
+                       b=(pa["b0"], 2 * pa["b1"], pa["b0"]))
+    return _table_family(entry, ansatz, propose, readings, adopted="corrected-lam3")
 
 
 # ---------------------------------------------------------------------------
@@ -833,22 +820,6 @@ def _family_IVb():
         "lam2": "(6*b0^2*b1 + 6*b0^3)*alpha*h/b1",
     }
 
-    def check(fv):
-        if fv["b1"] == 0:
-            raise Inadmissible("b1 = 0")
-        if fv["alpha"] == 0:
-            raise Inadmissible("alpha = 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-
-    def instances(fv):
-        check(fv)
-        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                            reaction=_reaction(_Derived(fv, derived), derived))
-        pb0, pb1 = ParamPoly.var("b0"), ParamPoly.var("b1")
-        assignment = {n: fv[n] for n in ("b0", "b1", "alpha", "v")}
-        return _square_branches(pde, (1, 2, 1), (pb0, 2 * pb0 + 4 * pb1, pb0), assignment)
-
     def propose(rng):
         return {"b0": _positive(rng, 4), "b1": _positive(rng, 4),
                 "alpha": _small_alpha(rng), "v": _nonzero(rng, -4, 4),
@@ -864,8 +835,9 @@ def _family_IVb():
         expected="PASS",
         annotations=(),
     )
-    draw = _admissible_draw(propose, check)
-    return _register(Family(entry, instances, draw))
+    pb0, pb1 = ParamPoly.var("b0"), ParamPoly.var("b1")
+    ansatz = ExpAnsatz(a=(1, 2, 1), b=(pb0, 2 * pb0 + 4 * pb1, pb0), power=2)
+    return _table_family(entry, ansatz, propose)
 
 
 def _family_IVc():
@@ -877,29 +849,9 @@ def _family_IVc():
         "lam3/2": "-5*alpha*h/a1",
     }
     readings = {
-        "corrected-lam1/2": {**derived, "lam1/2": "-(9*a0^2 + 6*a0*a1)*alpha*h/a1"},
-        "as-printed": derived,
+        "corrected-lam1/2": {"lam1/2": "-(9*a0^2 + 6*a0*a1)*alpha*h/a1"},
+        "as-printed": {},
     }
-
-    def check(fv):
-        if fv["a1"] == 0:
-            raise Inadmissible("a1 = 0")
-        if fv["alpha"] == 0:
-            raise Inadmissible("alpha = 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-
-    def instances(fv):
-        check(fv)
-        pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
-        assignment = {n: fv[n] for n in ("a0", "a1", "alpha", "v")}
-        out = []
-        for reading, formulas in readings.items():
-            pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                                reaction=_reaction(_Derived(fv, formulas), formulas))
-            out.extend(_square_branches(pde, (pa0, 2 * pa0 + 4 * pa1, pa0), (1, 2, 1),
-                                        assignment, reading=reading))
-        return out
 
     def propose(rng):
         return {"a0": _frac(rng, -4, 4), "a1": _nonzero(rng, -4, 4),
@@ -920,8 +872,9 @@ def _family_IVc():
             f"lam1/2 = {readings['corrected-lam1/2']['lam1/2']} is adopted",
         ),
     )
-    draw = _admissible_draw(propose, check)
-    return _register(Family(entry, instances, draw, adopted="corrected-lam1/2"))
+    pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
+    ansatz = ExpAnsatz(a=(pa0, 2 * pa0 + 4 * pa1, pa0), b=(1, 2, 1), power=2)
+    return _table_family(entry, ansatz, propose, readings, adopted="corrected-lam1/2")
 
 
 def _family_IVd():
@@ -931,22 +884,6 @@ def _family_IVd():
         "lam3/2": "-10*a1*alpha*h",
         "lam2": "(6*a1^2 - 6*a0^2)*alpha*h",
     }
-
-    def check(fv):
-        if fv["a0"] == 0:
-            raise Inadmissible("a0 = 0")
-        if fv["alpha"] == 0:
-            raise Inadmissible("alpha = 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-
-    def instances(fv):
-        check(fv)
-        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                            reaction=_reaction(_Derived(fv, derived), derived))
-        pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
-        assignment = {n: fv[n] for n in ("a0", "a1", "alpha", "v")}
-        return _square_branches(pde, (0, 2, 0), (pa0, 2 * pa1, pa0), assignment)
 
     def propose(rng):
         a0 = _nonzero(rng, -4, 4)
@@ -967,8 +904,8 @@ def _family_IVd():
         expected="PASS",
         annotations=("equivalent to u = [a0*cosh(alpha*xi) + a1]^-2 up to gauge",),
     )
-    draw = _admissible_draw(propose, check)
-    return _register(Family(entry, instances, draw))
+    pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
+    return _table_family(entry, ExpAnsatz(a=(0, 2, 0), b=(pa0, 2 * pa1, pa0), power=2), propose)
 
 
 # ---------------------------------------------------------------------------
@@ -979,19 +916,10 @@ def _family_IVd():
 def _family_IVe_a():
     free = ("lam1", "lam3", "tau", "kappa", "v")
 
-    def check(fv):
-        if fv["lam1"] <= 0 or fv["lam3"] >= 0:
-            raise Inadmissible("need lam1 > 0 and lam3 < 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-        if _Derived(fv)["H"] <= 0:
-            raise Inadmissible("need H = tau*v^2 - kappa > 0")
-
     def instances(fv):
-        check(fv)
+        H = _admissible(entry, fv)["H"]
         lam1, lam3 = fv["lam1"], fv["lam3"]
         tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
-        H = _Derived(fv)["H"]
         k = _sqrt_branches(lam1 / H)[0]
         amp = _sqrt_branches(-2 * lam1 / lam3)[0]
         pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
@@ -1020,20 +948,12 @@ def _family_IVe_a():
         expected="PASS",
         annotations=(),
     )
-    draw = _admissible_draw(propose, check)
+    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
     return _register(Family(entry, instances, draw))
 
 
 def _family_IVe_b():
     free = ("lam1", "lam3", "tau", "kappa", "v")
-
-    def check(fv):
-        if fv["lam1"] >= 0 or fv["lam3"] <= 0:
-            raise Inadmissible("need lam1 < 0 and lam3 > 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-        if _Derived(fv)["H"] <= 0:
-            raise Inadmissible("need H = tau*v^2 - kappa > 0")
 
     c = ParamPoly.var("c")
     # amp*tanh(k*xi) = amp*(E^2 - 1)/(E^2 + 1) with E = exp(k*xi)
@@ -1045,16 +965,15 @@ def _family_IVe_b():
         return Instance(pde, ansatz, {"c": amp, "alpha": k, "v": fv["v"]}, branch)
 
     def instances(fv):
-        check(fv)
-        H = _Derived(fv)["H"]
+        H = _admissible(entry, fv)["H"]
         k = _sqrt_branches(-fv["lam1"] / (2 * H))[0]  # corrected argument
         amp = _sqrt_branches(-fv["lam1"] / fv["lam3"])[0]
         return [tanh_instance(fv, k, amp, "corrected-argument")]
 
     def printed_argument_scan(fv) -> float:
         """Residual of the tanh profile with the printed argument sqrt(-lam1)/(2H)."""
-        check(fv)
-        k = math.sqrt(float(-fv["lam1"])) / (2 * float(_Derived(fv)["H"]))
+        H = _admissible(entry, fv)["H"]
+        k = math.sqrt(float(-fv["lam1"])) / (2 * float(H))
         amp = math.sqrt(float(-fv["lam1"] / fv["lam3"]))
         printed = tanh_instance(fv, k, amp, "printed-argument")
         return residual_scan(printed.pde, printed.solution, SCAN_WINDOW, SCAN_SAMPLES)
@@ -1083,7 +1002,7 @@ def _family_IVe_b():
             "variant is scanned and reported alongside",
         ),
     )
-    draw = _admissible_draw(propose, check)
+    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
     return _register(Family(entry, instances, draw,
                             printed_argument_scan=printed_argument_scan))
 
@@ -1091,21 +1010,10 @@ def _family_IVe_b():
 def _family_IVe_c():
     free = ("lam1", "lam2", "tau", "kappa", "v")
 
-    def check(fv):
-        if fv["lam1"] <= 0:
-            raise Inadmissible("need lam1 > 0")
-        if fv["lam2"] == 0:
-            raise Inadmissible("lam2 = 0")
-        if fv["tau"] < 0 or fv["kappa"] < 0:
-            raise Inadmissible("tau, kappa must be non-negative")
-        if _Derived(fv)["H"] <= 0:
-            raise Inadmissible("need H = tau*v^2 - kappa > 0")
-
     def instances(fv):
-        check(fv)
+        H = _admissible(entry, fv)["H"]
         lam1, lam2 = fv["lam1"], fv["lam2"]
         tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
-        H = _Derived(fv)["H"]
         k = _sqrt_branches(lam1 / H)[0]
         amp = -3 * lam1 / (2 * lam2)
         pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
@@ -1132,7 +1040,7 @@ def _family_IVe_c():
         expected="PASS",
         annotations=(),
     )
-    draw = _admissible_draw(propose, check)
+    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
     return _register(Family(entry, instances, draw))
 
 
@@ -1147,23 +1055,6 @@ def _family_burgers():
         "v": "-A*Theta/(2*B*b0*b1)",
         "alpha": "-A*Delta/(2*kappa*b0*b1)",
     }
-
-    def check(fv):
-        if fv["A"] <= 0 or fv["B"] <= 0 or fv["kappa"] <= 0:
-            raise Inadmissible("need A > 0, B > 0, kappa > 0")
-        if fv["b0"] * fv["b1"] <= 0:
-            raise Inadmissible("need b0*b1 > 0")
-        if _Derived(fv)["Delta"] == 0:
-            raise Inadmissible("Delta = 0")
-
-    def instances(fv):
-        check(fv)
-        d = _Derived(fv, derived)
-        pde = HyperbolicPDE(tau=Fraction(0), A=fv["A"], B=fv["B"], kappa=fv["kappa"],
-                            reaction={})
-        ansatz = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
-        assignment = {n: d[n] for n in ("a0", "a1", "b0", "b1", "alpha", "v")}
-        return [Instance(pde, ansatz, assignment, "direct")]
 
     def propose(rng):
         b0 = _nonzero(rng, -4, 4)
@@ -1182,8 +1073,7 @@ def _family_burgers():
         annotations=("independent oracle: one integration of the travelling "
                      "Burgers equation against the front's two asymptotic states",),
     )
-    draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")), propose)
 
 
 for _builder in (_family_I, _family_I_tanh, _family_I_kink2, _family_II,

@@ -42,7 +42,7 @@ def _parse_assignments(text: str) -> dict[str, Fraction]:
             raise model.SchemaError(f"expected name=value, got {item!r}")
         name, _, raw = item.partition("=")
         name, raw = name.strip(), raw.strip()
-        out[name] = model.parse_fields(raw, ",", (Fraction,),
+        out[name] = model.parse_fields(raw, ",", (model.parse_rational,),
                                        f"{name}: not a rational number: {raw!r}")[0]
     return out
 

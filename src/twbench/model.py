@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
@@ -136,11 +137,25 @@ def _read_value(raw, where: str, symbolic: bool = True) -> ReactionValue:
     raise SchemaError(f"{where}: expected number or string, got {type(raw).__name__}")
 
 
+def parse_rational(token: str) -> Fraction:
+    """``Fraction(token)``, refusing first a token whose digits plus exponent
+    magnitude exceed Python's int string limit: Fraction would expand
+    ``1e10000000`` digit by digit."""
+    mantissa, _, exponent = token.lower().partition("e")
+    # Python releases before 3.10.7 have no limit to query; 4300 is the default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if limit and sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0)) > limit:
+        raise SchemaError(f"number {token} has over {limit} digits with its exponent")
+    return Fraction(token)
+
+
 def read_document(text: str, numeric: tuple[str, ...], other: tuple[str, ...] = ()) -> dict:
     """A JSON object with exactly the keys ``numeric`` and ``other``, numbers as exact
     Fractions; ``numeric`` values are checked in declared order, first bad one reported."""
     try:
-        doc = json.loads(text, parse_float=Fraction, parse_int=Fraction)
+        doc = json.loads(text, parse_float=parse_rational, parse_int=parse_rational)
+    except InputError:
+        raise
     except ValueError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -162,6 +177,8 @@ def parse_fields(text: str, sep: str, kinds: tuple, usage: str) -> list:
     try:
         if len(parts) == len(kinds):
             return [kind(part) for kind, part in zip(kinds, parts)]
+    except InputError:
+        raise
     except (ValueError, ZeroDivisionError):
         pass
     raise SchemaError(usage)

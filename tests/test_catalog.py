@@ -14,7 +14,9 @@ from twbench.catalog import (
     FAMILIES,
     NOTATION,
     Inadmissible,
+    _admissible,
     _Derived,
+    _formula,
     instantiate,
     list_families,
     load_expectations,
@@ -229,10 +231,22 @@ class TestDerivedFormulas:
         with pytest.raises(TypeError):
             _Derived({"x": 0.5}, {"r": "x"})
 
-    @pytest.mark.parametrize("text", ["sqrt(x)", "x^(1/2)", "0.5*x", "x % 3"])
+    @pytest.mark.parametrize("text, holds", [
+        ("x < y", True), ("x <= 2", True), ("x > y", False), ("y >= 4", False),
+        ("x != 2", False), ("x = 2", True), ("x^2 = 2*x", True),
+        ("|x - y| = 1", True), ("|x|/|-y| = 2/3", True), ("|x| + |y| != 0", True),
+        ("derived q < 0", True), ("derived q = x - y", True),
+    ])
+    def test_conditions(self, text, holds):
+        d = _Derived({"x": F(2), "y": F(3)}, {"q": "x - y"})
+        assert _formula(text)(d) is holds
+
+    @pytest.mark.parametrize("text", ["sqrt(x)", "x^(1/2)", "0.5*x", "x % 3", "0 < x < 1",
+                                      "x = y = 1", "velocity discriminant >= 0",
+                                      "radicand of v positive"])
     def test_other_syntax_rejected(self, text):
         with pytest.raises(ValueError):
-            _Derived({"x": F(4)}, {"r": text})["r"]
+            _Derived({"x": F(4), "y": F(4)}, {"r": text})["r"]
 
     def test_notation_resolves_after_free_values(self):
         fv = {"a0": F(1), "a1": F(2), "b0": F(3), "b1": F(5)}
@@ -243,6 +257,39 @@ class TestDerivedFormulas:
     def test_notation_matches_module_docstring(self, name):
         pattern = rf"^ *{re.escape(name)} *= {re.escape(NOTATION[name])}$"
         assert re.search(pattern, catalog.__doc__, re.MULTILINE)
+
+
+# Families whose printed conditions are all formulas, checked from their text.
+TEXT_CONDITIONS = ["I", "II", "III", "IVa", "IVb", "IVc", "IVd", "IVe-a", "IVe-b", "IVe-c",
+                   "Burgers-shock"]
+
+
+class TestAdmissibilityText:
+    @pytest.mark.parametrize("family_id", TEXT_CONDITIONS)
+    def test_conditions_compile_and_hold_on_draws(self, family_id):
+        fam = FAMILIES[family_id]
+        fv = fam.draw(random.Random(f"text:{family_id}"))
+        values = _Derived(fv, fam.entry.derived)
+        assert all(_formula(c)(values) for c in fam.entry.admissibility)
+
+    @pytest.mark.parametrize("family_id", ["I-tanh", "I-kink2", "IVa-special"])
+    def test_prose_conditions_stay_in_code(self, family_id):
+        conditions = FAMILIES[family_id].entry.admissibility
+        with pytest.raises(ValueError):
+            for condition in conditions:
+                _formula(condition)
+
+    def test_first_failed_condition_named(self):
+        fv = {"a0": F(1), "a1": F(2), "b0": F(1), "b1": F(-1), "alpha": F(0), "v": F(1),
+              "B": F(1), "tau": F(0), "kappa": F(1)}
+        # b0*b1 > 0 fails before a0/b0 != a1/b1 or alpha != 0 are reached
+        with pytest.raises(Inadmissible, match=r"^II needs b0\*b1 > 0$"):
+            _admissible(FAMILIES["II"].entry, fv)
+        with pytest.raises(Inadmissible, match=r"^II needs \|a0\|/\|b0\| = \|a1\|/\|b1\|$"):
+            _admissible(FAMILIES["II"].entry, {**fv, "b1": F(1)})
+        with pytest.raises(Inadmissible, match="^I needs derived A >= 0$"):
+            instantiate("I", {"a0": F(0), "a1": F(1), "b0": F(1), "b1": F(1), "alpha": F(1),
+                              "v": F(1), "lam3": F(1), "tau": F(0), "kappa": F(1), "B": F(0)})
 
 
 class TestExactSqrt:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -199,11 +200,25 @@ def test_exit_2_matrix(case, input_paths):
      f"error: unknown family 'IVz'; known: {', '.join(catalog.FAMILIES)}\n"),
     (["solve", "--system", "{system}", "--fix", "x=1,zz=1,ww=2", "--starts", "2"],
      "error: pinned names not in the system: zz, ww (symbols: x, y)\n"),
-], ids=["missing-unknowns", "unknown-family", "misspelt-pin"])
+    (["eval", "--family", "IVe-a", "--free", "lam1=-1,lam3=-2,tau=1,kappa=1,v=2",
+      "--range=-1:1:3"], "error: IVe-a needs lam1 > 0\n"),
+], ids=["missing-unknowns", "unknown-family", "misspelt-pin", "inadmissible"])
 def test_input_error_messages(args, stderr, input_paths):
     r = run_cli(*(a.format(**input_paths) for a in args))
     assert r.returncode == 2
     assert r.stderr == stderr
+
+
+@pytest.mark.parametrize("parse, text", [
+    (model.parse_model, '{"tau":1e10000000,"A":0,"B":1,"kappa":1,"reaction":{}}'),
+    (hydro.parse_hydro_model, '{"nu":0,"beta":5e-10000000,"sigma":1,"D":1,"R1":1}'),
+    (cli._parse_assignments, "x=-12.5E+10000000"),
+], ids=["model", "hydro", "assignment"])
+def test_huge_exponent_rejected_before_expansion(parse, text):
+    start = time.perf_counter()
+    with pytest.raises(model.SchemaError, match="over 4300 digits"):
+        parse(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_internal_errors_propagate(monkeypatch):
@@ -223,8 +238,14 @@ _JSON = st.recursive(
                                                                 max_size=3),
     max_leaves=8,
 )
+# a value slot that _with_tokens fills with a number token written as text
+_SLOT = "@number"
 _VALUE = (st.integers(-5, 5) | st.floats() | st.sampled_from(["1/2", "-3/4", "2/0", "lam", "1x"])
-          | _JSON)
+          | _JSON | st.just(_SLOT))
+# exponents json.dumps never writes, up to +/-10^7
+_NUMBER_TOKEN = st.builds("{}{}{}".format,
+                          st.integers(-999, 999) | st.sampled_from(["0.5", "-12.25"]),
+                          st.sampled_from(["e", "E", "e+", "e-"]), st.integers(0, 10**7))
 _POLY_TEXT = st.text(alphabet="xyz0123456789/^*+- ", max_size=16)
 
 
@@ -253,9 +274,15 @@ _SYSTEM_DOCS = _document(
 )
 
 # without the "explain" phase: after a failure it re-runs these nested
-# strategies for minutes before reporting
-_FUZZ = settings(max_examples=150, deadline=None, database=None,
+# strategies for minutes before reporting; the deadline bounds the work one
+# input may cost (expanding 1e10000000 exactly takes about 11 s)
+_FUZZ = settings(max_examples=150, deadline=1000, database=None,
                  phases=[Phase.explicit, Phase.generate, Phase.shrink])
+
+
+def _with_tokens(texts):
+    """JSON texts with every value slot replaced by one number token."""
+    return st.builds(lambda text, token: text.replace(f'"{_SLOT}"', token), texts, _NUMBER_TOKEN)
 
 
 def _parses_or_input_error(parse, text):
@@ -272,7 +299,7 @@ def _parses_or_input_error(parse, text):
 ], ids=["parse_model", "parse_hydro_model", "system_from_json"])
 def test_fuzz_documents(parse, documents):
     @_FUZZ
-    @given(documents.map(json.dumps) | _JSON.map(json.dumps) | st.text(max_size=40))
+    @given(_with_tokens(documents.map(json.dumps)) | _JSON.map(json.dumps) | st.text(max_size=40))
     def check(text):
         _parses_or_input_error(parse, text)
 
@@ -281,7 +308,8 @@ def test_fuzz_documents(parse, documents):
 
 @_FUZZ
 @given(st.lists(st.text(alphabet="xy=,/-0123456789 .e", max_size=8), max_size=4).map(",".join)
-       | st.text(max_size=30))
+       | st.text(max_size=30)
+       | st.lists(st.builds("x={}".format, _NUMBER_TOKEN), min_size=1, max_size=3).map(",".join))
 def test_fuzz_assignments(text):
     _parses_or_input_error(cli._parse_assignments, text)
 
