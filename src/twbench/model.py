@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .symcore import frac_str
+from .symcore import frac_str, int_digit_limit
 
 ReactionValue = Union[Fraction, str]
 
@@ -142,8 +141,7 @@ def parse_rational(token: str) -> Fraction:
     magnitude exceed Python's int string limit: Fraction would expand
     ``1e10000000`` digit by digit."""
     mantissa, _, exponent = token.lower().partition("e")
-    # Python releases before 3.10.7 have no limit to query; 4300 is the default
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    limit = int_digit_limit()
     if limit and sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0)) > limit:
         raise SchemaError(f"number {token} has over {limit} digits with its exponent")
     return Fraction(token)

@@ -28,6 +28,7 @@ from .symcore import (
     Number,
     ParamPoly,
     frac_str,
+    int_digit_limit,
     parse_poly_text,
     poly_dxi,
 )
@@ -269,10 +270,14 @@ def verify_assignment(system: AlgebraicSystem, assignment: Mapping[str, Number])
     failing = [i for i, r in enumerate(residuals) if r != 0]
     if not failing:
         return Verdict("PASS", residuals, "all equations vanish exactly")
-    lines = [
-        f"equation {i} (E^{system.provenance[i]}): residual {frac_str(residuals[i])}"
-        for i in failing
-    ]
+    try:
+        lines = [
+            f"equation {i} (E^{system.provenance[i]}): residual {frac_str(residuals[i])}"
+            for i in failing
+        ]
+    except ValueError:  # str() refuses an int over the digit limit
+        raise InputError(f"a residual has over {int_digit_limit()} digits, "
+                         "too many to print") from None
     return Verdict("FAIL", residuals, "; ".join(lines))
 
 

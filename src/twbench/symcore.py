@@ -7,12 +7,20 @@ floating-point evaluation.
 
 Coefficients are ``fractions.Fraction`` throughout; floats enter only through
 ``evaluate``.
+
+Canonical form of a ``ParamPoly``: sorted variables, each used by some term,
+nonzero ``Fraction`` coefficients.  ``ParamPoly.__init__`` establishes it for
+outside input; every computed result is built canonical by ``ParamPoly._make``,
+with ``_merge`` the one place where like terms are added and zeros dropped.
+Term order is insertion order; ``evaluate`` sums in it, so floats depend on it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -30,6 +38,13 @@ class MissingParameter(KeyError):
 
 class DivisionByZero(ArithmeticError):
     """Denominator vanishes (at a point, or identically)."""
+
+
+def int_digit_limit() -> int:
+    """Python's limit on the digits of an int read from or written to a string
+    (``sys.get_int_max_str_digits()``, 0 for none); 4300, the default, on
+    releases before 3.10.7, which have no limit to query."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()
 
 
 def frac_str(q: Fraction) -> str:
@@ -76,12 +91,26 @@ def _coeff(value: Number) -> Fraction:
     raise TypeError(f"not a rational coefficient: {value!r}")
 
 
+def _merge(terms: dict, pairs) -> dict:
+    """Add each (exponents, coefficient) pair into ``terms`` in order, deleting
+    a term whose sum is zero; returns ``terms``."""
+    for key, c in pairs:
+        acc = terms.get(key)
+        if acc is not None:
+            c = acc + c
+        if c:
+            terms[key] = c
+        elif acc is not None:
+            del terms[key]
+    return terms
+
+
 class ParamPoly:
     """Multivariate polynomial over Fraction in named parameters.
 
-    Canonical form: variables sorted by name, no zero coefficients, variables
-    with no occurrence dropped.  Term order for serialization is graded
-    lexicographic (total degree first, then exponent vector), descending.
+    Kept in the canonical form of the module docstring.  Term order for
+    serialization is graded lexicographic (total degree first, then exponent
+    vector), descending.
     """
 
     __slots__ = ("variables", "terms")
@@ -91,36 +120,37 @@ class ParamPoly:
         variables: Iterable[str] = (),
         terms: Mapping[tuple[int, ...], Number] | None = None,
     ):
+        """Checking constructor for outside input: sorts the variables,
+        coerces the coefficients and merges the terms."""
         variables = tuple(variables)
-        raw = dict(terms or {})
-        # canonicalize: sorted variables, merged duplicates, zeros dropped
+        terms = terms or {}
+        if any(len(exps) != len(variables) for exps in terms):
+            raise ValueError("exponent arity does not match variable list")
         order = sorted(range(len(variables)), key=lambda i: variables[i])
-        svars = tuple(variables[i] for i in order)
-        merged: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in raw.items():
-            if len(exps) != len(variables):
-                raise ValueError("exponent arity does not match variable list")
-            key = tuple(exps[i] for i in order)
-            c = _coeff(c)
-            acc = merged.get(key, Fraction(0)) + c
-            if acc:
-                merged[key] = acc
-            elif key in merged:
-                del merged[key]
-        # drop variables that never occur
-        used = [i for i in range(len(svars)) if any(e[i] for e in merged)]
-        if len(used) != len(svars):
-            svars = tuple(svars[i] for i in used)
-            merged = {tuple(e[i] for i in used): c for e, c in merged.items()}
-        self.variables = svars
-        self.terms = merged
+        merged = _merge({}, ((tuple(exps[i] for i in order), _coeff(c))
+                             for exps, c in terms.items()))
+        canonical = ParamPoly._make(tuple(variables[i] for i in order), merged)
+        self.variables, self.terms = canonical.variables, canonical.terms
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _make(variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "ParamPoly":
+        """Trusted constructor: ``variables`` sorted, ``terms`` merged with
+        nonzero Fraction coefficients; only drops the variables no term uses."""
+        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+        if len(used) != len(variables):
+            variables = tuple(variables[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        p = ParamPoly.__new__(ParamPoly)
+        p.variables = variables
+        p.terms = terms
+        return p
+
+    @staticmethod
     def const(value: Number) -> "ParamPoly":
         c = _coeff(value)
-        return ParamPoly((), {(): c} if c else {})
+        return ParamPoly._make((), {(): c} if c else {})
 
     @staticmethod
     def var(name: str, power: int = 1) -> "ParamPoly":
@@ -128,7 +158,7 @@ class ParamPoly:
             raise ValueError("negative power")
         if power == 0:
             return ParamPoly.const(1)
-        return ParamPoly((name,), {(power,): Fraction(1)})
+        return ParamPoly._make((name,), {(power,): Fraction(1)})
 
     @staticmethod
     def lift(value: "ParamPoly | str | Number") -> "ParamPoly":
@@ -183,22 +213,12 @@ class ParamPoly:
     def __add__(self, other) -> "ParamPoly":
         other = ParamPoly.lift(other)
         names, a, b = self._aligned(other)
-        out = dict(a)
-        for k, c in b.items():
-            acc = out.get(k, Fraction(0)) + c
-            if acc:
-                out[k] = acc
-            elif k in out:
-                del out[k]
-        return ParamPoly(names, out)
+        return ParamPoly._make(names, _merge(dict(a), b.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        p = ParamPoly.__new__(ParamPoly)
-        p.variables = self.variables
-        p.terms = {k: -c for k, c in self.terms.items()}
-        return p
+        return ParamPoly._make(self.variables, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-ParamPoly.lift(other))
@@ -209,16 +229,8 @@ class ParamPoly:
     def __mul__(self, other) -> "ParamPoly":
         other = ParamPoly.lift(other)
         names, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                acc = out.get(k, Fraction(0)) + ca * cb
-                if acc:
-                    out[k] = acc
-                elif k in out:
-                    del out[k]
-        return ParamPoly(names, out)
+        return ParamPoly._make(names, _merge({}, ((tuple(map(operator.add, ka, kb)), ca * cb)
+                                                  for ka, ca in a.items() for kb, cb in b.items())))
 
     __rmul__ = __mul__
 
@@ -252,13 +264,8 @@ class ParamPoly:
         if name not in self.variables:
             return ParamPoly.const(0)
         i = self.variables.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return ParamPoly(self.variables, out)
+        return ParamPoly._make(self.variables, {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i]
+                                                for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, assignment: Mapping[str, Number]) -> Number:
         """Evaluate at a point; exact iff every input value is exact."""
@@ -280,18 +287,15 @@ class ParamPoly:
         """Substitute exact values for a subset of the variables."""
         keep = [i for i, n in enumerate(self.variables) if n not in assignment]
         vals = {i: _coeff(assignment[n]) for i, n in enumerate(self.variables) if n in assignment}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            for i, v in vals.items():
-                if exps[i]:
-                    c = c * v ** exps[i]
-            key = tuple(exps[i] for i in keep)
-            acc = out.get(key, Fraction(0)) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return ParamPoly(tuple(self.variables[i] for i in keep), out)
+
+        def reduced():
+            for exps, c in self.terms.items():
+                for i, v in vals.items():
+                    if exps[i]:
+                        c = c * v ** exps[i]
+                yield tuple(exps[i] for i in keep), c
+
+        return ParamPoly._make(tuple(self.variables[i] for i in keep), _merge({}, reduced()))
 
     def as_univariate(self, name: str) -> dict[int, "ParamPoly"]:
         """Split into coefficients of powers of one variable."""
@@ -301,9 +305,8 @@ class ParamPoly:
         rest = self.variables[:i] + self.variables[i + 1 :]
         buckets: dict[int, dict] = {}
         for exps, c in self.terms.items():
-            key = exps[:i] + exps[i + 1 :]
-            buckets.setdefault(exps[i], {})[key] = c
-        return {k: ParamPoly(rest, t) for k, t in sorted(buckets.items())}
+            buckets.setdefault(exps[i], {})[exps[:i] + exps[i + 1 :]] = c
+        return {k: ParamPoly._make(rest, t) for k, t in sorted(buckets.items())}
 
     def coeff_list(self, name: str) -> list[Fraction]:
         """Dense coefficient list in one variable; requires all-rational coefficients."""
@@ -318,13 +321,10 @@ class ParamPoly:
         """Monomial content: gcd of coefficients and componentwise min exponent."""
         if not self.terms:
             return Fraction(0), (0,) * len(self.variables)
-        num_g = 0
-        den_l = 1
-        for c in self.terms.values():
-            num_g = _gcd(num_g, abs(c.numerator))
-            den_l = den_l * c.denominator // _gcd(den_l, c.denominator)
+        coeffs = self.terms.values()
         mins = tuple(min(e[i] for e in self.terms) for i in range(len(self.variables)))
-        return Fraction(num_g, den_l), mins
+        return (Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                         math.lcm(*(c.denominator for c in coeffs))), mins)
 
     def divide_monomial(self, coeff: Fraction, exps: tuple[int, ...]) -> "ParamPoly":
         """Exact division by a monomial given in this polynomial's variables."""
@@ -336,7 +336,7 @@ class ParamPoly:
             if any(k < 0 for k in key):
                 raise ValueError("monomial does not divide polynomial")
             out[key] = c / coeff
-        return ParamPoly(self.variables, out)
+        return ParamPoly._make(self.variables, out)
 
     def primitive(self) -> "ParamPoly":
         """Divide out the rational content and normalize the leading sign."""
@@ -386,10 +386,14 @@ _FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/0*[1-9]\d*)?)|(?P<var>[A-Za-z_]\w
 
 
 def parse_poly_text(text: str) -> ParamPoly:
-    """Parse the canonical text form produced by :meth:`ParamPoly.to_text`."""
+    """Parse the canonical text form produced by :meth:`ParamPoly.to_text`.
+
+    A term with an exponent over :func:`int_digit_limit` is refused: evaluating
+    ``x^10000000`` exactly at ``x = 3`` alone takes seconds."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
+    limit = int_digit_limit()
     # tokenize into signed terms; '+'/'-' only appear as term separators
     norm = text.replace(" - ", " + -")
     result = ParamPoly.const(0)
@@ -409,17 +413,41 @@ def parse_poly_text(text: str) -> ParamPoly:
                 term = term * ParamPoly.const(Fraction(m.group("num")))
             else:
                 term = term * ParamPoly.var(m.group("var"), int(m.group("exp") or 1))
+        top = max((e for exps in term.terms for e in exps), default=0)
+        if limit and top > limit:
+            raise ValueError(f"exponent {top} is over the limit of {limit}")
         result = result + term
     return result
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- rational functions in E -------------------------------------------------
+
+
+def _strip(coeffs: list) -> list:
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _long_division(num: list[Fraction], den: list[Fraction]) -> tuple[list, list]:
+    """(quotient, remainder) of dense coefficient lists, lowest power first.
+
+    ``den`` must end in a nonzero coefficient; the remainder has no trailing
+    zeros."""
+    rem = _strip(list(num))
+    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        q = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        quot[shift] = q
+        for i, c in enumerate(den):
+            rem[i + shift] -= q * c
+        _strip(rem)
+    return quot, rem
+
+
+def _poly_in_E(coeffs: list[Fraction]) -> ParamPoly:
+    return ParamPoly._make((E_NAME,), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
 def _poly_gcd_in_E(a: ParamPoly, b: ParamPoly) -> ParamPoly | None:
@@ -427,45 +455,15 @@ def _poly_gcd_in_E(a: ParamPoly, b: ParamPoly) -> ParamPoly | None:
     for p in (a, b):
         if any(v != E_NAME for v in p.variables):
             return None
-    ca, cb = a.coeff_list(E_NAME), b.coeff_list(E_NAME)
-
-    def strip(c):
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    ca, cb = strip(list(ca)), strip(list(cb))
+    ca, cb = _strip(a.coeff_list(E_NAME)), _strip(b.coeff_list(E_NAME))
     while cb:
-        # remainder of ca by cb
-        while len(ca) >= len(cb) and ca:
-            q = ca[-1] / cb[-1]
-            shift = len(ca) - len(cb)
-            for i, c in enumerate(cb):
-                ca[i + shift] -= q * c
-            strip(ca)
-        ca, cb = cb, ca
-    if not ca:
-        return ParamPoly.const(0)
-    lead = ca[-1]
-    return ParamPoly((E_NAME,), {(k,): c / lead for k, c in enumerate(ca) if c})
+        ca, cb = cb, _long_division(ca, cb)[1]
+    return _poly_in_E([c / ca[-1] for c in ca])
 
 
 def _poly_div_in_E(a: ParamPoly, d: ParamPoly) -> ParamPoly:
     """Exact division in E for rationally-coefficiented polynomials."""
-    ca = list(a.coeff_list(E_NAME))
-    cd = d.coeff_list(E_NAME)
-    out = [Fraction(0)] * (len(ca) - len(cd) + 1)
-    while ca and len(ca) >= len(cd):
-        while ca and not ca[-1]:
-            ca.pop()
-        if len(ca) < len(cd):
-            break
-        q = ca[-1] / cd[-1]
-        shift = len(ca) - len(cd)
-        out[shift] = q
-        for i, c in enumerate(cd):
-            ca[i + shift] -= q * c
-    return ParamPoly((E_NAME,), {(k,): c for k, c in enumerate(out) if c})
+    return _poly_in_E(_long_division(a.coeff_list(E_NAME), d.coeff_list(E_NAME))[0])
 
 
 class ExpRational:
@@ -571,21 +569,15 @@ def _reduce_pair(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     # common monomial content (covers common E powers as well)
     cn, en = num.content()
     cd, ed = den.content()
-    names = sorted(set(num.variables) | set(den.variables))
-
-    def min_exps(poly, exps):
-        lookup = dict(zip(poly.variables, exps))
-        return tuple(lookup.get(n, 0) for n in names)
-
-    g_exps = tuple(min(a, b) for a, b in zip(min_exps(num, en), min_exps(den, ed)))
-    g_coeff = Fraction(_gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
+    den_exps = dict(zip(den.variables, ed))
+    g_exps = {n: min(e, den_exps.get(n, 0)) for n, e in zip(num.variables, en)}
+    g_coeff = Fraction(math.gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
                        cn.denominator * cd.denominator)
 
     def strip(poly):
-        exps = tuple(g_exps[names.index(n)] for n in poly.variables)
-        return poly.divide_monomial(g_coeff, exps)
+        return poly.divide_monomial(g_coeff, tuple(g_exps.get(n, 0) for n in poly.variables))
 
-    if g_coeff != 1 or any(g_exps):
+    if g_coeff != 1 or any(g_exps.values()):
         num, den = strip(num), strip(den)
     # univariate gcd when everything else is rational
     g = _poly_gcd_in_E(num, den)
@@ -602,5 +594,5 @@ def poly_dxi(p: ParamPoly, alpha: "str | Number" = "alpha") -> ParamPoly:
     if E_NAME not in p.variables:
         return ParamPoly.const(0)
     i = p.variables.index(E_NAME)
-    scaled = ParamPoly(p.variables, {e: c * e[i] for e, c in p.terms.items() if e[i]})
+    scaled = ParamPoly._make(p.variables, {e: c * e[i] for e, c in p.terms.items() if e[i]})
     return scaled * ParamPoly.lift(alpha)

@@ -10,6 +10,7 @@ from twbench.symcore import (
     MissingParameter,
     ParamPoly,
     parse_poly_text,
+    poly_dxi,
 )
 
 from conftest import rand_frac, rand_nonzero, rand_poly
@@ -49,12 +50,24 @@ class TestPolyArithmetic:
             assert p + (-p) == zero
 
     def test_canonical_form_idempotent(self):
+        """Every result is already canonical: the checking constructor changes
+        neither its variables nor its terms, term order included."""
         rng = random.Random(11)
         for _ in range(1000):
-            p = rand_poly(rng)
-            again = ParamPoly(p.variables, p.terms)
-            assert again == p
-            assert again.variables == p.variables and again.terms == p.terms
+            p, q = rand_poly(rng), rand_poly(rng)
+            e = rand_poly(rng, names=("E", "x"))
+            results = [p, p + q, p - q, p * q, p ** rng.randint(0, 3), p.diff("x"),
+                       p.substitute({"y": rand_frac(rng)}), p.primitive(),
+                       poly_dxi(e), poly_dxi(e, rand_frac(rng)),
+                       *p.as_univariate("z").values()]
+            for r in results:
+                again = ParamPoly(r.variables, r.terms)
+                assert again == r
+                assert again.variables == r.variables
+                assert list(again.terms.items()) == list(r.terms.items())
+                assert all(isinstance(c, F) and c for c in r.terms.values())
+                assert list(r.variables) == sorted(set(r.variables))
+                assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
 
     def test_unused_variables_trimmed(self):
         p = ParamPoly(("x", "y"), {(2, 0): F(1)})
