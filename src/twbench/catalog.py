@@ -18,9 +18,13 @@ Notation used by the derived formulas:
 
 The rational derived formulas, and the admissibility conditions of I, II,
 III, IVa, IVb, IVc, IVd, IVe-a/b/c and Burgers-shock, are evaluated from the
-same text that ``catalog list`` prints.  Formulas with radicals are written
-out in code, and so are the conditions of I-tanh, I-kink2 and IVa-special,
-whose tables state some in prose ("velocity discriminant >= 0").
+same text that ``catalog list`` prints.  One builder, ``_table_family``,
+makes every family from its table: the PDE, the instances and the random
+draw.  A family whose table takes square roots gives it only a ``branches``
+generator, which yields the values the radicals take on each sign branch.
+Those formulas are written out in code, and so are the conditions of I-tanh,
+I-kink2 and IVa-special, whose tables state some in prose ("velocity
+discriminant >= 0").
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 import operator
 import random
 import re
-from collections import ChainMap
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
@@ -68,11 +71,11 @@ class BranchFailure(RuntimeError, NumericFailure):
     """No sign branch of the derived radicals verifies."""
 
 
-def _sqrt_branches(q: Fraction) -> list[Fraction | float]:
-    """Both signs of sqrt(q): exact when possible, float otherwise."""
+def _sqrt_branches(q: Fraction | float) -> list[Fraction | float]:
+    """Both signs of sqrt(q): exact for the square of a rational, float otherwise."""
     if q < 0:
         raise Inadmissible(f"negative radicand {frac_str(Fraction(q))}")
-    root = exact_root(q, 2)
+    root = None if isinstance(q, float) else exact_root(q, 2)
     if root is None:
         root = math.sqrt(float(q))
     return [root, -root] if root else [root]
@@ -158,11 +161,6 @@ class _Derived(dict):
         return value
 
 
-def _reaction(values, names) -> dict[Fraction, Fraction]:
-    """Reaction map from coefficients named lam<nu>, e.g. lam3/2 -> {3/2: ...}."""
-    return {Fraction(name[3:]): values[name] for name in names}
-
-
 @dataclass(frozen=True)
 class Instance:
     """One fully numeric instantiation of a family (one radical branch)."""
@@ -206,14 +204,6 @@ class Family:
     printed_argument_scan: Callable[[Mapping[str, Fraction]], float] | None = None
 
 
-FAMILIES: dict[str, Family] = {}
-
-
-def _register(family: Family):
-    FAMILIES[family.entry.family_id] = family
-    return family
-
-
 def _admissible(entry: CatalogEntry, free_values: Mapping[str, Fraction]) -> _Derived:
     """Check the printed admissibility conditions; return the free and derived values.
 
@@ -225,31 +215,6 @@ def _admissible(entry: CatalogEntry, free_values: Mapping[str, Fraction]) -> _De
         if not _formula(condition)(values):
             raise Inadmissible(f"{entry.family_id} needs {condition}")
     return values
-
-
-def _admissible_draw(propose, check, instances=None):
-    """A family's draw: retry ``propose`` until its free values are admissible.
-
-    ``propose`` returns None to reject its own values early.  With
-    ``instances`` each draw is also instantiated, since radical tables are
-    inadmissible at some derived values, and rejected when every branch has
-    |alpha| > 4, which would make the residual scan ill-conditioned.
-    """
-    def draw(rng: random.Random) -> dict[str, Fraction]:
-        while True:
-            fv = propose(rng)
-            if fv is None:
-                continue
-            try:
-                check(fv)
-                insts = instances(fv) if instances else None
-            except Inadmissible:
-                continue
-            if insts is not None and all(abs(float(i.assignment["alpha"])) > 4 for i in insts):
-                continue
-            return fv
-
-    return draw
 
 
 def _frac(rng: random.Random, lo: int = -8, hi: int = 8, den: int = 4) -> Fraction:
@@ -273,50 +238,112 @@ def _small_alpha(rng: random.Random) -> Fraction:
     return Fraction(sign * rng.randint(1, 6), rng.randint(2, 4))
 
 
-def _square_branches(ansatz: ExpAnsatz) -> list[tuple[ExpAnsatz, str]]:
+def _square_branches(ansatz: ExpAnsatz) -> list[tuple[ExpAnsatz, str | None]]:
     """Both sign branches of sqrt(u) for a squared ansatz u = w^2.
 
     Negating the numerator of w leaves u unchanged but flips every
     half-integer power u^(nu) = w^(2*nu) with odd 2*nu, so a condition table
-    can verify on either branch.
+    can verify on either branch.  An ansatz that is not squared is its own
+    one branch, with no label of its own.
     """
+    if ansatz.power == 1:
+        return [(ansatz, None)]
     flipped = tuple(-ParamPoly.var(c) if isinstance(c, str) else -c for c in ansatz.a)
     return [(ansatz, "w+"), (replace(ansatz, a=flipped), "w-")]
 
 
-def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
-                  readings: Mapping[str, Mapping[str, str]] | None = None,
-                  adopted: str = "main") -> Family:
-    """Register a family whose whole table is formula text.
+def _readings(readings: Mapping[str, Mapping[str, str]]):
+    """``branches`` of a rational table: one per reading, which gives the
+    formulas it writes differently, evaluated at the printed values."""
+    def branches(values):
+        for reading, overrides in readings.items():
+            yield reading, "direct", {n: _formula(t)(values) for n, t in overrides.items()}
 
-    Conditions and derived values come from ``entry``; tau, A, B and kappa
-    are free or derived values, or 0.  The reaction has a term per lam<nu>
-    name in ascending exponent order, the order ``residual_scan`` sums in.
-    The assignment gives each unknown of ``ansatz`` its value; a squared
-    ansatz yields both branches of sqrt(u).  ``readings`` maps a reading to
-    the formulas it writes differently, evaluated at the printed values; the
-    shared formulas are evaluated once for all readings.
+    return branches
+
+
+def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
+                  branches=_readings({"main": {}}), adopted: str = "main") -> Family:
+    """Build a family from its table, its ansatz and its sign branches.
+
+    ``branches(values)`` is given the free values, which also resolve the
+    table's rational formulas.  It yields ``(reading, label, branch)`` for
+    each sign branch, where ``branch`` maps names to the values the radicals
+    take there; a rational table's branches are its ``_readings``.  When
+    every printed condition is formula text, the conditions are checked
+    first, in printed order; otherwise ``branches`` checks them and raises
+    Inadmissible.  The PDE has tau, A, B and kappa from the table, or 0, and
+    a reaction term per lam<nu> name in ascending exponent order, the order
+    ``residual_scan`` sums in; a reading that writes one of them differently
+    has a PDE of its own.  Each branch assigns every unknown of ``ansatz``; a
+    squared ansatz doubles it into both branches of sqrt(u).  Free values
+    without any branch are inadmissible.
+
+    The draw retries ``propose`` (None rejects its own values) until the
+    conditions hold: the printed ones, or those ``branches`` checks before
+    its first branch.  When alpha is derived, a draw whose every branch has
+    |alpha| > 4 is rejected too, since it would make the residual scan
+    ill-conditioned.  A singular family is exempt: its scans run on a
+    pole-free window, and guarding it would change the draws it reports.
     """
     names = (*entry.free, *entry.derived)
-    lams = sorted((n for n in names if n.startswith("lam")), key=lambda n: Fraction(n[3:]))
-    branches = _square_branches(ansatz) if ansatz.power == 2 else [(ansatz, "direct")]
+    # reaction coefficients lam<nu> by exponent, e.g. lam3/2 -> 3/2, ascending
+    lams = dict(sorted(((n, Fraction(n[3:])) for n in names if n.startswith("lam")),
+                       key=lambda item: item[1]))
+    # the PDE's coefficients in the table; tau, A, B or kappa not in it is 0
+    coefficients = (*(n for n in ("tau", "A", "B", "kappa") if n in names), *lams)
+    unknowns, shapes = ansatz.symbols(), _square_branches(ansatz)
+
+    @cache  # on first use: compiling every table at import would slow each command
+    def text_conditions() -> bool:
+        try:
+            for condition in entry.admissibility:
+                _formula(condition)
+        except ValueError:  # some are prose, so ``branches`` checks them all
+            return False
+        return True
+
+    def values_of(fv):
+        return _admissible(entry, fv) if text_conditions() else _Derived(fv, entry.derived)
 
     def instances(fv):
-        printed = _admissible(entry, fv)
-        out = []
-        for reading, overrides in (readings or {"main": {}}).items():
-            values = ChainMap({n: _formula(t)(printed) for n, t in overrides.items()}, printed)
-            pde = HyperbolicPDE(**{n: values[n] if n in names else 0
-                                   for n in ("tau", "A", "B", "kappa")},
-                                reaction=_reaction(values, lams))
-            assignment = {n: values[n] for n in ansatz.symbols()}
-            out.extend(Instance(pde, a, assignment, label, reading) for a, label in branches)
+        values, pdes, out = values_of(fv), {}, []
+        for reading, label, branch in branches(values):
+            point = {n: branch[n] if n in branch else values[n]
+                     for n in (*coefficients, *unknowns)}
+            # branches share the PDE of the coefficients they override (mostly
+            # none), so ``_judged`` finds its reduced system by identity
+            key = tuple((n, branch[n]) for n in coefficients if n in branch)
+            if key not in pdes:
+                linear = {n: point.get(n, 0) for n in ("tau", "A", "B", "kappa")}
+                pdes[key] = HyperbolicPDE(**linear,
+                                          reaction={nu: point[n] for n, nu in lams.items()})
+            assignment = {n: point[n] for n in unknowns}
+            out.extend(Instance(pdes[key], a, assignment, square or label, reading)
+                       for a, square in shapes)
+        if not out:
+            raise Inadmissible(f"{entry.family_id} has no admissible branch")
         return out
 
-    # a derived alpha can make the scan ill-conditioned; a free one is drawn small
-    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv),
-                            instances if "alpha" in entry.derived else None)
-    return _register(Family(entry, instances, draw, adopted))
+    guard_alpha = "alpha" in entry.derived and entry.shape != "singular"
+
+    def accepted(fv) -> bool:
+        if guard_alpha:
+            return any(abs(float(i.assignment["alpha"])) <= 4 for i in instances(fv))
+        values = values_of(fv)
+        # prose conditions are checked by ``branches`` before its first branch
+        return text_conditions() or next(branches(values), None) is not None
+
+    def draw(rng: random.Random) -> dict[str, Fraction]:
+        while True:
+            fv = propose(rng)
+            try:
+                if fv is not None and accepted(fv):
+                    return fv
+            except Inadmissible:
+                pass
+
+    return Family(entry, instances, draw, adopted)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +399,11 @@ def _family_I_tanh():
         "a0": "sqrt(-lam0/lam2)", "a1": "-a0", "b0": "1", "b1": "1",
     }
 
-    def check(fv):
-        """Raise Inadmissible, or return the radicand and denominator of v."""
-        lam0, lam2, lam3 = fv["lam0"], fv["lam2"], fv["lam3"]
-        A, B, kappa, tau = fv["A"], fv["B"], fv["kappa"], fv["tau"]
+    def branches(values):
+        lam0, lam2, lam3 = values["lam0"], values["lam2"], values["lam3"]
+        A, B, kappa, tau = values["A"], values["B"], values["kappa"], values["tau"]
         if lam2 == 0 or lam0 * lam2 >= 0:
             raise Inadmissible("need lam0*lam2 < 0 and lam2 != 0")
-        if A < 0 or kappa < 0 or tau < 0:
-            raise Inadmissible("linear coefficients must be non-negative")
         if B != 1:
             # the lam0 and lam2 conditions of the parent family collapse to
             # lam2 = +/- B*|lam2| on this profile, which forces B = 1
@@ -390,35 +414,17 @@ def _family_I_tanh():
         denom = 2 * lam3 - 4 * lam2 * lam2 * tau
         if denom == 0:
             raise Inadmissible("velocity formula denominator vanishes")
-        return disc, denom
-
-    def instances(fv):
-        disc, denom = check(fv)
-        lam0, lam2 = fv["lam0"], fv["lam2"]
-        A, B = fv["A"], fv["B"]
-        pde = HyperbolicPDE(tau=fv["tau"], A=A, B=B, kappa=fv["kappa"],
-                            reaction=_reaction(_Derived(fv, derived),
-                                               ("lam0", "lam1", "lam2", "lam3")))
-        ansatz = ExpAnsatz(a=("a0", "a1"), b=(1, 1))
-        out = []
-        amp_raw = -lam0 / lam2
+        amplitudes = _sqrt_branches(-lam0 / lam2)
         for i, s in enumerate(_sqrt_branches(disc)):
             v = lam2 * (A * B + s) / denom
             if v == 0:
                 continue
-            for j, c in enumerate(_sqrt_branches(amp_raw)):
+            for j, c in enumerate(amplitudes):
                 # alpha = 2*sqrt(-lam0*lam2)/v; sqrt(-lam0*lam2) = |lam2|*sqrt(-lam0/lam2)
-                k_mag = abs(lam2) * abs(c) if not isinstance(c, float) else abs(float(lam2)) * abs(c)
+                k_mag = abs(lam2) * abs(c)
                 for si, sgn in enumerate((1, -1)):
-                    alpha = sgn * 2 * k_mag / v
-                    if alpha == 0:
-                        continue
-                    assignment = {"a0": c, "a1": -c, "alpha": alpha, "v": v}
-                    out.append(Instance(pde, ansatz, assignment,
-                                        f"v{'+-'[i]} a0{'+-'[j]} alpha{'+-'[si]}"))
-        if not out:
-            raise Inadmissible("no branch produces a nonzero velocity")
-        return out
+                    yield ("main", f"v{'+-'[i]} a0{'+-'[j]} alpha{'+-'[si]}",
+                           {"a0": c, "a1": -c, "alpha": sgn * 2 * k_mag / v, "v": v})
 
     def propose(rng):
         c = _positive(rng, 4)
@@ -449,8 +455,7 @@ def _family_I_tanh():
             "the source's own B = 1 cross-reference",
         ),
     )
-    draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=("a0", "a1"), b=(1, 1)), propose, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +466,6 @@ def _family_I_tanh():
 def _family_I_kink2():
     free = ("lam1", "lam2", "lam3", "B", "kappa", "tau")
 
-    def _b0_branches(fv):
-        lam1, lam2, lam3 = fv["lam1"], fv["lam2"], fv["lam3"]
-        if lam1 == 0:
-            raise Inadmissible("lam1 = 0")
-        disc = lam2 * lam2 - 4 * lam1 * lam3
-        if disc < 0:
-            raise Inadmissible("negative b0 discriminant")
-        return [(-lam2 + s) / lam1 for s in _sqrt_branches(disc)]
-
     def alpha_v_parts(b0, lam1, lam2, B, tau):
         """P = 2*lam2 + 3*b0*lam1 of the printed alpha and v, and the radicand S of v."""
         P = 2 * lam2 + 3 * b0 * lam1
@@ -477,37 +473,30 @@ def _family_I_kink2():
              + b0**2 * lam1 * (2 * B * B + 9 * lam1 * tau))
         return P, S
 
-    def check(fv):
-        if fv["B"] <= 0 or fv["kappa"] <= 0 or fv["tau"] < 0:
-            raise Inadmissible("need B > 0, kappa > 0, tau >= 0")
-        _b0_branches(fv)
-
-    def instances(fv):
-        check(fv)
-        lam1, lam2, lam3 = fv["lam1"], fv["lam2"], fv["lam3"]
-        B, kappa, tau = fv["B"], fv["kappa"], fv["tau"]
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=B, kappa=kappa,
-                            reaction={Fraction(0): Fraction(0), Fraction(1): lam1,
-                                      Fraction(2): lam2, Fraction(3): lam3})
-        ansatz = ExpAnsatz(a=(2,), b=("b0", "b0"))
-        out = []
-        for bi, b0 in enumerate(_b0_branches(fv)):
+    def branches(values):
+        lam1, lam2, lam3 = values["lam1"], values["lam2"], values["lam3"]
+        B, kappa, tau = values["B"], values["kappa"], values["tau"]
+        if B <= 0 or kappa <= 0:
+            raise Inadmissible("need B > 0, kappa > 0")
+        if lam1 == 0:
+            raise Inadmissible("lam1 = 0")
+        disc = lam2 * lam2 - 4 * lam1 * lam3
+        if disc < 0:
+            raise Inadmissible("negative b0 discriminant")
+        for bi, s in enumerate(_sqrt_branches(disc)):
+            b0 = (-lam2 + s) / lam1
             if b0 == 0:
                 continue
             P, S = alpha_v_parts(b0, lam1, lam2, B, tau)
             if P == 0 or S <= 0:
                 continue
-            v_sq = kappa * P * P / S
-            for vi, v in enumerate(_sqrt_branches(v_sq)):
+            for vi, v in enumerate(_sqrt_branches(kappa * P * P / S)):
                 if v == 0:
                     continue
                 alpha_printed = -P / (4 * B * v * b0)
-                alpha = 2 * alpha_printed  # ansatz variable is exp(2*alpha_printed*xi)
-                assignment = {"b0": b0, "alpha": alpha, "v": v}
-                out.append(Instance(pde, ansatz, assignment, f"b0{'+-'[bi]} v{'+-'[vi]}"))
-        if not out:
-            raise Inadmissible("no branch yields a usable (b0, v) pair")
-        return out
+                # the ansatz variable is exp(2*alpha_printed*xi)
+                branch = {"b0": b0, "alpha": 2 * alpha_printed, "v": v}
+                yield "main", f"b0{'+-'[bi]} v{'+-'[vi]}", branch
 
     def propose(rng):
         b0 = _nonzero(rng, -4, 4)
@@ -542,8 +531,7 @@ def _family_I_kink2():
         annotations=("A = lam0 = 0 by construction; the profile variable is "
                      "exp(2*alpha*xi), so the ansatz growth rate is twice the printed alpha",),
     )
-    draw = _admissible_draw(propose, check, instances)
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=(2,), b=("b0", "b0")), propose, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -594,36 +582,22 @@ def _family_II():
 def _family_III():
     free = ("lam1", "lam3", "A", "kappa", "tau", "a1")
 
-    def instances(fv):
-        _admissible(entry, fv)
-        lam1, lam3 = fv["lam1"], fv["lam3"]
+    pa1, pa2 = ParamPoly.var("a1"), ParamPoly.var("a2")
+    ansatz = ExpAnsatz(a=(0, "a1", "a2"),
+                       b=(-pa1**3, -3 * pa1**2 * pa2, 3 * pa1 * pa2**2, ParamPoly.var("a3") ** 3))
+
+    def branches(values):
+        lam1, lam3, A = values["lam1"], values["lam3"], values["A"]
         q = _sqrt_branches(lam3 / lam1)[0]
-        A, kappa, tau, a1 = fv["A"], fv["kappa"], fv["tau"], fv["a1"]
-        a2 = -q / (6 * a1)
+        a2 = -q / (6 * values["a1"])
         alpha = q * lam1 / A  # sqrt(lam1*lam3) = q*lam1
-        v_sq = (A * A / lam3 + kappa) / tau
-        pde = HyperbolicPDE(tau=tau, A=A, B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(1): lam1, Fraction(3): lam3})
-        out = []
-        literal_a3 = a2 + 1  # the printed symbol a3 is undefined; any stand-in shows it
-        readings = {
-            "a3_as_a2": a2,
-            "a3_literal": literal_a3,
-        }
-        for reading, a3 in readings.items():
-            ansatz = ExpAnsatz(
-                a=(0, "a1", "a2"),
-                b=(-ParamPoly.var("a1") ** 3,
-                   -3 * ParamPoly.var("a1") ** 2 * ParamPoly.var("a2"),
-                   3 * ParamPoly.var("a1") * ParamPoly.var("a2") ** 2,
-                   ParamPoly.var("a3") ** 3),
-            )
-            for vi, v in enumerate(_sqrt_branches(v_sq)):
+        vs = _sqrt_branches((A * A / lam3 + values["kappa"]) / values["tau"])
+        # the printed symbol a3 is undefined; any stand-in shows the literal reading
+        for reading, a3 in {"a3_as_a2": a2, "a3_literal": a2 + 1}.items():
+            for vi, v in enumerate(vs):
                 if v == 0:
                     continue
-                assignment = {"a1": a1, "a2": a2, "a3": a3, "alpha": alpha, "v": v}
-                out.append(Instance(pde, ansatz, assignment, f"v{'+-'[vi]}", reading=reading))
-        return out
+                yield reading, f"v{'+-'[vi]}", {"a2": a2, "a3": a3, "alpha": alpha, "v": v}
 
     def propose(rng):
         lam1 = _positive(rng, 4)
@@ -659,8 +633,7 @@ def _family_III():
             "the largest pole-free subinterval of [-10, 10]",
         ),
     )
-    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
-    return _register(Family(entry, instances, draw, adopted="a3_as_a2"))
+    return _table_family(entry, ansatz, propose, branches, adopted="a3_as_a2")
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +679,7 @@ def _family_IVa():
     pa = {n: ParamPoly.var(n) for n in ("a0", "a1", "b0", "b1")}
     ansatz = ExpAnsatz(a=(pa["a0"], 2 * pa["a1"], pa["a0"]),
                        b=(pa["b0"], 2 * pa["b1"], pa["b0"]))
-    return _table_family(entry, ansatz, propose, readings, adopted="corrected-lam3")
+    return _table_family(entry, ansatz, propose, _readings(readings), adopted="corrected-lam3")
 
 
 # ---------------------------------------------------------------------------
@@ -722,51 +695,33 @@ def _family_IVa_special():
         "v": "+/- sqrt((lam1 - lam2^2/(3*lam3) + kappa*alpha^2)/(tau*alpha^2))",
     }
 
-    def check(fv):
-        """Raise Inadmissible, or return a0 and the radicand of v."""
-        if fv["lam3"] == 0:
+    def branches(values):
+        lam0, lam1, lam2, lam3 = (values[f"lam{k}"] for k in range(4))
+        alpha, tau = values["alpha"], values["tau"]
+        if lam3 == 0:
             raise Inadmissible("lam3 = 0")
-        if fv["alpha"] == 0:
+        if alpha == 0:
             raise Inadmissible("alpha = 0")
-        if fv["tau"] <= 0:
+        if tau <= 0:
             raise Inadmissible("tau must be positive for the velocity formula")
-        if fv["kappa"] < 0:
-            raise Inadmissible("kappa must be non-negative")
-        a0 = _Derived(fv, derived)["a0"]
-        side = fv["lam0"] + fv["lam1"] * a0 + fv["lam2"] * a0**2 + fv["lam3"] * a0**3
-        if side != 0:
+        a0 = values["a0"]
+        if lam0 + lam1 * a0 + lam2 * a0**2 + lam3 * a0**3 != 0:
             raise Inadmissible("side condition lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0 fails")
-        v_rad = (fv["lam1"] - fv["lam2"] ** 2 / (3 * fv["lam3"])
-                 + fv["kappa"] * fv["alpha"] ** 2) / (fv["tau"] * fv["alpha"] ** 2)
+        v_rad = (lam1 - lam2**2 / (3 * lam3) + values["kappa"] * alpha**2) / (tau * alpha**2)
         if v_rad < 0:
             raise Inadmissible("negative radicand for v")
-        return a0, v_rad
-
-    def instances(fv):
-        a0, v_rad = check(fv)
-        lam1, lam2, lam3 = fv["lam1"], fv["lam2"], fv["lam3"]
-        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                            reaction=_reaction(fv, ("lam0", "lam1", "lam2", "lam3")))
-        pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
-        ansatz = ExpAnsatz(a=(pa0, 2 * pa1, pa0), b=(1, 0, 1))
-        readings = {
+        vs = _sqrt_branches(v_rad)
+        for reading, a1_rad in {
             "corrected-a1": Fraction(2, 3) * (lam2**2 - 3 * lam1 * lam3) / lam3**2,
             "as-printed": 2 * (lam2**2 - lam1 * lam3) / lam3**2,
-        }
-        out = []
-        for reading, a1_rad in readings.items():
+        }.items():
             if a1_rad < 0:
                 continue
             for i, a1 in enumerate(_sqrt_branches(a1_rad)):
-                for j, v in enumerate(_sqrt_branches(v_rad)):
+                for j, v in enumerate(vs):
                     if v == 0:
                         continue
-                    assignment = {"a0": a0, "a1": a1, "alpha": fv["alpha"], "v": v}
-                    out.append(Instance(pde, ansatz, assignment,
-                                        f"a1{'+-'[i]} v{'+-'[j]}", reading=reading))
-        if not out:
-            raise Inadmissible("no reading has a non-negative a1 radicand")
-        return out
+                    yield reading, f"a1{'+-'[i]} v{'+-'[j]}", {"a1": a1, "v": v}
 
     def propose(rng):
         lam2 = _frac(rng, -4, 4)
@@ -802,8 +757,9 @@ def _family_IVa_special():
             "is consistent with the correction)",
         ),
     )
-    draw = _admissible_draw(propose, check)
-    return _register(Family(entry, instances, draw, adopted="corrected-a1"))
+    pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
+    ansatz = ExpAnsatz(a=(pa0, 2 * pa1, pa0), b=(1, 0, 1))
+    return _table_family(entry, ansatz, propose, branches, adopted="corrected-a1")
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +830,8 @@ def _family_IVc():
     )
     pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
     ansatz = ExpAnsatz(a=(pa0, 2 * pa0 + 4 * pa1, pa0), b=(1, 2, 1), power=2)
-    return _table_family(entry, ansatz, propose, readings, adopted="corrected-lam1/2")
+    return _table_family(entry, ansatz, propose, _readings(readings),
+                         adopted="corrected-lam1/2")
 
 
 def _family_IVd():
@@ -916,17 +873,11 @@ def _family_IVd():
 def _family_IVe_a():
     free = ("lam1", "lam3", "tau", "kappa", "v")
 
-    def instances(fv):
-        H = _admissible(entry, fv)["H"]
-        lam1, lam3 = fv["lam1"], fv["lam3"]
-        tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
-        k = _sqrt_branches(lam1 / H)[0]
-        amp = _sqrt_branches(-2 * lam1 / lam3)[0]
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(1): lam1, Fraction(3): lam3})
-        ansatz = ExpAnsatz(a=(0, "a1"), b=(1, 0, 1))
+    def branches(values):
+        k = _sqrt_branches(values["lam1"] / values["H"])[0]
+        amp = _sqrt_branches(-2 * values["lam1"] / values["lam3"])[0]
         # amp*sech(k*xi) = 2*amp*E/(1 + E^2) with E = exp(k*xi)
-        return [Instance(pde, ansatz, {"a1": 2 * amp, "alpha": k, "v": v}, "direct")]
+        yield "main", "direct", {"a1": 2 * amp, "alpha": k}
 
     def propose(rng):
         k = _nonzero(rng, -3, 3)
@@ -948,8 +899,7 @@ def _family_IVe_a():
         expected="PASS",
         annotations=(),
     )
-    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=(0, "a1"), b=(1, 0, 1)), propose, branches)
 
 
 def _family_IVe_b():
@@ -959,24 +909,10 @@ def _family_IVe_b():
     # amp*tanh(k*xi) = amp*(E^2 - 1)/(E^2 + 1) with E = exp(k*xi)
     ansatz = ExpAnsatz(a=(-c, 0, c), b=(1, 0, 1))
 
-    def tanh_instance(fv, k, amp, branch):
-        pde = HyperbolicPDE(tau=fv["tau"], A=Fraction(0), B=Fraction(0), kappa=fv["kappa"],
-                            reaction={Fraction(1): fv["lam1"], Fraction(3): fv["lam3"]})
-        return Instance(pde, ansatz, {"c": amp, "alpha": k, "v": fv["v"]}, branch)
-
-    def instances(fv):
-        H = _admissible(entry, fv)["H"]
-        k = _sqrt_branches(-fv["lam1"] / (2 * H))[0]  # corrected argument
-        amp = _sqrt_branches(-fv["lam1"] / fv["lam3"])[0]
-        return [tanh_instance(fv, k, amp, "corrected-argument")]
-
-    def printed_argument_scan(fv) -> float:
-        """Residual of the tanh profile with the printed argument sqrt(-lam1)/(2H)."""
-        H = _admissible(entry, fv)["H"]
-        k = math.sqrt(float(-fv["lam1"])) / (2 * float(H))
-        amp = math.sqrt(float(-fv["lam1"] / fv["lam3"]))
-        printed = tanh_instance(fv, k, amp, "printed-argument")
-        return residual_scan(printed.pde, printed.solution, SCAN_WINDOW, SCAN_SAMPLES)
+    def branches(values):
+        k = _sqrt_branches(-values["lam1"] / (2 * values["H"]))[0]  # corrected argument
+        amp = _sqrt_branches(-values["lam1"] / values["lam3"])[0]
+        yield "main", "corrected-argument", {"c": amp, "alpha": k}
 
     def propose(rng):
         k = _nonzero(rng, -3, 3)
@@ -1002,25 +938,28 @@ def _family_IVe_b():
             "variant is scanned and reported alongside",
         ),
     )
-    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
-    return _register(Family(entry, instances, draw,
-                            printed_argument_scan=printed_argument_scan))
+    family = _table_family(entry, ansatz, propose, branches)
+
+    def printed_argument_scan(fv) -> float:
+        """Residual of the tanh profile with the printed argument sqrt(-lam1)/(2H)."""
+        [corrected] = family.instances(fv)
+        k = math.sqrt(float(-fv["lam1"])) / (2 * float(_Derived(fv)["H"]))
+        amp = math.sqrt(float(-fv["lam1"] / fv["lam3"]))
+        printed = replace(corrected, assignment={**corrected.assignment, "c": amp, "alpha": k},
+                          branch="printed-argument")
+        return residual_scan(printed.pde, printed.solution, SCAN_WINDOW, SCAN_SAMPLES)
+
+    return replace(family, printed_argument_scan=printed_argument_scan)
 
 
 def _family_IVe_c():
     free = ("lam1", "lam2", "tau", "kappa", "v")
 
-    def instances(fv):
-        H = _admissible(entry, fv)["H"]
-        lam1, lam2 = fv["lam1"], fv["lam2"]
-        tau, kappa, v = fv["tau"], fv["kappa"], fv["v"]
-        k = _sqrt_branches(lam1 / H)[0]
-        amp = -3 * lam1 / (2 * lam2)
-        pde = HyperbolicPDE(tau=tau, A=Fraction(0), B=Fraction(0), kappa=kappa,
-                            reaction={Fraction(1): lam1, Fraction(2): lam2})
-        ansatz = ExpAnsatz(a=(0, "a1"), b=(1, 2, 1))
+    def branches(values):
+        k = _sqrt_branches(values["lam1"] / values["H"])[0]
+        amp = -3 * values["lam1"] / (2 * values["lam2"])
         # amp*sech^2(k*xi/2) = 4*amp*E/(1 + E)^2 with E = exp(k*xi)
-        return [Instance(pde, ansatz, {"a1": 4 * amp, "alpha": k, "v": v}, "direct")]
+        yield "main", "direct", {"a1": 4 * amp, "alpha": k}
 
     def propose(rng):
         k = _nonzero(rng, -3, 3)
@@ -1040,8 +979,7 @@ def _family_IVe_c():
         expected="PASS",
         annotations=(),
     )
-    draw = _admissible_draw(propose, lambda fv: _admissible(entry, fv))
-    return _register(Family(entry, instances, draw))
+    return _table_family(entry, ExpAnsatz(a=(0, "a1"), b=(1, 2, 1)), propose, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,11 +1014,13 @@ def _family_burgers():
     return _table_family(entry, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")), propose)
 
 
-for _builder in (_family_I, _family_I_tanh, _family_I_kink2, _family_II,
-                 _family_III, _family_IVa, _family_IVa_special, _family_IVb,
-                 _family_IVc, _family_IVd, _family_IVe_a, _family_IVe_b,
-                 _family_IVe_c, _family_burgers):
-    _builder()
+FAMILIES: dict[str, Family] = {
+    family.entry.family_id: family
+    for family in (builder() for builder in (
+        _family_I, _family_I_tanh, _family_I_kink2, _family_II, _family_III, _family_IVa,
+        _family_IVa_special, _family_IVb, _family_IVc, _family_IVd, _family_IVe_a,
+        _family_IVe_b, _family_IVe_c, _family_burgers))
+}
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import catalog, model, reducer
-from .symcore import frac_str
+from .symcore import frac_str, int_digit_limit
 
 
 def _fmt(x: float) -> str:
@@ -93,9 +94,32 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
+def _digits(n: int) -> int:
+    return int(abs(n).bit_length() * math.log10(2)) + 1
+
+
+def _bound_exact_work(system: reducer.AlgebraicSystem, assignment: dict[str, Fraction]):
+    """Refuse an assignment whose exact powers would be too long to build.
+
+    A term costs about its exponents times the digits (numerator plus
+    denominator) of the values they raise; the sum over all terms may be at
+    most 100 times Python's int string limit (no bound when it has none).
+    """
+    limit = 100 * int_digit_limit()
+    digits = {name: _digits(q.numerator) + _digits(q.denominator)
+              for name, q in assignment.items()}
+    estimate = sum(e * digits.get(name, 0)
+                   for eq in system.equations for exps in eq.terms
+                   for name, e in zip(eq.variables, exps))
+    if limit and estimate > limit:
+        raise model.InputError(f"exact powers of about {estimate} digits are over the limit "
+                               f"of {limit} digits (100 times Python's int string limit)")
+
+
 def _cmd_verify(args) -> int:
     system = reducer.AlgebraicSystem.from_json(_read(args.system))
     assignment = _parse_assignments(args.assign)
+    _bound_exact_work(system, assignment)
     verdict = reducer.verify_assignment(system, assignment)
     _dump_json({
         "status": verdict.status,

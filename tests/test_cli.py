@@ -16,9 +16,9 @@ REPO = Path(__file__).resolve().parent.parent
 EXPECTATIONS = REPO / "expectations.json"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run([sys.executable, "-m", "twbench.cli", *args],
-                          capture_output=True, text=True, cwd=cwd or REPO)
+                          capture_output=True, text=True, cwd=cwd or REPO, timeout=timeout)
 
 
 @pytest.fixture
@@ -149,6 +149,7 @@ INPUT_DOCUMENTS = {
     "zero_denominator": json.dumps(dict(SYSTEM, equations=["x^2 + 1/0"])),
     "huge_exponent": json.dumps(dict(SYSTEM, equations=["x^10000000 - 1"])),
     "huge_residual": json.dumps(dict(SYSTEM, equations=["x^4000 - 1"])),
+    "huge_power": json.dumps(dict(SYSTEM, equations=["x^4300*y^4300 - 1"])),
     "expectations_not_object": "[1, 2]",
     "expectations_entry_not_object": '{"IVd": [1, 2]}',
 }
@@ -175,6 +176,9 @@ EXIT_2_CASES = {
     # these two ended in a ValueError traceback (exit 1), the first after seconds
     "system-huge-exponent": ["verify", "--system", "{huge_exponent}", "--assign", "x=3"],
     "system-huge-residual": ["verify", "--system", "{huge_residual}", "--assign", "x=100"],
+    # ran for minutes building powers of some 34 million digits
+    "system-huge-power": ["verify", "--system", "{huge_power}",
+                          "--assign", f"x={'9' * 4000},y={'9' * 4000}"],
     # these two ended in an AttributeError traceback (exit 1)
     "expectations-not-object": ["catalog", "verify", "--family", "IVd", "--trials", "1",
                                 "--expectations", "{expectations_not_object}"],
@@ -194,7 +198,8 @@ def input_paths(tmp_path):
 
 @pytest.mark.parametrize("case", list(EXIT_2_CASES))
 def test_exit_2_matrix(case, input_paths):
-    r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]))
+    # bad input is refused before any long computation starts
+    r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]), timeout=30)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
     assert r.stdout == ""
@@ -352,6 +357,12 @@ class TestCatalogCommands:
         mid = float(lines[3].split(",")[1])
         assert abs(mid - 1.0) < 1e-12  # sech peak amplitude
 
+    def test_eval_irrational_b0(self, capsys):
+        # the b0 discriminant 5 is not a square: every branch is a float
+        assert cli.main(["eval", "--family", "I-kink2", "--free",
+                         "lam1=1,lam2=3,lam3=1,B=1,kappa=1,tau=1", "--range=-3:3:5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "xi,u" and len(lines) == 6
 
     @pytest.mark.parametrize("free, name", [
         ("lam3=-2,tau=1,kappa=1,v=2", "missing lam1"),
@@ -428,6 +439,23 @@ SOLVE_SHA256 = {
         "5497c45ee1e692e1a40b676ed6a60bcd43d7535c30bbcb12625a43a14762905f",
 }
 
+# SHA-256 of `eval --range=-3:3:61` stdout at free values whose radicals are
+# irrational, so each profile is built from float sign branches.
+EVAL_SHA256 = {
+    ("I-tanh", "lam0=-1,lam2=2,lam3=-1,A=1,B=1,kappa=1,tau=0"):
+        "b811451cfb8460a00721178e5476a4147e5b8275db678a12a048043b177c35de",
+    ("III", "lam1=1,lam3=2,A=1,kappa=1,tau=1,a1=1"):
+        "1785debe4b4c1fb4371ff8abfc2d7d2d280a8023330680d52fdfbdff62d8ebba",
+    ("IVa-special", "lam0=0,lam1=-1,lam2=0,lam3=1,kappa=2,tau=1,alpha=1"):
+        "cf6e2b59de03f3a39a7b0816057101b4c352ee364f6f3fc52c917c175292bee1",
+    ("IVe-a", "lam1=1,lam3=-2,tau=1,kappa=1,v=2"):
+        "067fca3d9b3dc3e4b20c16fe9a428aa8f0002d46126ef6450d68b8befb4016f9",
+    ("IVe-b", "lam1=-1,lam3=1,tau=1,kappa=1,v=2"):
+        "9245891082f71596554d7b6fa3c630127f4688bfc7a342bb403296c3777077c6",
+    ("IVe-c", "lam1=1,lam2=1,tau=1,kappa=1,v=2"):
+        "95d7a4615e6a817a902ac9156a64c7183157f2a82da5d7ecef16d3da2e29eafa",
+}
+
 
 class TestDeterminism:
     def test_solve_byte_identical(self, tmp_path):
@@ -439,6 +467,12 @@ class TestDeterminism:
                         "--seed", "7", "--starts", starts)
             assert r.returncode == 0, r.stderr
             assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("family, free", list(EVAL_SHA256))
+    def test_eval_byte_identical(self, family, free, capsys):
+        assert cli.main(["eval", "--family", family, "--free", free, "--range=-3:3:61"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == EVAL_SHA256[family, free]
 
     def test_catalog_verify_byte_identical(self):
         args = ("catalog", "verify", "--family", "II", "--trials", "3",
