@@ -77,7 +77,10 @@ def _sqrt_branches(q: Fraction | float) -> list[Fraction | float]:
         raise Inadmissible(f"negative radicand {frac_str(Fraction(q))}")
     root = None if isinstance(q, float) else exact_root(q, 2)
     if root is None:
-        root = math.sqrt(float(q))
+        try:
+            root = math.sqrt(float(q))
+        except OverflowError:
+            raise NumericFailure("a square-root radicand is beyond the float range") from None
     return [root, -root] if root else [root]
 
 

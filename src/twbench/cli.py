@@ -132,6 +132,7 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     system = reducer.AlgebraicSystem.from_json(_read(args.system))
     fixed = _parse_assignments(args.fix)
+    _bound_exact_work(system, fixed)
     solutions = reducer.solve_numeric(system, fixed, seed=args.seed, starts=args.starts)
     _dump_json({
         "count": len(solutions),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -281,6 +281,49 @@ def verify_assignment(system: AlgebraicSystem, assignment: Mapping[str, Number])
     return Verdict("FAIL", residuals, "; ".join(lines))
 
 
+def _compile(polys: list[ParamPoly], unknowns: list[str],
+             equation: Callable[[int], int] = lambda k: k
+             ) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile polynomials in ``unknowns`` to one float evaluator of them all.
+
+    The evaluator maps a point x (float64, in ``unknowns`` order) to the
+    array of ``float(p.evaluate(dict(zip(unknowns, x))))``, bit for bit: each
+    term is float(c) times the scalar powers x[i]**e (libm pow), multiplied in
+    the polynomial's own variable order, and the terms are added left to
+    right from 0.0 in dict order.  A missing factor reads 1.0 and a padding
+    term 0.0, both exact.  A coefficient beyond the float range raises
+    NumericFailure naming ``equation(k)`` for the k-th polynomial.
+    """
+    column = {name: i for i, name in enumerate(unknowns)}
+    slots: dict[tuple[int, int], int] = {}  # (unknown, exponent) -> row of the power table
+    depth = max((len(p.variables) for p in polys), default=0)
+    width = max((len(p.terms) for p in polys), default=0)
+    # row 0 is the 0.0 the sum starts from; term t (from 1) of polynomial k is coef[t, k]
+    coef = np.zeros((width + 1, len(polys)))
+    index = np.zeros((depth, width + 1, len(polys)), dtype=np.intp)  # table row 0 is 1.0
+    for k, poly in enumerate(polys):
+        for t, (exps, c) in enumerate(poly.terms.items(), start=1):
+            try:
+                coef[t, k] = float(c)
+            except OverflowError:
+                raise NumericFailure(f"equation {equation(k)} has a coefficient beyond "
+                                     "the float range") from None
+            for d, (name, e) in enumerate(zip(poly.variables, exps)):
+                if e:
+                    index[d, t, k] = slots.setdefault((column[name], e), len(slots) + 1)
+    powers = list(slots)
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        table = np.array([1.0, *(x[i] ** e for i, e in powers)])
+        terms = coef
+        for factor in table[index]:
+            terms = terms * factor
+        # row by row, total = total + row; np.sum would add pairwise instead
+        return np.add.accumulate(terms)[-1]
+
+    return evaluate
+
+
 def solve_numeric(
     system: AlgebraicSystem,
     fixed: Mapping[str, Number] | None = None,
@@ -307,25 +350,20 @@ def solve_numeric(
                           f"(symbols: {', '.join(symbols)})")
     equations = [eq.substitute(fixed) for eq in system.equations]
     unknowns = [u for u in symbols if u not in fixed]
-    live = [eq for eq in equations if not eq.is_zero()]
+    rows = [i for i, eq in enumerate(equations) if not eq.is_zero()]
+    live = [equations[i] for i in rows]
+    f_at = _compile(live, unknowns, rows.__getitem__)
     if not unknowns:
-        ok = all(abs(float(eq.constant_value())) < 1e-12 for eq in live)
-        return [{}] if ok else []
-    jacobian = [[eq.diff(u) for u in unknowns] for eq in live]
-
-    def f_at(x: np.ndarray) -> np.ndarray:
-        point = dict(zip(unknowns, x))
-        return np.array([float(eq.evaluate(point)) for eq in live], dtype=float)
-
-    def j_at(x: np.ndarray) -> np.ndarray:
-        point = dict(zip(unknowns, x))
-        return np.array(
-            [[float(d.evaluate(point)) for d in row] for row in jacobian], dtype=float
-        )
-
+        return [{}] if np.all(np.abs(f_at(np.zeros(0))) < 1e-12) else []
     if not live:
         # every equation vanished under `fixed`: the origin is as good as any
         return [dict(zip(unknowns, [0.0] * len(unknowns)))]
+    width = len(unknowns)
+    jacobian = _compile([eq.diff(u) for eq in live for u in unknowns], unknowns,
+                        lambda k: rows[k // width])
+
+    def j_at(x: np.ndarray) -> np.ndarray:
+        return jacobian(x).reshape(len(live), width)
 
     found: list[np.ndarray] = []
     for k in range(starts):

@@ -150,6 +150,8 @@ INPUT_DOCUMENTS = {
     "huge_exponent": json.dumps(dict(SYSTEM, equations=["x^10000000 - 1"])),
     "huge_residual": json.dumps(dict(SYSTEM, equations=["x^4000 - 1"])),
     "huge_power": json.dumps(dict(SYSTEM, equations=["x^4300*y^4300 - 1"])),
+    "huge_coefficient": json.dumps(dict(SYSTEM, unknowns=["x"],
+                                        equations=[f"1{'0' * 400}*x - 1"])),
     "expectations_not_object": "[1, 2]",
     "expectations_entry_not_object": '{"IVd": [1, 2]}',
 }
@@ -179,6 +181,9 @@ EXIT_2_CASES = {
     # ran for minutes building powers of some 34 million digits
     "system-huge-power": ["verify", "--system", "{huge_power}",
                           "--assign", f"x={'9' * 4000},y={'9' * 4000}"],
+    # ran past 10 s substituting the pin exactly before any float work
+    "solve-fix-huge-power": ["solve", "--system", "{huge_power}",
+                             "--fix", f"x={'7' * 4000}", "--starts", "1"],
     # these two ended in an AttributeError traceback (exit 1)
     "expectations-not-object": ["catalog", "verify", "--family", "IVd", "--trials", "1",
                                 "--expectations", "{expectations_not_object}"],
@@ -202,6 +207,28 @@ def test_exit_2_matrix(case, input_paths):
     r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]), timeout=30)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+# each ended in an OverflowError traceback (exit 1): a value beyond the float range
+EXIT_3_CASES = {
+    "solve-huge-coefficient": (["solve", "--system", "{huge_coefficient}"], "equation 0"),
+    "eval-IVe-a-huge-radicand": (["eval", "--family", "IVe-a", "--free",
+                                  "lam1=2e400,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
+                                 "radicand"),
+    "eval-I-tanh-huge-radicand": (["eval", "--family", "I-tanh", "--free",
+                                   "lam0=-2e400,lam2=1,lam3=-2,A=0,B=1,kappa=1,tau=0",
+                                   "--range=-1:1:3"], "radicand"),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_3_CASES))
+def test_exit_3_matrix(case, input_paths):
+    args, message = EXIT_3_CASES[case]
+    r = run_cli(*(a.format(**input_paths) for a in args), timeout=30)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert message in r.stderr
     assert r.stdout == ""
 
 
@@ -437,6 +464,15 @@ SOLVE_SHA256 = {
         "d4644ee71da5e6e7617a86a612f961e178ff1845b78929fc6bafcd202e3c6bf8",
     ("telegraph_cubic", "2/2", "l1=1,l3=-2,b0=1,b1=1", "8"):
         "5497c45ee1e692e1a40b676ed6a60bcd43d7535c30bbcb12625a43a14762905f",
+    ("telegraph_cubic", "1/1", "l1=1,l3=-2,b0=1,b1=1", "64"):  # 28 roots
+        "19446c286db755fab40d7f78c9ffa255e866fe66646f56a25c4b21d98f4bc48a",
+}
+
+# SHA-256 of `solve --seed 3 --starts 16` stdout on a one-equation system
+# whose starts overflow to inf; stdout also carries LAPACK's complaints about
+# the non-finite Jacobians that reach lstsq.
+SOLVE_SYSTEM_SHA256 = {
+    "x^700 - 2": "3f3cabfb46e2cc3e904de20be70bcf4f7bfd20443bb076ea5d31b961868ef16f",
 }
 
 # SHA-256 of `eval --range=-3:3:61` stdout at free values whose radicals are
@@ -467,6 +503,15 @@ class TestDeterminism:
                         "--seed", "7", "--starts", starts)
             assert r.returncode == 0, r.stderr
             assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("equation", list(SOLVE_SYSTEM_SHA256))
+    def test_solve_system_byte_identical(self, equation, tmp_path):
+        system_path = tmp_path / "system.json"
+        system_path.write_text(json.dumps(dict(SYSTEM, unknowns=["x"], equations=[equation])))
+        r = run_cli("solve", "--system", str(system_path), "--seed", "3", "--starts", "16")
+        assert r.returncode == 0, r.stderr
+        digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+        assert digest == SOLVE_SYSTEM_SHA256[equation]
 
     @pytest.mark.parametrize("family, free", list(EVAL_SHA256))
     def test_eval_byte_identical(self, family, free, capsys):

@@ -2,10 +2,14 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twbench.model import parse_model
 from twbench.reducer import (
+    _compile,
     ClosedFormSolution,
     EmptyAnsatz,
     ExpAnsatz,
@@ -160,6 +164,61 @@ class TestSolveNumeric:
         second = solve_numeric(system, fixed={"a0": 0, "a1": 1, "b0": 1, "b1": 1},
                                seed=11, starts=32)
         assert first == second
+
+    def test_every_unknown_pinned(self):
+        system = reduce(BURGERS, BURGERS_ANSATZ)
+        assert solve_numeric(system, fixed=BURGERS_SHOCK, starts=1) == [{}]
+        assert solve_numeric(system, fixed=dict(BURGERS_SHOCK, v=1), starts=1) == []
+
+    def test_newton_never_evaluates_exactly(self, monkeypatch):
+        def exact(*args):
+            raise AssertionError("ParamPoly.evaluate on the Newton path")
+
+        system = reduce(BURGERS, BURGERS_ANSATZ)
+        monkeypatch.setattr(ParamPoly, "evaluate", exact)
+        assert solve_numeric(system, fixed={"a0": 0, "a1": 1, "b0": 1, "b1": 1},
+                             seed=7, starts=8)
+
+
+_NAMES = ("a", "b", "m", "q", "z")
+# rationals of magnitude 1e-30 to 1e30; many of a similar size, so that
+# the order of the additions shows in the last bit
+_COEFFICIENTS = st.builds(lambda sign, n, d, k: sign * F(n, d) * F(10) ** k,
+                          st.sampled_from((1, -1)), st.integers(1, 999), st.integers(1, 999),
+                          st.integers(-27, 27) | st.integers(-1, 1))
+# up to 1e40 in magnitude, so that powers up to 12 overflow to inf
+_COORDINATES = (st.floats(-1e40, 1e40) | st.floats(-3, 3)
+                | st.sampled_from((0.0, -0.0, 1e40, -1e40, 1e-40)))
+
+
+def _poly(names):
+    exponents = st.tuples(*(st.integers(0, 12) for _ in names))
+    size = st.integers(0, min(12, 13 ** len(names)))  # up to 12 terms, evenly
+    return size.flatmap(lambda n: st.dictionaries(exponents, _COEFFICIENTS, min_size=n,
+                                                  max_size=n)).map(
+        lambda terms: ParamPoly(names, terms))
+
+
+@st.composite
+def _compiled_cases(draw):
+    """Polynomials in a shuffled list of unknowns, and a point."""
+    unknowns = draw(st.permutations(_NAMES))[:draw(st.integers(1, len(_NAMES)))]
+    names = st.lists(st.sampled_from(unknowns), unique=True)
+    polys = draw(st.lists(names.flatmap(_poly), min_size=1, max_size=4))
+    point = draw(st.lists(_COORDINATES, min_size=len(unknowns), max_size=len(unknowns)))
+    return polys, unknowns, np.array(point)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_compiled_cases())
+# eight terms, whose pairwise sum (np.sum) differs in the last bit
+@example(([parse_poly_text("-1/3*x^7 + 2/3*x^6 - x^5 + 2/3*x^4 - 7/6*x^3 + 1/2*x^2 "
+                           "+ 8/3*x - 6/5")], ("x",), np.array([0.7])))
+def test_compiled_matches_evaluate_bit_for_bit(case):
+    polys, unknowns, x = case
+    with np.errstate(all="ignore"):
+        expected = np.array([float(p.evaluate(dict(zip(unknowns, x)))) for p in polys])
+        assert _compile(polys, unknowns)(x).tobytes() == expected.tobytes()
 
 
 class TestResidualScan:
