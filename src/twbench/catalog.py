@@ -77,11 +77,22 @@ def _sqrt_branches(q: Fraction | float) -> list[Fraction | float]:
         raise Inadmissible(f"negative radicand {frac_str(Fraction(q))}")
     root = None if isinstance(q, float) else exact_root(q, 2)
     if root is None:
-        try:
-            root = math.sqrt(float(q))
-        except OverflowError:
-            raise NumericFailure("a square-root radicand is beyond the float range") from None
+        root = _float_sqrt(q)
     return [root, -root] if root else [root]
+
+
+def _float_sqrt(q: Fraction | float) -> float:
+    """sqrt(q) as a float.  A rational q > 0 may overflow a float or round to
+    0 or a subnormal, so its root is taken of q/4^k, which is near 1, and
+    scaled by 2^k: for a q whose float and root are normal that is the same
+    float as math.sqrt(float(q))."""
+    if isinstance(q, float):
+        return math.sqrt(q)
+    k = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(float(q / Fraction(4) ** k)), k)
+    except OverflowError:
+        raise NumericFailure("a square-root radicand is beyond the float range") from None
 
 
 # Shared notation of the derived formulas, as in the module docstring.

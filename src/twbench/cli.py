@@ -179,8 +179,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-# The hydro handlers import hydro (and with it scipy) on first use, so the
-# exact pipeline's commands start without it.
+# The hydro handlers import hydro (and with it the float kernels and the
+# integrator) on first use, so the exact pipeline's commands start without it.
 
 
 def _cmd_hydro_analyze(args) -> int:

@@ -374,6 +374,10 @@ def solve_numeric(
             if np.max(np.abs(fx)) < 1e-12:
                 break
             J = j_at(x)
+            # a non-finite system has no finite step, and LAPACK would print
+            # its complaint about the matrix on stdout
+            if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
+                break
             try:
                 step = np.linalg.lstsq(J, -fx, rcond=None)[0]
             except np.linalg.LinAlgError:
@@ -407,8 +411,11 @@ def _float_coeffs(poly: ParamPoly, subs: Mapping[str, float]) -> np.ndarray:
     parts = poly.as_univariate(E_NAME)
     deg = max(parts) if parts else 0
     out = np.zeros(deg + 1)
-    for k, coeff in parts.items():
-        out[k] = float(coeff.evaluate(subs))
+    try:
+        for k, coeff in parts.items():
+            out[k] = float(coeff.evaluate(subs))
+    except OverflowError:
+        raise PoleInWindow("residual overflow: a coefficient is beyond the float range") from None
     return out
 
 

@@ -301,6 +301,18 @@ class TestExactSqrt:
         assert exact_root(F(2), 2) is None
         assert exact_root(F(-4), 2) is None
 
+    @pytest.mark.parametrize("q", [F(2, 10**400), F(2, 10**320), F(2 * 10**400)],
+                             ids=["2e-400", "2e-320", "2e400"])
+    def test_root_of_radicand_beyond_float_range(self, q):
+        # float(q) underflows to 0 or overflows, but sqrt(q) is a float
+        root, negative = catalog._sqrt_branches(q)
+        assert negative == -root
+        assert abs(F(root) ** 2 / q - 1) < 1e-15
+
+    def test_root_beyond_float_range(self):
+        with pytest.raises(catalog.NumericFailure, match="radicand is beyond the float range"):
+            catalog._sqrt_branches(F(2 * 10**700))
+
 
 # SHA-256 of `catalog list` stdout and of each family's verify_entry report
 # (trials=5, seed=1, dumped as the CLI dumps it).  Verdict checks miss a

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -122,18 +123,25 @@ def test_exit_3_classes_are_numeric_failures(cls, old_base):
 
 
 def test_exact_commands_do_not_import_scipy():
+    # the exact commands load neither hydro nor scipy; the hydro commands load
+    # hydro but no scipy module
     code = textwrap.dedent("""
         import contextlib, io, sys
         from twbench import cli
-        for argv in (["catalog", "list"],
-                     ["reduce", "--model", "models/burgers.json", "--ansatz", "1/1"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0, argv
+        def run(*argvs):
+            for argv in argvs:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main(argv) == 0, argv
+        run(["catalog", "list"], ["reduce", "--model", "models/burgers.json", "--ansatz", "1/1"])
         print(sorted(m for m in ("scipy", "twbench.hydro") if m in sys.modules))
+        model = ["--model", "models/hydro_reference.json"]
+        run(["hydro-analyze", *model], ["hydro-orbit", *model, "--start", "1.7,0"],
+            ["hydro-separatrix", *model], ["hydro-homoclinic", *model, "--n", "40"])
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.split("\n") == ["[]", "[]", ""]
 
 
 # A system with unknowns x and y whose one equation has no real root.
@@ -213,12 +221,17 @@ def test_exit_2_matrix(case, input_paths):
 # each ended in an OverflowError traceback (exit 1): a value beyond the float range
 EXIT_3_CASES = {
     "solve-huge-coefficient": (["solve", "--system", "{huge_coefficient}"], "equation 0"),
+    # radicands whose square roots are beyond the float range too
     "eval-IVe-a-huge-radicand": (["eval", "--family", "IVe-a", "--free",
-                                  "lam1=2e400,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
+                                  "lam1=2e700,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
                                  "radicand"),
     "eval-I-tanh-huge-radicand": (["eval", "--family", "I-tanh", "--free",
-                                   "lam0=-2e400,lam2=1,lam3=-2,A=0,B=1,kappa=1,tau=0",
+                                   "lam0=-2e700,lam2=1,lam3=-2,A=0,B=1,kappa=1,tau=0",
                                    "--range=-1:1:3"], "radicand"),
+    # the root 1.4e200 is a float, but the scan's alpha^2 is not
+    "eval-IVe-a-huge-scan": (["eval", "--family", "IVe-a", "--free",
+                              "lam1=2e400,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
+                             "no branch of IVe-a verifies"),
 }
 
 
@@ -391,6 +404,15 @@ class TestCatalogCommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "xi,u" and len(lines) == 6
 
+    def test_eval_tiny_radicand(self, capsys):
+        # float(2e-400) underflows to 0, but the amplitude sqrt(2e-400) is a float
+        assert cli.main(["eval", "--family", "IVe-a", "--free",
+                         "lam1=2e-400,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        u = [float(row.split(",")[1]) for row in rows]
+        assert len(u) == 3
+        assert all(abs(x / (math.sqrt(2.0) * 1e-200) - 1) < 1e-15 for x in u)
+
     @pytest.mark.parametrize("free, name", [
         ("lam3=-2,tau=1,kappa=1,v=2", "missing lam1"),
         ("lam1=1,lam3=-2,tau=1,kappa=1,v=2,lamm=5", "unknown lamm"),
@@ -469,10 +491,9 @@ SOLVE_SHA256 = {
 }
 
 # SHA-256 of `solve --seed 3 --starts 16` stdout on a one-equation system
-# whose starts overflow to inf; stdout also carries LAPACK's complaints about
-# the non-finite Jacobians that reach lstsq.
+# whose starts overflow to inf; such a start ends before lstsq sees it.
 SOLVE_SYSTEM_SHA256 = {
-    "x^700 - 2": "3f3cabfb46e2cc3e904de20be70bcf4f7bfd20443bb076ea5d31b961868ef16f",
+    "x^700 - 2": "d699f11f3c89c33b1b0c478e62dd6e845dd1a7910149454c2b249d62b5bd3a74",
 }
 
 # SHA-256 of `eval --range=-3:3:61` stdout at free values whose radicals are
@@ -493,7 +514,38 @@ EVAL_SHA256 = {
 }
 
 
+# SHA-256 of the stdout of the README `hydro-*` commands, plus a backward orbit:
+# the root finders and the integrator must keep every float operation.
+HYDRO_SHA256 = {
+    "hydro-analyze": "656006b6af9e082a45e94135dbfd85c7f25b0a02dd8bd8b46f67f3dc8a0d85c5",
+    "hydro-orbit --start 1.7,0 --span 100":
+        "c858a493d4d2c12ee5569d4a01a66617cd0ac09441ac0ff1ad6581f3ae663a74",
+    "hydro-separatrix": "dee43869121473015062ae4c02e03ec56b9191b173a6c3254608ab6d2c454072",
+    "hydro-homoclinic --n 400": "45a2b84545b1e079e58602c4ccc32d32a7174b358bd5037431a54a7b2500f563",
+    "hydro-orbit --start 1.7,0 --span -50":
+        "5e0805902f827d9491347f2777f5c45c6162cb6924165b758b04ec5327d4b999",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command", list(HYDRO_SHA256))
+    def test_hydro_byte_identical(self, command, capsys):
+        name, *rest = command.split()
+        argv = [name, "--model", str(REPO / "models" / "hydro_reference.json"), *rest]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == HYDRO_SHA256[command]
+
+    def test_hydro_analyze_of_tiny_potential(self, tmp_path, capsys):
+        # P(R) is about 1e-200 here: Brent's extrapolation underflows and
+        # has to bisect, as scipy's does
+        model = tmp_path / "tiny.json"
+        model.write_text(json.dumps({"nu": 0, "beta": f"1/{10**201}", "sigma": 1,
+                                     "D": f"1/{10**100}", "R1": 1}))
+        assert cli.main(["hydro-analyze", "--model", str(model)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "83b5a9e7753c21d3245c2a46c6bbf092e7680237ad84b5ef18caadce0c612bc9"
+
     def test_solve_byte_identical(self, tmp_path):
         for (name, ansatz, fix, starts), digest in SOLVE_SHA256.items():
             system_path = tmp_path / f"{name}.json"
@@ -512,6 +564,7 @@ class TestDeterminism:
         assert r.returncode == 0, r.stderr
         digest = hashlib.sha256(r.stdout.encode()).hexdigest()
         assert digest == SOLVE_SYSTEM_SHA256[equation]
+        assert json.loads(r.stdout)["count"] == 1
 
     @pytest.mark.parametrize("family, free", list(EVAL_SHA256))
     def test_eval_byte_identical(self, family, free, capsys):
