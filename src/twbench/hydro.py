@@ -406,6 +406,10 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     Samples are the accepted solver steps; H is evaluated at all of them in
     one array expression.
     Integration halts with status "boundary" if R reaches the floor 1e-9.
+    Only a model with nu below about -3/4 (nu = -3/2, say) reaches that
+    floor.  For larger nu, the reference model's nu = 0 among them, the step
+    size collapses first (there at R about 1e-7), and that raises
+    StiffnessFailure (exit 3), not a "boundary" status.
     """
     if not rel_tol >= 1e-13:
         raise DomainError("rel_tol below 1e-13 is not resolvable in double precision")

@@ -15,6 +15,8 @@ a xi-grid from the analytic derivatives, so the two routes are independent.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
@@ -28,9 +30,11 @@ from .symcore import (
     Number,
     ParamPoly,
     frac_str,
+    gcd_coeffs,
     int_digit_limit,
     parse_poly_text,
     poly_dxi,
+    quotient_coeffs,
 )
 
 Coefficient = Union[str, Fraction, int, ParamPoly]
@@ -406,52 +410,148 @@ def solve_numeric(
 # -- numeric residual scan ----------------------------------------------------
 
 
-def _float_coeffs(poly: ParamPoly, subs: Mapping[str, float]) -> np.ndarray:
-    """Dense float coefficient array in E after substituting all parameters."""
-    parts = poly.as_univariate(E_NAME)
-    deg = max(parts) if parts else 0
-    out = np.zeros(deg + 1)
+def _trimmed(coeffs: list) -> list:
+    """The list without its trailing zero coefficients."""
+    top = len(coeffs)
+    while top and not coeffs[top - 1]:
+        top -= 1
+    return coeffs[:top]
+
+
+def _cleared(num: list, den: list) -> tuple[list[int], list[int]]:
+    """Both rational coefficient lists times the lcm of their denominators."""
+    lcm = math.lcm(*(c.denominator for c in (*num, *den)))
+    return ([c.numerator * (lcm // c.denominator) for c in _trimmed(num)],
+            [c.numerator * (lcm // c.denominator) for c in _trimmed(den)])
+
+
+def _product(a: list[int], b: list[int], weight=None) -> list[int]:
+    """Coefficients of a*b; with ``weight``, of sum weight(i, k)*a_i*b_k*E^(i+k)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                out[i + k] += x * y if weight is None else weight(i, k) * x * y
+    return out
+
+
+def _power(coeffs: list[int], n: int) -> list[int]:
+    """Coefficients of the n-th power, n >= 0."""
+    out = [1]
+    for _ in range(n):
+        out = _product(out, coeffs)
+    return out
+
+
+def _quotient_rule(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """(num/den)' over den^2, with the factor alpha of d/dxi = alpha*E*d/dE
+    left out: the numerator is sum (i - k)*num_i*den_k*E^(i+k)."""
+    return _product(num, den, operator.sub), _product(den, den)
+
+
+def _canonical(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Reduce an integer pair as ``symcore._reduce_pair`` does, but for its
+    E-gcd step: divide out the common power of E and the integer content,
+    and make the leading denominator coefficient positive (which commutes
+    with dividing both sides by a monic gcd).  0/den becomes 0/1."""
+    num, den = _trimmed(num), _trimmed(den)
+    if not num:
+        return [0], [1]
+    shift = min(next(i for i, c in enumerate(part) if c) for part in (num, den))
+    g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    return [c // g for c in num[shift:]], [c // g for c in den[shift:]]
+
+
+def _shares_factor(num: list[int], den: list[int]) -> bool:
+    """Whether two nonzero integer lists without trailing zeros have a common
+    factor other than a power of E: Euclid's algorithm on primitive pseudo-
+    remainders, in integers."""
+    shift = min(next(i for i, c in enumerate(part) if c) for part in (num, den))
+    a, b = sorted((num[shift:], den[shift:]), key=len, reverse=True)
+    while len(b) > 1:
+        while len(a) >= len(b):  # a := lead(b)*a - a_top*E^k*b, lowering deg a
+            top, k = a[-1], len(a) - len(b)
+            a = [b[-1] * c for c in a]
+            for i, c in enumerate(b):
+                a[i + k] -= top * c
+            a = _trimmed(a)
+        if not a:
+            return True
+        g = math.gcd(*a)
+        a, b = b, [c // g for c in a]
+    return False
+
+
+def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list[np.ndarray]:
+    """Each row's coefficients c as floats: float(c), or, for a row whose
+    power k is positive, 0.0 + float(c)*alpha**k for each nonzero c.  These are the
+    floats ``ParamPoly.evaluate`` gives a coefficient c*alpha^k of E^j, and it
+    forms alpha**k only for a nonzero term, so only then can that overflow.
+    A value beyond the float range raises PoleInWindow."""
+    out = []
     try:
-        for k, coeff in parts.items():
-            out[k] = float(coeff.evaluate(subs))
+        for row, k in zip(rows, powers):
+            if k and any(row):
+                scale = alpha**k
+                out.append(np.array([0.0 + float(c) * scale if c else 0.0 for c in row]))
+            else:
+                out.append(np.array([float(c) for c in row]))
     except OverflowError:
         raise PoleInWindow("residual overflow: a coefficient is beyond the float range") from None
     return out
 
 
-def _balanced_eval(coeffs: np.ndarray, E: np.ndarray, J: int):
-    """Evaluate sum c_j E^j scaled by E^-J for E > 1 (overflow-free).
+def _scan_rows(w: ExpRational, power: int, alpha: float) -> list[np.ndarray]:
+    """Float coefficient rows in E, lowest power first, of the numerators and
+    denominators of w, u = w^power, u' and u'' (d/dxi = alpha*E*d/dE).
 
-    Returns (value, magnitude) where magnitude bounds the term sizes that
-    entered the sum; |value|/magnitude small flags catastrophic cancellation,
-    i.e. a nearby zero.
+    They are the rows of the canonical forms ``symcore`` gives ``w**power``
+    and its ``differentiate_xi("alpha")`` twice, with ``alpha`` substituted,
+    but the pairs are reduced on integer lists: clearing denominators scales
+    both sides alike, so the reduced pair is the same.  Only u can need the
+    E-gcd step, and only where w's sides share a factor (w built with
+    ``reduce=False``); the symbol alpha keeps symcore from taking it for u'
+    and u'', whose numerators are alpha and alpha^2 times integer lists.
     """
-    padded = np.zeros(J + 1)
-    padded[: len(coeffs)] = coeffs
-    absolute = np.abs(padded)
-    value = np.empty_like(E)
-    magnitude = np.empty_like(E)
+    w_num, w_den = w.num.coeff_list(E_NAME), w.den.coeff_list(E_NAME)
+    num, den = _cleared(w_num, w_den)
+    u_num, u_den = _canonical(_power(num, power), _power(den, power))
+    if any(num) and _shares_factor(num, den):
+        g = gcd_coeffs(u_num, u_den)
+        u_num, u_den = quotient_coeffs(u_num, g), quotient_coeffs(u_den, g)
+    u1_num, u1_den = _canonical(*_quotient_rule(*_cleared(u_num, u_den)))
+    u2_num, u2_den = _canonical(*_quotient_rule(u1_num, u1_den))
+    return _float_rows([w_num, w_den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
+                       alpha, (0, 0, 0, 0, 1, 0, 2, 0))
+
+
+def _on_grid(rows: list[np.ndarray], spans: list[int], E: np.ndarray) -> np.ndarray:
+    """Row i, lowest power first, evaluated at every E: as sum c_j E^j where
+    E <= 1, and as E^-J times that sum, in t = 1/E, where E > 1, with J =
+    spans[i] (at least the row's degree), so no power of a large E is formed.
+
+    One Horner loop per point group serves all rows.  Each row's Horner
+    sequence is padded in front with zeros, which leave its running value at
+    0.0 for x in [0, 1] (E = inf gives t = 0), so every element gets the float
+    operations of ``np.polynomial.polynomial.polyval`` on its own row.
+    """
+    K = max(spans)
+    low = np.zeros((len(rows), K + 1))  # highest power first
+    high = np.zeros((len(rows), K + 1))  # lowest power first, ending at E^J
+    for i, (row, J) in enumerate(zip(rows, spans)):
+        low[i, K + 1 - len(row):] = row[::-1]
+        high[i, K - J:K - J + len(row)] = row
+    out = np.empty((len(rows), len(E)))
     small = E <= 1.0
-    if np.any(small):
-        x = E[small]
-        value[small] = np.polynomial.polynomial.polyval(x, padded)
-        magnitude[small] = np.polynomial.polynomial.polyval(x, absolute)
-    if np.any(~small):
-        t = 1.0 / E[~small]
-        value[~small] = np.polynomial.polynomial.polyval(t, padded[::-1])
-        magnitude[~small] = np.polynomial.polynomial.polyval(t, absolute[::-1])
-    return value, magnitude
-
-
-def _ratio_on_grid(num: np.ndarray, den: np.ndarray, E: np.ndarray):
-    """num(E)/den(E) with common E^-J scaling; also den's cancellation ratio."""
-    J = max(len(num), len(den)) - 1
-    nv, _ = _balanced_eval(num, E, J)
-    dv, dm = _balanced_eval(den, E, J)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = nv / dv
-        rel = np.abs(dv) / np.where(dm > 0, dm, 1.0)
-    return ratio, rel
+    for mask, seq in ((small, low), (~small, high)):
+        if np.any(mask):
+            x = E[mask] if seq is low else 1.0 / E[mask]
+            acc = seq[:, :1] + x * 0
+            for k in range(1, K + 1):
+                acc *= x
+                np.add(seq[:, k:k + 1], acc, out=acc)
+            out[:, mask] = acc
+    return out
 
 
 def residual_scan(
@@ -471,19 +571,10 @@ def residual_scan(
     if samples < 2:
         raise ValueError("need at least two samples")
 
-    w = sol.expression
     p = sol.power
-    u = w**p
-    u1 = u.differentiate_xi("alpha")
-    u2 = u1.differentiate_xi("alpha")
-
     alpha = float(sol.alpha)
     vel = float(sol.velocity)
-    subs = {"alpha": alpha}
-    w_num, w_den = _float_coeffs(w.num, subs), _float_coeffs(w.den, subs)
-    u_num, u_den = _float_coeffs(u.num, subs), _float_coeffs(u.den, subs)
-    u1_num, u1_den = _float_coeffs(u1.num, subs), _float_coeffs(u1.den, subs)
-    u2_num, u2_den = _float_coeffs(u2.num, subs), _float_coeffs(u2.den, subs)
+    rows = _scan_rows(sol.expression, p, alpha)
 
     xi = np.linspace(float(window[0]), float(window[1]), samples)
     keep = np.ones_like(xi, dtype=bool)
@@ -492,12 +583,16 @@ def residual_scan(
     if not np.any(keep):
         raise ValueError("every sample lies within the pole exclusion zones")
     xi = xi[keep]
-    E = np.exp(alpha * xi)
+    with np.errstate(over="ignore"):  # E = inf is evaluated in t = 1/E = 0
+        E = np.exp(alpha * xi)
 
-    w_val, w_rel = _ratio_on_grid(w_num, w_den, E)
-    u_val, _ = _ratio_on_grid(u_num, u_den, E)
-    u1_val, _ = _ratio_on_grid(u1_num, u1_den, E)
-    u2_val, _ = _ratio_on_grid(u2_num, u2_den, E)
+    # the four quotients share a scaling E^-J per pair; |den of w| bounds
+    # the terms of w's denominator, to flag its cancellation near a pole
+    spans = [max(len(rows[i]), len(rows[i + 1])) - 1 for i in (0, 0, 2, 2, 4, 4, 6, 6)]
+    grid = _on_grid([*rows, np.abs(rows[1])], [*spans, spans[0]], E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_val, u_val, u1_val, u2_val = (grid[i] / grid[i + 1] for i in (0, 2, 4, 6))
+        w_rel = np.abs(grid[1]) / np.where(grid[8] > 0, grid[8], 1.0)
 
     near_pole = w_rel < 1e-9
     if np.any(near_pole):
@@ -570,10 +665,14 @@ def solution_from_assignment(ansatz: ExpAnsatz,
 def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
     """u(xi) on a grid, with NaN at points within 1e-3 of a declared pole."""
     alpha = float(sol.alpha)
-    subs = {"alpha": alpha}
-    num, den = _float_coeffs(sol.expression.num, subs), _float_coeffs(sol.expression.den, subs)
-    E = np.exp(alpha * np.asarray(xi, dtype=float))
-    w_val, _ = _ratio_on_grid(num, den, E)
+    w = sol.expression
+    rows = _float_rows([w.num.coeff_list(E_NAME), w.den.coeff_list(E_NAME)], alpha, (0, 0))
+    with np.errstate(over="ignore"):
+        E = np.exp(alpha * np.asarray(xi, dtype=float))
+    span = max(map(len, rows)) - 1
+    num, den = _on_grid(rows, [span, span], E)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_val = num / den
     out = w_val ** sol.power
     for pole in sol.poles:
         out[np.abs(xi - pole) <= 1e-3] = np.nan

@@ -450,20 +450,31 @@ def _poly_in_E(coeffs: list[Fraction]) -> ParamPoly:
     return ParamPoly._make((E_NAME,), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
+def gcd_coeffs(a: list, b: list) -> list[Fraction]:
+    """Monic gcd of two dense rational coefficient lists, lowest power first,
+    not both zero."""
+    ca, cb = _strip([Fraction(c) for c in a]), _strip([Fraction(c) for c in b])
+    while cb:
+        ca, cb = cb, _long_division(ca, cb)[1]
+    return [c / ca[-1] for c in ca]
+
+
+def quotient_coeffs(a: list, d: list) -> list[Fraction]:
+    """Exact quotient of dense rational coefficient lists, lowest power first."""
+    return _long_division([Fraction(c) for c in a], [Fraction(c) for c in d])[0]
+
+
 def _poly_gcd_in_E(a: ParamPoly, b: ParamPoly) -> ParamPoly | None:
     """Monic gcd in E for polynomials with purely rational coefficients."""
     for p in (a, b):
         if any(v != E_NAME for v in p.variables):
             return None
-    ca, cb = _strip(a.coeff_list(E_NAME)), _strip(b.coeff_list(E_NAME))
-    while cb:
-        ca, cb = cb, _long_division(ca, cb)[1]
-    return _poly_in_E([c / ca[-1] for c in ca])
+    return _poly_in_E(gcd_coeffs(a.coeff_list(E_NAME), b.coeff_list(E_NAME)))
 
 
 def _poly_div_in_E(a: ParamPoly, d: ParamPoly) -> ParamPoly:
     """Exact division in E for rationally-coefficiented polynomials."""
-    return _poly_in_E(_long_division(a.coeff_list(E_NAME), d.coeff_list(E_NAME))[0])
+    return _poly_in_E(quotient_coeffs(a.coeff_list(E_NAME), d.coeff_list(E_NAME)))
 
 
 class ExpRational:

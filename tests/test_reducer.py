@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from twbench.model import parse_model
 from twbench.reducer import (
     _compile,
+    _on_grid,
+    _scan_rows,
     ClosedFormSolution,
     EmptyAnsatz,
     ExpAnsatz,
@@ -19,6 +22,7 @@ from twbench.reducer import (
     AlgebraicSystem,
     reduce,
     residual_scan,
+    sample_solution,
     solve_numeric,
     verify_assignment,
 )
@@ -282,3 +286,125 @@ class TestEquivalence:
                 assert exact, "engineered solution failed exact verification"
             passes += exact
         assert passes >= 10  # the mix contains genuine solutions
+
+
+# -- the residual scan's coefficient rows and grid ----------------------------
+
+
+def _exact_rows(w, p, alpha):
+    """The scan's eight float rows by the exact route: ``w**p``, two
+    ``differentiate_xi("alpha")`` and each coefficient of E^j evaluated with
+    ``ParamPoly.evaluate``."""
+    u = w**p
+    u1 = u.differentiate_xi("alpha")
+    u2 = u1.differentiate_xi("alpha")
+    rows = []
+    for poly in (w.num, w.den, u.num, u.den, u1.num, u1.den, u2.num, u2.den):
+        parts = poly.as_univariate("E")
+        row = np.zeros(max(parts, default=0) + 1)
+        for k, coeff in parts.items():
+            row[k] = float(coeff.evaluate({"alpha": alpha}))
+        rows.append(row)
+    return rows
+
+
+def _in_E(coeffs):
+    """A polynomial in E as ``solution_from_assignment`` builds it: a zero
+    coefficient stays a term."""
+    return ParamPoly._make(("E",), {(k,): c for k, c in enumerate(coeffs)})
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+# small rationals, and now and then one beyond the float range or near 0
+_SCAN_COEFFICIENTS = (st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+                      | st.sampled_from((F(10) ** 400, F(-3, 10**400))))
+_ALPHAS = (st.floats(-3, 3) | st.floats(-1e200, 1e200)
+           | st.sampled_from((0.0, 1e154, -1.2e154, 1e155)))
+_E = ParamPoly.var("E")
+
+
+@st.composite
+def _scan_solutions(draw):
+    """w = num/den, both sides times a common factor (a power of E, or a
+    polynomial), reduced or not, the denominator's sign either way."""
+    num = draw(st.lists(_SCAN_COEFFICIENTS, min_size=1, max_size=4))
+    den = draw(st.lists(_SCAN_COEFFICIENTS, min_size=1, max_size=4).filter(any))
+    common = draw(st.sampled_from(([F(1)], [F(0), F(1)], [F(0), F(0), F(2)],
+                                   [F(2), F(-3)], [F(1), F(0), F(1)], [F(-1), F(5), F(3)])))
+    sign = draw(st.sampled_from((1, -1)))
+    return ExpRational(_in_E(_times(num, common)), _in_E([sign * c for c in _times(den, common)]),
+                       reduce=draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_scan_solutions(), st.sampled_from((1, 2)), _ALPHAS)
+@example(ExpRational(ParamPoly.const(0), 1 + _E, reduce=False), 2, 1.5)  # zero numerator
+@example(ExpRational(_E + _E**2, 3 * _E**2, reduce=False), 1, -0.5)  # common power of E
+@example(ExpRational(ParamPoly.const(1), 1 - 2 * _E), 1, 2.0)  # negative leading denominator
+@example(ExpRational((2 * _E + 1) * (_E + 3), (2 * _E + 1) * (_E - 1), reduce=False), 2, 0.7)
+@example(ExpRational(1 + _E, 1 - _E), 2, 1e155)  # alpha^2 overflows
+def test_scan_rows_match_exact_route(w, p, alpha):
+    try:
+        expected = _exact_rows(w, p, alpha)
+    except OverflowError:
+        with pytest.raises(PoleInWindow, match="coefficient is beyond the float range"):
+            _scan_rows(w, p, alpha)
+        return
+    assert [row.tobytes() for row in _scan_rows(w, p, alpha)] == [
+        row.tobytes() for row in expected]
+
+
+_GRID_COEFFICIENTS = (st.floats(-1e3, 1e3) | st.floats(allow_nan=False)
+                      | st.sampled_from((0.0, 1e300, -1e-300)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.tuples(st.lists(_GRID_COEFFICIENTS, min_size=1, max_size=7), st.integers(0, 5)),
+                min_size=1, max_size=9),
+       st.lists(st.floats(-60, 60) | st.floats(-1e3, 1e3), max_size=30))
+def test_grid_matches_polyval_per_row(rows, exponents):
+    # exp(+-800) overflows to inf and underflows to 0; exp(0) is the boundary
+    spans = [len(row) - 1 + extra for row, extra in rows]
+    with np.errstate(all="ignore"):
+        E = np.exp(np.array([*exponents, -800.0, 800.0, 0.0, -1e-300]))
+        grid = _on_grid([np.array(row) for row, _ in rows], spans, E)
+        small = E <= 1.0
+        for (row, _), J, got in zip(rows, spans, grid):
+            padded = np.zeros(J + 1)
+            padded[:len(row)] = row
+            low = np.polynomial.polynomial.polyval(E[small], padded)
+            high = np.polynomial.polynomial.polyval(1.0 / E[~small], padded[::-1])
+            assert got[small].tobytes() == low.tobytes()
+            assert got[~small].tobytes() == high.tobytes()
+
+
+class TestScanOverflow:
+    PDE = parse_model('{"tau":1,"A":1,"B":1,"kappa":1,"reaction":{"1":1,"2":-1}}')
+
+    def test_zero_second_derivative_takes_no_alpha_squared(self):
+        # u = 1 has u' = u'' = 0, so alpha^2 (1e400) is never formed
+        sol = ClosedFormSolution(expression=ExpRational(ParamPoly.const(1)),
+                                 alpha=-1e200, velocity=1.0)
+        assert residual_scan(self.PDE, sol, (-1, 1), 11) == 0.0
+
+    def test_alpha_squared_overflow_is_a_pole_in_window(self):
+        sol = ClosedFormSolution(expression=ExpRational(1 + _E, 2 + _E),
+                                 alpha=1e155, velocity=1.0)
+        with pytest.raises(PoleInWindow, match="coefficient is beyond the float range"):
+            residual_scan(self.PDE, sol, (-1, 1), 11)
+
+    def test_exp_overflow_is_silent(self):
+        # far out, E = exp(alpha*xi) is inf or 0; the grid evaluates inf in t = 0
+        sol = ClosedFormSolution(expression=ExpRational(ParamPoly.const(1), 1 + _E),
+                                 alpha=1.0, velocity=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sample_solution(sol, np.array([-2000.0, 2000.0])).tolist() == [1.0, 0.0]
+            assert math.isfinite(residual_scan(self.PDE, sol, (-2000, 2000), 11))
