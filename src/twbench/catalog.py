@@ -1052,15 +1052,16 @@ def get_family(family_id: str) -> Family:
     return FAMILIES[family_id]
 
 
-def _judged(insts: list[Instance], shape: str) -> Iterator[
+def _judged(insts: list[Instance], shape: str, memo: dict) -> Iterator[
         tuple[Instance, AlgebraicSystem, Verdict | None, float | None, str | None]]:
-    """Each instance with its system (reduced once per PDE and ansatz), exact
-    verdict (when rational), scan residual, and any scan failure note."""
+    """Each instance with its system (reduced once per PDE and ansatz, with
+    ``reduce``'s ``memo``), exact verdict (when rational), scan residual, and
+    any scan failure note."""
     systems: dict = {}
     for inst in insts:
         key = (inst.pde, inst.ansatz)
         if key not in systems:
-            systems[key] = reduce(inst.pde, inst.ansatz)
+            systems[key] = reduce(inst.pde, inst.ansatz, memo)
         verdict = verify_assignment(systems[key], inst.assignment) if inst.exact else None
         # a singular profile's denominator always vanishes somewhere; scan clear of it
         window = _pole_free_window(inst.solution.poles) if shape == "singular" else SCAN_WINDOW
@@ -1103,7 +1104,7 @@ def instantiate(family_id: str, free_values: Mapping[str, Fraction]):
                           f"(expected {', '.join(free)})")
     insts = [i for i in fam.instances(free_values) if i.reading == fam.adopted]
     rejected = []
-    for inst, _, verdict, scan, note in _judged(insts, fam.entry.shape):
+    for inst, _, verdict, scan, note in _judged(insts, fam.entry.shape, {}):
         ok = verdict.passed if verdict is not None else (scan is not None and scan < SCAN_TOL)
         if ok:
             return dict(inst.assignment), inst.solution
@@ -1129,12 +1130,13 @@ def verify_entry(family_id: str, trials: int = 5, seed: int = 1) -> dict:
     readings_pass: dict[str, bool] = {}
     branches_used: set[str] = set()
     details = []
+    memo: dict = {}  # the family's ansatz terms, shared by its trials
     for _ in range(trials):
         fv = fam.draw(rng)
         chosen = None
         failures = []
         trial_readings: dict[str, bool] = {}
-        for inst, system, verdict, scan, note in _judged(fam.instances(fv), fam.entry.shape):
+        for inst, system, verdict, scan, note in _judged(fam.instances(fv), fam.entry.shape, memo):
             exact_ok = verdict.passed if verdict is not None else None
             scan_ok = scan is not None and scan < SCAN_TOL
             ok = (exact_ok if exact_ok is not None else scan_ok) and scan_ok

@@ -29,6 +29,7 @@ from .symcore import (
     ExpRational,
     Number,
     ParamPoly,
+    _merge,
     frac_str,
     gcd_coeffs,
     int_digit_limit,
@@ -195,13 +196,91 @@ class ClosedFormSolution:
                 raise ValueError("closed-form solution must have numeric coefficients")
 
 
-def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz) -> AlgebraicSystem:
+class _AnsatzTerms:
+    """The part of ``reduce`` that depends on the ansatz (and the names of the
+    PDE's symbolic coefficients) alone, each piece made on first use: u =
+    N0/g^p and its xi-derivatives N1/g^(p+1) and N2/g^(p+2); the factor that
+    each PDE term multiplies its coefficient by; and that factor times
+    g^(K-k), split by power of E into integer coefficient dicts."""
+
+    __slots__ = ("names", "f", "g", "linear", "factors", "powers", "buckets")
+
+    def __init__(self, ansatz: ExpAnsatz, symbols: tuple[str, ...]):
+        p = ansatz.power
+        self.names = tuple(sorted((*ansatz.symbols(), *symbols)))
+        self.f = f = ansatz.numerator()
+        self.g = g = ansatz.denominator()
+        alpha = ansatz.alpha
+        v = ParamPoly.lift(ansatz.velocity)
+        N0 = f**p
+        N1 = poly_dxi(N0, alpha) * g - p * N0 * poly_dxi(g, alpha)
+        N2 = poly_dxi(N1, alpha) * g - (p + 1) * N1 * poly_dxi(g, alpha)
+        # tau*u_tt, A*u*u_x, B*u_t and -kappa*u_xx over g^k, without the coefficient
+        self.linear = {"tau": lambda: v * v * N2, "A": lambda: N0 * N1,
+                       "B": lambda: v * N1, "kappa": lambda: N2}
+        self.factors: dict = {}
+        self.powers: dict[int, tuple[int, dict]] = {}
+        self.buckets: dict = {}
+
+    def factor(self, term) -> ParamPoly:
+        """A linear term's factor by name; for the reaction term (e, symbol),
+        u^(e/p) over g^e: f^e, times the symbol when there is one."""
+        if term not in self.factors:
+            if term in self.linear:
+                self.factors[term] = self.linear[term]()
+            else:
+                e, symbol = term
+                self.factors[term] = self.f**e if symbol is None else (
+                    ParamPoly.var(symbol) * self.f**e)
+        return self.factors[term]
+
+    def cleared(self, term, k: int, K: int) -> tuple[int, dict[int, dict]]:
+        """(D, buckets) of factor(term) * g^(K-k) times a positive integer D
+        that clears its denominators: buckets[j] maps the exponents (over
+        ``names``) of each term of E^j to its integer coefficient.  The
+        product is taken on integers, pair by pair as ``ParamPoly.__mul__``
+        takes it, so its terms come in that order."""
+        if (term, K) not in self.buckets:
+            if K - k not in self.powers:
+                self.powers[K - k] = self._integers(self.g ** (K - k))
+            Da, a = self._integers(self.factor(term))
+            Db, b = self.powers[K - k]
+            product = _merge({}, ((tuple(map(operator.add, ka, kb)), ca * cb)
+                                  for ka, ca in a.items() for kb, cb in b.items()))
+            buckets: dict[int, dict] = {}
+            for exps, c in product.items():
+                buckets.setdefault(exps[-1], {})[exps[:-1]] = c
+            self.buckets[term, K] = Da * Db, buckets
+        return self.buckets[term, K]
+
+    def _integers(self, poly: ParamPoly) -> tuple[int, dict]:
+        """(D, terms): D the lcm of poly's coefficient denominators, and terms
+        D*poly's, as ints keyed by exponents over ``names`` and then E."""
+        layout = (*self.names, E_NAME)
+        D = math.lcm(*(c.denominator for c in poly.terms.values()))
+        spots = [layout.index(n) for n in poly.variables]
+        out = {}
+        for exps, c in poly.terms.items():
+            key = [0] * len(layout)
+            for i, x in zip(spots, exps):
+                key[i] = x
+            out[tuple(key)] = c.numerator * (D // c.denominator)
+        return D, out
+
+
+def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> AlgebraicSystem:
     """Emit the algebraic system whose vanishing makes the ansatz a solution.
 
-    Every PDE term is tracked as numerator/g^k with g the ansatz denominator;
-    the residual is cleared by g^K (K the largest k needed) and the
-    coefficients of each E power in the cleared numerator are returned.  The
-    residual vanishes identically in xi iff every returned equation vanishes.
+    Every PDE term is tracked as coefficient*factor/g^k with g the ansatz
+    denominator; the residual is cleared by g^K (K the largest k needed) and
+    the coefficients of each E power in the cleared numerator are returned,
+    each divided by its content.  The residual vanishes identically in xi iff
+    every returned equation vanishes.
+
+    The factors, times g^(K-k) and split by power of E, do not depend on the
+    PDE's numbers.  A caller that reduces one ansatz against many PDEs passes
+    the same ``memo`` dict to every call, which then makes each of them once;
+    a call only weighs them by its PDE's coefficients, in integers.
     """
     p = ansatz.power
     if pde.has_half_integer_reaction() and p != 2:
@@ -209,47 +288,44 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz) -> AlgebraicSystem:
     clash = set(ansatz.symbols()) & (set(pde.symbols()) | {E_NAME})
     if clash:
         raise DomainError(f"ansatz symbols collide with model symbols: {sorted(clash)}")
+    memo = {} if memo is None else memo
+    key = (ansatz, pde.symbols())
+    if key not in memo:
+        memo[key] = _AnsatzTerms(ansatz, pde.symbols())
+    shape: _AnsatzTerms = memo[key]
 
-    f = ansatz.numerator()
-    g = ansatz.denominator()
-    alpha = ansatz.alpha
-    v = ParamPoly.lift(ansatz.velocity)
-
-    # u = N0/g^p and its xi-derivatives with denominators g^(p+1), g^(p+2)
-    N0 = f**p
-    N1 = poly_dxi(N0, alpha) * g - p * N0 * poly_dxi(g, alpha)
-    N2 = poly_dxi(N1, alpha) * g - (p + 1) * N1 * poly_dxi(g, alpha)
-
-    terms: list[tuple[ParamPoly, int]] = []
-    if pde.tau:
-        terms.append((ParamPoly.const(pde.tau) * v * v * N2, p + 2))
-    if pde.A:
-        terms.append((ParamPoly.const(pde.A) * N0 * N1, 2 * p + 1))
-    if pde.B:
-        terms.append((ParamPoly.const(pde.B) * v * N1, p + 1))
-    if pde.kappa:
-        terms.append((ParamPoly.const(-pde.kappa) * N2, p + 2))
+    # (term, coefficient, k) in the residual's order; a symbolic reaction
+    # coefficient lam is a factor of its term, whose coefficient is then -1
+    terms = [("tau", pde.tau, p + 2), ("A", pde.A, 2 * p + 1), ("B", pde.B, p + 1),
+             ("kappa", -pde.kappa, p + 2)]
     for nu, lam in sorted(pde.reaction.items()):
-        e = nu * p
-        if e.denominator != 1:
-            raise PowerMismatch(f"exponent {nu} not realizable at power {p}")
-        terms.append((ParamPoly.const(-1) * ParamPoly.lift(lam) * f ** int(e), int(e)))
+        e = int(nu * p)
+        symbolic = isinstance(lam, str)
+        terms.append(((e, lam if symbolic else None), Fraction(-1) if symbolic else -lam, e))
+    terms = [(t, c, k) for t, c, k in terms if c and not shape.factor(t).is_zero()]
+    K = max((k for _, _, k in terms), default=0)
+    parts = [(c, *shape.cleared(t, k, K)) for t, c, k in terms]
 
-    terms = [(num, k) for num, k in terms if not num.is_zero()]
-    if not terms:
-        residual = ParamPoly.const(0)
-    else:
-        K = max(k for _, k in terms)
-        residual = ParamPoly.const(0)
-        for num, k in terms:
-            residual = residual + num * g ** (K - k)
+    # the residual times L, a positive integer: term i's buckets weigh L*c_i/D_i
+    L = math.lcm(*(c.denominator * D for c, D, _ in parts))
+    sums: dict[int, dict] = {}
+    for c, D, buckets in parts:
+        weight = c.numerator * (L // (c.denominator * D))
+        for j, bucket in buckets.items():
+            _merge(sums.setdefault(j, {}), ((exps, weight * x) for exps, x in bucket.items()))
 
-    buckets = residual.as_univariate(E_NAME)
-    provenance = tuple(sorted(buckets))
-    equations = tuple(buckets[k].primitive() for k in provenance)
+    provenance = tuple(j for j in sorted(sums) if sums[j])
+    equations = []
+    for j in provenance:
+        bucket = sums[j]
+        content = math.gcd(*bucket.values())
+        if bucket[max(bucket, key=lambda e: (sum(e), e))] < 0:  # primitive()'s sign rule
+            content = -content
+        equations.append(ParamPoly._make(shape.names, {exps: Fraction(x // content)
+                                                       for exps, x in bucket.items()}))
     return AlgebraicSystem(
         unknowns=ansatz.symbols(),
-        equations=equations,
+        equations=tuple(equations),
         provenance=provenance,
         parameters=pde.symbols(),
     )

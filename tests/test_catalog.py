@@ -26,7 +26,7 @@ from twbench.catalog import (
 from twbench.cli import main as cli_main
 from twbench.model import SchemaError
 from twbench.reducer import reduce, residual_scan, sample_solution, verify_assignment
-from twbench.symcore import exact_root
+from twbench.symcore import ParamPoly, exact_root
 
 EXPECTATIONS_PATH = Path(__file__).resolve().parent.parent / "expectations.json"
 
@@ -137,6 +137,23 @@ class TestVerifyEntry:
         a = verify_entry("IVe-b", trials=3, seed=5)
         b = verify_entry("IVe-b", trials=3, seed=5)
         assert a == b
+
+    def test_no_cached_state_outlives_a_call(self, monkeypatch):
+        # reduce's memo lives for one verify_entry call: a second call of the
+        # same family does the same exact work and reports the same
+        calls = []
+        mul = ParamPoly.__mul__
+
+        def counted(self, other):
+            calls.append(None)
+            return mul(self, other)
+
+        monkeypatch.setattr(ParamPoly, "__mul__", counted)
+        monkeypatch.setattr(ParamPoly, "__rmul__", counted)
+        first = verify_entry("IVc")
+        first_calls = len(calls)
+        assert verify_entry("IVc") == first
+        assert len(calls) == 2 * first_calls > 0
 
     def test_branch_failure_surfaces(self):
         # admissible frees whose derived table cannot verify exist only through

@@ -1,14 +1,17 @@
+import hashlib
 import math
 import random
 import warnings
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twbench.model import parse_model
+from twbench import catalog
+from twbench.model import HyperbolicPDE, parse_model
 from twbench.reducer import (
     _compile,
     _on_grid,
@@ -26,10 +29,15 @@ from twbench.reducer import (
     solve_numeric,
     verify_assignment,
 )
-from twbench.symcore import ExpRational, ParamPoly, parse_poly_text
+from twbench.symcore import E_NAME, ExpRational, ParamPoly, parse_poly_text, poly_dxi
 
 from equiv import random_trial
 
+
+REPO = Path(__file__).resolve().parent.parent
+#: roots of telegraph_cubic at ansatz 1/1 with l1 = 1, l3 = -2, b0 = b1 = 1,
+#: seed 7, 64 starts, each float as float.hex()
+TELEGRAPH_ROOTS_SHA256 = "0bd45e06a5699ade7be76bee183a577dd75981a23b7329e85d6084b68021ed94"
 
 BURGERS = parse_model('{"tau":0,"A":2,"B":1,"kappa":1,"reaction":{}}')
 BURGERS_ANSATZ = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
@@ -103,6 +111,113 @@ class TestReduce:
         assert verify_assignment(system, theta).passed  # w = 3, f(3) = 0
 
 
+def _reference_reduce(pde, ansatz):
+    """``reduce`` as it was written before it cached its per-ansatz work: all
+    of its algebra on ``ParamPoly``, once per call."""
+    p = ansatz.power
+    f = ansatz.numerator()
+    g = ansatz.denominator()
+    alpha = ansatz.alpha
+    v = ParamPoly.lift(ansatz.velocity)
+    N0 = f**p
+    N1 = poly_dxi(N0, alpha) * g - p * N0 * poly_dxi(g, alpha)
+    N2 = poly_dxi(N1, alpha) * g - (p + 1) * N1 * poly_dxi(g, alpha)
+    terms = []
+    if pde.tau:
+        terms.append((ParamPoly.const(pde.tau) * v * v * N2, p + 2))
+    if pde.A:
+        terms.append((ParamPoly.const(pde.A) * N0 * N1, 2 * p + 1))
+    if pde.B:
+        terms.append((ParamPoly.const(pde.B) * v * N1, p + 1))
+    if pde.kappa:
+        terms.append((ParamPoly.const(-pde.kappa) * N2, p + 2))
+    for nu, lam in sorted(pde.reaction.items()):
+        e = int(nu * p)
+        terms.append((ParamPoly.const(-1) * ParamPoly.lift(lam) * f**e, e))
+    terms = [(num, k) for num, k in terms if not num.is_zero()]
+    residual = ParamPoly.const(0)
+    if terms:
+        K = max(k for _, k in terms)
+        for num, k in terms:
+            residual = residual + num * g ** (K - k)
+    buckets = residual.as_univariate(E_NAME)
+    provenance = tuple(sorted(buckets))
+    return AlgebraicSystem(ansatz.symbols(), tuple(buckets[k].primitive() for k in provenance),
+                           provenance, pde.symbols())
+
+
+def _assert_same_system(got, want):
+    """Equal down to each equation's variables and its terms' order, which
+    the Newton evaluator sums in."""
+    assert (got.unknowns, got.parameters, got.provenance) == (
+        want.unknowns, want.parameters, want.provenance)
+    assert len(got.equations) == len(want.equations)
+    for a, b in zip(got.equations, want.equations):
+        assert a.variables == b.variables
+        assert list(a.terms.items()) == list(b.terms.items())
+        assert all(type(c) is F for c in a.terms.values())
+
+
+_A1, _B0 = ParamPoly.var("a1"), ParamPoly.var("b0")
+_RATIONALS = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+_SLOTS = (st.sampled_from(("a0", "a1", "b0", "b1", 2 * _A1, -_A1**3, _A1 + 3 * _B0))
+          | _RATIONALS)
+
+
+@st.composite
+def _pdes(draw, power):
+    """A PDE with zero or nonzero tau, A, B, kappa and a subset of the
+    reaction terms, each coefficient rational (maybe 0) or a symbol."""
+    linear = draw(st.lists(st.sampled_from((F(0), F(1), F(2), F(1, 3), F(5, 2))),
+                           min_size=4, max_size=4).filter(any))
+    pool = ("0", "1/2", "1", "3/2", "2", "3") if power == 2 else ("0", "1", "2", "3")
+    exponents = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+    lams = st.sampled_from(("l1", "l3", "mu")) | _RATIONALS
+    reaction = {F(nu): draw(lams) for nu in exponents}
+    return HyperbolicPDE(*linear, reaction=reaction)
+
+
+@st.composite
+def _reductions(draw):
+    """One ansatz and the PDEs it is reduced against."""
+    power = draw(st.sampled_from((1, 2)))
+    ansatz = ExpAnsatz(a=tuple(draw(st.lists(_SLOTS, min_size=1, max_size=3).filter(any))),
+                       b=tuple(draw(st.lists(_SLOTS, min_size=1, max_size=3).filter(any))),
+                       alpha=draw(st.sampled_from(("alpha", F(2), F(-1, 2)))),
+                       velocity=draw(st.sampled_from(("v", F(0), F(3, 2)))), power=power)
+    return ansatz, draw(st.lists(_pdes(power), min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_reductions())
+@example((ExpAnsatz(a=("a0",), b=("b0",)),  # N1 = 0: only the reaction terms are left
+          [parse_model('{"tau":1,"A":1,"B":1,"kappa":1,"reaction":{"0":-8,"3":1}}')]))
+@example((ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"), power=2),  # one shape, several zero patterns
+          [parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":"l1","2":3}}'),
+           parse_model('{"tau":0,"A":2,"B":1,"kappa":0,"reaction":{"1/2":0,"3":"l3"}}'),
+           parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":"l1","2":3}}')]))
+def test_reduce_matches_reference(case):
+    ansatz, pdes = case
+    memo: dict = {}
+    for pde in pdes:
+        _assert_same_system(reduce(pde, ansatz, memo), _reference_reduce(pde, ansatz))
+
+
+def test_catalog_sweep_reductions_match_reference(monkeypatch):
+    calls = []
+
+    def recorded(pde, ansatz, memo=None):
+        calls.append((pde, ansatz, reduce(pde, ansatz, memo)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(catalog, "reduce", recorded)
+    for family_id in catalog.FAMILIES:
+        catalog.verify_entry(family_id, trials=5, seed=1)
+    assert len(calls) == 101
+    for pde, ansatz, system in calls:
+        _assert_same_system(system, _reference_reduce(pde, ansatz))
+
+
 class TestVerifyAssignment:
     def test_sign_flip_breaks_balance(self):
         system = reduce(BURGERS, BURGERS_ANSATZ)
@@ -173,6 +288,18 @@ class TestSolveNumeric:
         system = reduce(BURGERS, BURGERS_ANSATZ)
         assert solve_numeric(system, fixed=BURGERS_SHOCK, starts=1) == [{}]
         assert solve_numeric(system, fixed=dict(BURGERS_SHOCK, v=1), starts=1) == []
+
+    def test_telegraph_roots_bit_for_bit(self):
+        # reduce -> solve_numeric in process, with no JSON between them: the
+        # Newton evaluator sums each equation's terms in reduce's term order,
+        # so these bits pin that order too
+        pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
+        system = reduce(pde, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")))
+        roots = solve_numeric(system, fixed={"l1": 1, "l3": -2, "b0": 1, "b1": 1},
+                              seed=7, starts=64)
+        text = "\n".join(",".join(f"{k}={x.hex()}" for k, x in r.items()) for r in roots)
+        assert len(roots) == 28
+        assert hashlib.sha256(text.encode()).hexdigest() == TELEGRAPH_ROOTS_SHA256
 
     def test_newton_never_evaluates_exactly(self, monkeypatch):
         def exact(*args):
