@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog, model, reducer
+from . import model, reducer
 from .symcore import frac_str, int_digit_limit
 
 
@@ -144,6 +144,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog
     if args.action == "list":
         doc = [{
             "family": e.family_id,
@@ -167,6 +168,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import catalog
     free = _parse_assignments(args.free)
     _, solution = catalog.instantiate(args.family, free)
     lo, hi, n = model.parse_fields(args.range, ":", (float, float, int),
@@ -180,7 +182,8 @@ def _cmd_eval(args) -> int:
 
 
 # The hydro handlers import hydro (and with it the float kernels and the
-# integrator) on first use, so the exact pipeline's commands start without it.
+# integrator) on first use, as the catalog and eval handlers import catalog,
+# so each command loads only the modules it runs.
 
 
 def _cmd_hydro_analyze(args) -> int:

@@ -6,13 +6,17 @@ differentiation d/dxi (which acts on E as alpha*E*d/dE), and exact or
 floating-point evaluation.
 
 Coefficients are ``fractions.Fraction`` throughout; floats enter only through
-``evaluate``.
+``evaluate``.  On exact values (``int``, ``Fraction``) whose common
+denominator is short for the number of terms, ``evaluate`` sums integers over
+that denominator and builds one ``Fraction`` at the end; on a longer one, and
+on any other value, it keeps a loop over the terms, one operation per factor.
 
 Canonical form of a ``ParamPoly``: sorted variables, each used by some term,
 nonzero ``Fraction`` coefficients.  ``ParamPoly.__init__`` establishes it for
 outside input; every computed result is built canonical by ``ParamPoly._make``,
 with ``_merge`` the one place where like terms are added and zeros dropped.
-Term order is insertion order; ``evaluate`` sums in it, so floats depend on it.
+Term order is insertion order; the float loop of ``evaluate`` sums in it, so
+floats depend on it (an exact value does not).
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ Number = Union[Fraction, int, float]
 
 #: Name of the exponential variable E = exp(alpha*xi) inside ParamPoly.
 E_NAME = "E"
+
+#: Exact ``evaluate`` sums on integers over one common denominator of b bits
+#: while b*b is at most this times the number of terms (see there): a gcd of
+#: two b-bit ints costs about b*b/2**16 ``Fraction`` operations of the
+#: term-by-term sum (CPython 3.11 on x86-64, measured from 20 to 30 000 bits).
+_GCD_BITS2_PER_TERM = 2**16
 
 
 class MissingParameter(KeyError):
@@ -268,12 +278,35 @@ class ParamPoly:
                                                 for e, c in self.terms.items() if e[i]})
 
     def evaluate(self, assignment: Mapping[str, Number]) -> Number:
-        """Evaluate at a point; exact iff every input value is exact."""
+        """Evaluate at a point; exact iff every input value is exact.
+
+        On ``int`` and ``Fraction`` values the sum is taken on integers: with
+        value i written p_i/q_i and top_i its largest exponent, each term
+        c*x^e is c's numerator times L/c's denominator times
+        prod p_i^e_i*q_i^(top_i - e_i) over the common denominator
+        L*prod q_i^top_i, L the lcm of the coefficients' denominators, so only
+        the one ``Fraction`` built at the end takes a gcd.  That gcd grows
+        with the square of the common denominator's length, while the loop
+        below pays a few ``Fraction`` operations per term and keeps each term
+        over its own denominator; so a common denominator of b bits takes the
+        integer sum only while b*b is at most ``_GCD_BITS2_PER_TERM`` times
+        the number of terms.  Any other value (a float, a numpy scalar) takes
+        the loop over the terms in order, whose float operations the Newton
+        evaluator reproduces bit for bit.
+        """
         values = []
         for name in self.variables:
             if name not in assignment:
                 raise MissingParameter(name)
             values.append(assignment[name])
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            tops = [max(column) for column in zip(*self.terms)]
+            scale = math.lcm(*(c.denominator for c in self.terms.values()))
+            # ceil(log2) of the common denominator, or a little over it
+            bits = (scale - 1).bit_length() + sum(top * (v.denominator - 1).bit_length()
+                                                   for v, top in zip(values, tops))
+            if bits * bits <= _GCD_BITS2_PER_TERM * len(self.terms):
+                return self._evaluate_exact(values, tops, scale)
         total: Number = Fraction(0)
         for exps, c in self.terms.items():
             term: Number = c
@@ -282,6 +315,19 @@ class ParamPoly:
                     term = term * v**e
             total = total + term
         return total
+
+    def _evaluate_exact(self, values: list, tops: list[int], scale: int) -> Fraction:
+        terms = self.terms
+        den = scale
+        tables = []  # per variable: p^e * q^(top - e) for each exponent e it is raised to
+        for v, top, used in zip(values, tops, map(set, zip(*terms))):
+            p, q = v.numerator, v.denominator
+            den *= q**top
+            tables.append({e: p**e * q ** (top - e) for e in used})
+        total = sum(c.numerator * (scale // c.denominator)
+                    * math.prod(map(operator.getitem, tables, exps))
+                    for exps, c in terms.items())
+        return Fraction(total, den)
 
     def substitute(self, assignment: Mapping[str, Number]) -> "ParamPoly":
         """Substitute exact values for a subset of the variables."""

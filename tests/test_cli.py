@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,9 +123,10 @@ def test_exit_3_classes_are_numeric_failures(cls, old_base):
     assert isinstance(exc, old_base)
 
 
-def test_exact_commands_do_not_import_scipy():
-    # the exact commands load neither hydro nor scipy; the hydro commands load
-    # hydro but no scipy module
+def test_exact_commands_do_not_import_scipy(tmp_path):
+    # each interpreter loads only what its commands run: reduce, solve and
+    # verify neither catalog, hydro nor scipy; the hydro commands hydro but
+    # neither catalog nor any scipy module; catalog list neither hydro nor scipy
     code = textwrap.dedent("""
         import contextlib, io, sys
         from twbench import cli
@@ -132,16 +134,34 @@ def test_exact_commands_do_not_import_scipy():
             for argv in argvs:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0, argv
-        run(["catalog", "list"], ["reduce", "--model", "models/burgers.json", "--ansatz", "1/1"])
-        print(sorted(m for m in ("scipy", "twbench.hydro") if m in sys.modules))
+        def loaded():
+            print(sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m.startswith("twbench.")))
+        if sys.argv[1] == "catalog":
+            run(["catalog", "list"])
+            loaded()
+            sys.exit()
+        system, pins = sys.argv[1], "a0=0,a1=1,b0=1,b1=1"
+        run(["reduce", "--model", "models/burgers.json", "--ansatz", "1/1", "--out", system],
+            ["solve", "--system", system, "--fix", pins, "--starts", "8"],
+            ["verify", "--system", system, "--assign", pins + ",v=-1,alpha=-1"])
+        loaded()
         model = ["--model", "models/hydro_reference.json"]
         run(["hydro-analyze", *model], ["hydro-orbit", *model, "--start", "1.7,0"],
             ["hydro-separatrix", *model], ["hydro-homoclinic", *model, "--n", "40"])
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        loaded()
     """)
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split("\n") == ["[]", "[]", ""]
+
+    def loaded_after(arg):
+        r = subprocess.run([sys.executable, "-c", code, arg],
+                           capture_output=True, text=True, cwd=REPO)
+        assert r.returncode == 0, r.stderr
+        return r.stdout
+
+    exact = ["twbench.cli", "twbench.model", "twbench.reducer", "twbench.symcore"]
+    assert loaded_after(str(tmp_path / "system.json")) == (
+        f"{exact}\n{sorted([*exact, 'twbench.hydro', 'twbench.ode'])}\n")
+    assert loaded_after("catalog") == f"{sorted([*exact, 'twbench.catalog'])}\n"
 
 
 # A system with unknowns x and y whose one equation has no real root.
@@ -216,6 +236,18 @@ def test_exit_2_matrix(case, input_paths):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def test_solve_fixes_a_long_rational_under_a_high_power(tmp_path):
+    # solve --fix substitutes term by term, so the bound counts only the
+    # powers: x^4300 at x = p/q, p and q of 49 digits, is 421 400 digits of
+    # the limit's 430 000 and is solved
+    q = 10**48 + 7
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(SYSTEM, equations=["x^4300*y - 1"])))
+    r = run_cli("solve", "--system", str(path), "--fix", f"x={q + 2}/{q}", "--starts", "4")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["solutions"] == [{"y": "1"}]
 
 
 # each ended in an OverflowError traceback (exit 1): a value beyond the float range

@@ -29,7 +29,7 @@ from twbench.reducer import (
     solve_numeric,
     verify_assignment,
 )
-from twbench.symcore import E_NAME, ExpRational, ParamPoly, parse_poly_text, poly_dxi
+from twbench.symcore import E_NAME, ExpRational, ParamPoly, frac_str, parse_poly_text, poly_dxi
 
 from equiv import random_trial
 
@@ -38,6 +38,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: roots of telegraph_cubic at ansatz 1/1 with l1 = 1, l3 = -2, b0 = b1 = 1,
 #: seed 7, 64 starts, each float as float.hex()
 TELEGRAPH_ROOTS_SHA256 = "0bd45e06a5699ade7be76bee183a577dd75981a23b7329e85d6084b68021ed94"
+#: verify_assignment on telegraph_cubic d/d, d = 1..4, p = 1, 2: status,
+#: frac_str residuals and report of a PASS and a FAIL assignment per rung
+LADDER_VERDICTS_SHA256 = "7f6f359f696b2db73db5c74a59dfbe1b2b13cec5369c89f1f43adc844d79f09a"
 
 BURGERS = parse_model('{"tau":0,"A":2,"B":1,"kappa":1,"reaction":{}}')
 BURGERS_ANSATZ = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
@@ -251,6 +254,58 @@ class TestVerifyAssignment:
             bad = dict(scaled)
             bad["v"] = F(1)
             assert not verify_assignment(system, bad).passed
+
+    def test_ladder_verdicts_byte_identical(self):
+        # every rung's PASS verdict and its perturbed FAIL verdict, residuals
+        # as frac_str: the exact kernel must keep each Fraction
+        pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
+        lines = []
+        for p in (1, 2):
+            for d in (1, 2, 3, 4):
+                system = reduce(pde, ExpAnsatz(a=tuple(f"a{i}" for i in range(d + 1)),
+                                               b=tuple(f"b{i}" for i in range(d + 1)),
+                                               power=p))
+                passing = _ladder_solution(d, p)
+                failing = dict(passing, a1=passing["a1"] + F(2, 7))
+                for want, values in (("PASS", passing), ("FAIL", failing)):
+                    verdict = verify_assignment(system, values)
+                    assert verdict.status == want, (d, p)
+                    residuals = ",".join(frac_str(r) for r in verdict.residuals)
+                    lines.append(f"{d}/{d} p{p} {verdict.status} {residuals} {verdict.report}")
+        text = "\n".join(lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == LADDER_VERDICTS_SHA256
+
+
+def _poly_times(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for k, y in enumerate(g):
+            out[i + k] += x * y
+    return out
+
+
+def _ladder_solution(d, p):
+    """A rational root of telegraph_cubic at ansatz d/d, power p, times a
+    common factor c(E): with v = 0 the model reads -u'' = l1*u + l3*u^3, solved
+    by the kink amp*tanh(k*xi) (d = 1) and the soliton amp*sech(k*xi) (d >= 2);
+    at p = 2, w = s*c(E)/c(E) squares to a constant root, alpha and v free."""
+    k, amp = F(3, 2), F(-2, 5)
+    if p == 1 and d == 1:
+        num, den = [-amp, amp], [F(1), F(1)]
+        values = {"alpha": 2 * k, "v": F(0), "l1": 2 * k * k, "l3": -2 * k * k / amp**2}
+    elif p == 1:
+        num, den = [F(0), 2 * amp], [F(1), F(0), F(1)]
+        values = {"alpha": k, "v": F(0), "l1": -k * k, "l3": 2 * k * k / amp**2}
+    else:
+        l3 = F(-5, 3)
+        num, den = [amp], [F(1)]
+        values = {"alpha": k, "v": F(-4, 9), "l1": -l3 * amp**4, "l3": l3}
+    pad = [F(7, 4), F(-1, 3), F(5, 6), F(-2), F(3, 11)][:d + 2 - len(den)]
+    a = _poly_times(num, pad)
+    a += [F(0)] * (d + 1 - len(a))
+    values.update({f"a{i}": c for i, c in enumerate(a)})
+    values.update({f"b{i}": c for i, c in enumerate(_poly_times(den, pad))})
+    return values
 
 
 class TestSolveNumeric:

@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twbench.symcore import (
     DivisionByZero,
@@ -159,6 +162,119 @@ class TestEvaluate:
                 continue
             assert abs(numeric - exact) / scale <= 1e-6
             checked += 1
+
+
+def _reference_evaluate(poly, assignment):
+    """``ParamPoly.evaluate`` as it was written before it summed exact values
+    on integers: one ``Fraction`` (or float) operation per factor and term."""
+    values = []
+    for name in poly.variables:
+        if name not in assignment:
+            raise MissingParameter(name)
+        values.append(assignment[name])
+    total = F(0)
+    for exps, c in poly.terms.items():
+        term = c
+        for v, e in zip(values, exps):
+            if e:
+                term = term * v**e
+        total = total + term
+    return total
+
+
+_NAMES = ("x", "y", "z")
+_EXACT = (st.integers(-10**6, 10**6) | st.sampled_from((0, F(0), -1, F(-7, 3)))
+          | st.builds(F, st.integers(-10**20, 10**20), st.integers(1, 10**30)))
+_FLOATS = st.floats(-1e3, 1e3) | st.floats(-1e3, 1e3).map(np.float64)
+_COEFFS = st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 12))
+
+
+@st.composite
+def _evaluations(draw):
+    """A polynomial (zero, constant or in up to three variables, rational
+    coefficients) and a point that may leave a variable out or hold floats."""
+    names = draw(st.lists(st.sampled_from(_NAMES), unique=True))
+    exponents = st.tuples(*(st.integers(0, 6) for _ in names))
+    poly = ParamPoly(names, draw(st.dictionaries(exponents, _COEFFS, max_size=8)))
+    point = {}
+    for name in _NAMES:
+        value = draw(st.none() | _EXACT | _EXACT | _FLOATS)
+        if value is not None:
+            point[name] = value
+    return poly, point
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_evaluations())
+@example((ParamPoly.const(0), {}))
+@example((ParamPoly.const(F(5, 3)), {"x": 1.5}))
+@example((x**2 * ParamPoly.var("y") - 1, {"x": F(2, 3)}))
+@example((F(1, 3) * x**3 + F(2, 5) * ParamPoly.var("y"), {"x": F(-1, 10**30 + 7), "y": -4}))
+@example((F(1, 3) * x**2 - F(1, 7) * x, {"x": 0.1}))
+@example((x**6 * ParamPoly.var("y") + x, {"x": F(1, 10**30 + 7), "y": F(-7, 3)}))
+def test_evaluate_matches_fraction_reference(case):
+    poly, point = case
+    try:
+        want = _reference_evaluate(poly, point)
+    except MissingParameter as missing:
+        with pytest.raises(MissingParameter) as raised:
+            poly.evaluate(point)
+        assert raised.value.args == missing.args
+        return
+    got = poly.evaluate(point)
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert type(got) is F and got == want
+
+
+def _pairs_plus_high_power():
+    """The 1830 products y_i*y_j (i <= j) of 60 unknowns, then x^4300."""
+    names = ["x", *(f"y{i:02d}" for i in range(60))]
+    terms = {}
+    for i in range(60):
+        for j in range(i, 60):
+            exps = [0] * 61
+            exps[i + 1] += 1
+            exps[j + 1] += 1
+            terms[tuple(exps)] = F(1)
+    terms[(4300,) + (0,) * 60] = F(1)
+    return ParamPoly(names, terms), {name: i for i, name in enumerate(names)}
+
+
+def test_long_common_denominator_takes_the_term_loop(monkeypatch):
+    # at x = p/q, p and q of 49 digits, the integer sum over the common
+    # denominator q^4300 ends in a gcd of two 210 000-digit ints and scales
+    # every y_i*y_j term up to that length; the term loop took under 0.1 s on
+    # each where the integer sum took 0.6 s and 3 to 5 s
+    q = 10**48 + 7
+    big = F(q + 2, q)
+    pairs, point = _pairs_plus_high_power()
+    point["x"] = big
+    cases = [(x**4300 - 1, {"x": big}), (pairs, point)]
+    want = [_reference_evaluate(poly, p) for poly, p in cases]
+
+    def integer_sum(*args):
+        raise AssertionError("the integer sum was taken")
+
+    monkeypatch.setattr(ParamPoly, "_evaluate_exact", integer_sum)
+    assert [poly.evaluate(p) for poly, p in cases] == want
+
+
+def test_short_common_denominator_takes_the_integer_sum(monkeypatch):
+    # the same shapes at small denominators, and at integers however long
+    pairs, point = _pairs_plus_high_power()
+    point["x"] = F(3, 2)
+    cases = [(x**10 - 1, {"x": F(10**9 + 9, 10**9 + 7)}), (pairs, point),
+             (x**4300 - 1, {"x": 10**48 + 7})]
+    taken = []
+    integer_sum = ParamPoly._evaluate_exact
+    monkeypatch.setattr(ParamPoly, "_evaluate_exact",
+                        lambda *args: taken.append(1) or integer_sum(*args))
+    for poly, p in cases:
+        assert poly.evaluate(p) == _reference_evaluate(poly, p)
+    assert len(taken) == len(cases)
 
 
 class TestSerialization:
