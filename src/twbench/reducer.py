@@ -367,19 +367,26 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
     """Compile polynomials in ``unknowns`` to one float evaluator of them all.
 
     The evaluator maps a point x (float64, in ``unknowns`` order) to the
-    array of ``float(p.evaluate(dict(zip(unknowns, x))))``, bit for bit: each
-    term is float(c) times the scalar powers x[i]**e (libm pow), multiplied in
-    the polynomial's own variable order, and the terms are added left to
-    right from 0.0 in dict order.  A missing factor reads 1.0 and a padding
-    term 0.0, both exact.  A coefficient beyond the float range raises
+    array of ``float(p.evaluate(dict(zip(unknowns, x))))``, bit for bit, and
+    a stack of points, shape (S, n), to those S arrays as rows.  Each term is
+    float(c) times the powers x[i]**e, multiplied in the polynomial's own
+    variable order, and the terms are added left to right from 0.0 in dict
+    order.  A missing factor reads 1.0 and a padding term 0.0, both exact.
+    Every power is libm's ``pow`` of one element, taken as a Python float
+    (numpy's vectorised power rounds differently); when one overflows, which
+    a Python float refuses, the stack takes numpy's scalar power, the same
+    ``pow``, instead.  A large stack is evaluated in passes of a bounded
+    number of terms.  A coefficient beyond the float range raises
     NumericFailure naming ``equation(k)`` for the k-th polynomial.
     """
     column = {name: i for i, name in enumerate(unknowns)}
     slots: dict[tuple[int, int], int] = {}  # (unknown, exponent) -> row of the power table
-    depth = max((len(p.variables) for p in polys), default=0)
+    # at least one factor, the 1.0 of table row 0 for a polynomial with no
+    # variables, so that every product takes the shape of the stack
+    depth = max(1, max((len(p.variables) for p in polys), default=0))
     width = max((len(p.terms) for p in polys), default=0)
     # row 0 is the 0.0 the sum starts from; term t (from 1) of polynomial k is coef[t, k]
-    coef = np.zeros((width + 1, len(polys)))
+    coef = np.zeros((width + 1, len(polys), 1))
     index = np.zeros((depth, width + 1, len(polys)), dtype=np.intp)  # table row 0 is 1.0
     for k, poly in enumerate(polys):
         for t, (exps, c) in enumerate(poly.terms.items(), start=1):
@@ -392,16 +399,38 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
                 if e:
                     index[d, t, k] = slots.setdefault((column[name], e), len(slots) + 1)
     powers = list(slots)
+    bases = np.array([i for i, _ in powers], dtype=np.intp)
+    exponents = np.array([e for _, e in powers], dtype=object)[:, None]
+
+    # points per pass: one pass holds at most 2**20 terms (8 MiB), so that
+    # memory does not grow with the size of the stack
+    chunk = max(1, (1 << 20) // max(1, coef.size))
+
+    def evaluate_pass(points: np.ndarray) -> np.ndarray:
+        table = np.ones((len(powers) + 1, len(points)))  # one column per point
+        try:
+            table[1:] = points.T[bases].astype(object) ** exponents
+        except OverflowError:
+            table[1:] = [[p ** e for p in points[:, i]] for i, e in powers]
+        terms = coef * table[index[0]]
+        for layer in index[1:]:
+            terms *= table[layer]
+        # term by term, total = total + term; np.sum would add pairwise instead
+        return np.add.accumulate(terms)[-1].T
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        table = np.array([1.0, *(x[i] ** e for i, e in powers)])
-        terms = coef
-        for factor in table[index]:
-            terms = terms * factor
-        # row by row, total = total + row; np.sum would add pairwise instead
-        return np.add.accumulate(terms)[-1]
+        points = np.atleast_2d(x)
+        total = np.empty((len(points), len(polys)))
+        for at in range(0, len(points), chunk):
+            total[at:at + chunk] = evaluate_pass(points[at:at + chunk])
+        return total if np.ndim(x) == 2 else total[0]
 
     return evaluate
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit: both take BLAS's dot."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def solve_numeric(
@@ -417,6 +446,15 @@ def solve_numeric(
     list reports that no start converged.  The pins in ``fixed`` are
     substituted exactly; one that is not a symbol of the system raises
     SchemaError.
+
+    Start k draws its point from ``default_rng((seed, k))``.  The starts
+    advance in lockstep: each round evaluates F and J once for every start
+    still going, and each line-search halving evaluates F once for every
+    start still searching.  Only ``lstsq`` runs one start at a time.  A start
+    ends when it converges, when its F or J is not finite, on a LinAlgError
+    or a non-finite step, when 30 halvings find no step that lowers the
+    2-norm of F, or after 80 rounds; every float operation on it is the one
+    a loop over that start alone would take.
     """
     if starts < 1:
         raise DomainError("starts must be >= 1")
@@ -441,40 +479,48 @@ def solve_numeric(
     width = len(unknowns)
     jacobian = _compile([eq.diff(u) for eq in live for u in unknowns], unknowns,
                         lambda k: rows[k // width])
-
-    def j_at(x: np.ndarray) -> np.ndarray:
-        return jacobian(x).reshape(len(live), width)
-
-    found: list[np.ndarray] = []
-    for k in range(starts):
-        rng = np.random.default_rng((int(seed), k))
-        x = rng.uniform(-3.0, 3.0, size=len(unknowns))
-        fx = f_at(x)
+    X = np.array([np.random.default_rng((int(seed), k)).uniform(-3.0, 3.0, size=width)
+                  for k in range(starts)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        FX = f_at(X)
+        going = np.arange(starts)  # the starts that still iterate, in start order
         for _ in range(80):
-            if np.max(np.abs(fx)) < 1e-12:
+            going = going[~(np.abs(FX[going]).max(axis=1) < 1e-12)]
+            if not going.size:
                 break
-            J = j_at(x)
+            J = jacobian(X[going]).reshape(going.size, len(live), width)
             # a non-finite system has no finite step, and LAPACK would print
             # its complaint about the matrix on stdout
-            if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
-                break
-            try:
-                step = np.linalg.lstsq(J, -fx, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                break
-            lam, accepted = 1.0, False
-            base = float(np.linalg.norm(fx))
+            finite = np.isfinite(FX[going]).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+            searching, steps = [], []
+            for k, Jk in zip(going[finite], J[finite]):
+                try:
+                    step = np.linalg.lstsq(Jk, -FX[k], rcond=None)[0]
+                except np.linalg.LinAlgError:
+                    continue
+                if np.isfinite(step).all():
+                    searching.append(k)
+                    steps.append(step)
+            searching, steps = np.array(searching, dtype=np.intp), np.array(steps)
+            points, base = X[searching], _norms(FX[searching])
+            moved = np.zeros(starts, dtype=bool)
+            lam = 1.0
             for _ in range(30):
-                xn = x + lam * step
-                fn = f_at(xn)
-                if np.all(np.isfinite(fn)) and float(np.linalg.norm(fn)) < base:
-                    x, fx, accepted = xn, fn, True
+                if not searching.size:
                     break
+                XN = points + lam * steps
+                FN = f_at(XN)
+                accept = np.isfinite(FN).all(axis=1) & (_norms(FN) < base)
+                if accept.any():
+                    done, rest = searching[accept], ~accept
+                    X[done], FX[done], moved[done] = XN[accept], FN[accept], True
+                    searching, points, steps, base = (searching[rest], points[rest],
+                                                      steps[rest], base[rest])
                 lam *= 0.5
-            if not accepted:
-                break
+            going = np.flatnonzero(moved)  # a start with no accepted step ends here
+
+    found: list[np.ndarray] = []
+    for x, fx in zip(X, FX):
         if np.max(np.abs(fx)) < 1e-12 and np.all(np.isfinite(x)):
             if all(np.max(np.abs(x - y)) > 1e-8 for y in found):
                 found.append(x)

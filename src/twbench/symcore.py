@@ -435,14 +435,17 @@ def parse_poly_text(text: str) -> ParamPoly:
     """Parse the canonical text form produced by :meth:`ParamPoly.to_text`.
 
     A term with an exponent over :func:`int_digit_limit` is refused: evaluating
-    ``x^10000000`` exactly at ``x = 3`` alone takes seconds."""
+    ``x^10000000`` exactly at ``x = 3`` alone takes seconds.  The terms are
+    merged in text order into one dict over the final variables, so the
+    work grows with the number of terms times the number of variables (the
+    size of that dict), not with its cube as adding term by term did."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
     limit = int_digit_limit()
     # tokenize into signed terms; '+'/'-' only appear as term separators
     norm = text.replace(" - ", " + -")
-    result = ParamPoly.const(0)
+    parsed = []  # (coefficient, {variable: exponent}) of each nonzero term
     for chunk in norm.split(" + "):
         chunk = chunk.strip()
         if not chunk:
@@ -450,20 +453,32 @@ def parse_poly_text(text: str) -> ParamPoly:
         neg = chunk.startswith("-")
         if neg:
             chunk = chunk[1:]
-        term = ParamPoly.const(-1 if neg else 1)
+        coeff, powers = Fraction(-1 if neg else 1), {}
         for factor in chunk.split("*"):
             m = _FACTOR_RE.match(factor.strip())
             if not m:
                 raise ValueError(f"malformed factor {factor!r} in {text!r}")
             if m.group("num") is not None:
-                term = term * ParamPoly.const(Fraction(m.group("num")))
+                coeff *= Fraction(m.group("num"))
             else:
-                term = term * ParamPoly.var(m.group("var"), int(m.group("exp") or 1))
-        top = max((e for exps in term.terms for e in exps), default=0)
-        if limit and top > limit:
-            raise ValueError(f"exponent {top} is over the limit of {limit}")
-        result = result + term
-    return result
+                name = m.group("var")
+                powers[name] = powers.get(name, 0) + int(m.group("exp") or 1)
+        if coeff:
+            top = max(powers.values(), default=0)
+            if limit and top > limit:
+                raise ValueError(f"exponent {top} is over the limit of {limit}")
+            parsed.append((coeff, powers))
+    names = sorted({name for _, powers in parsed for name in powers})
+    column = {name: i for i, name in enumerate(names)}
+
+    def exponents(powers: dict) -> tuple[int, ...]:
+        key = [0] * len(names)
+        for name, e in powers.items():
+            key[column[name]] = e
+        return tuple(key)
+
+    terms = _merge({}, ((exponents(powers), c) for c, powers in parsed))
+    return ParamPoly._make(tuple(names), terms)
 
 
 # -- rational functions in E -------------------------------------------------

@@ -598,6 +598,15 @@ class TestDeterminism:
         assert digest == SOLVE_SYSTEM_SHA256[equation]
         assert json.loads(r.stdout)["count"] == 1
 
+    def test_solve_overflow_is_silent(self, tmp_path):
+        # the starts' powers and norms overflow; numpy must not say so on stderr
+        system_path = tmp_path / "system.json"
+        system_path.write_text(json.dumps(dict(SYSTEM, unknowns=["x"], equations=["x^700 - 2"])))
+        r = run_cli("solve", "--system", str(system_path), "--seed", "3", "--starts", "16")
+        assert (r.returncode, r.stderr) == (0, "")
+        digest = hashlib.sha256(r.stdout.encode()).hexdigest()
+        assert digest == SOLVE_SYSTEM_SHA256["x^700 - 2"]
+
     @pytest.mark.parametrize("family, free", list(EVAL_SHA256))
     def test_eval_byte_identical(self, family, free, capsys):
         assert cli.main(["eval", "--family", family, "--free", free, "--range=-3:3:61"]) == 0

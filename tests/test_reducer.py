@@ -14,6 +14,7 @@ from twbench import catalog
 from twbench.model import HyperbolicPDE, parse_model
 from twbench.reducer import (
     _compile,
+    _norms,
     _on_grid,
     _scan_rows,
     ClosedFormSolution,
@@ -366,6 +367,99 @@ class TestSolveNumeric:
                              seed=7, starts=8)
 
 
+def _reference_solve(system, fixed, seed, starts):
+    """solve_numeric as a loop over the starts, one Newton run at a time,
+    each on single points; the batched solver must take the same float
+    operations on every start."""
+    fixed = {k: F(v) for k, v in fixed.items()}
+    equations = [eq.substitute(fixed) for eq in system.equations]
+    unknowns = [u for u in system.all_symbols() if u not in fixed]
+    live = [eq for eq in equations if not eq.is_zero()]
+    f_at = _compile(live, unknowns)
+    jacobian = _compile([eq.diff(u) for eq in live for u in unknowns], unknowns)
+    found = []
+    for k in range(starts):
+        rng = np.random.default_rng((int(seed), k))
+        x = rng.uniform(-3.0, 3.0, size=len(unknowns))
+        fx = f_at(x)
+        for _ in range(80):
+            if np.max(np.abs(fx)) < 1e-12:
+                break
+            J = jacobian(x).reshape(len(live), len(unknowns))
+            if not (np.all(np.isfinite(fx)) and np.all(np.isfinite(J))):
+                break
+            try:
+                step = np.linalg.lstsq(J, -fx, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                break
+            lam, accepted = 1.0, False
+            base = float(np.linalg.norm(fx))
+            for _ in range(30):
+                xn = x + lam * step
+                fn = f_at(xn)
+                if np.all(np.isfinite(fn)) and float(np.linalg.norm(fn)) < base:
+                    x, fx, accepted = xn, fn, True
+                    break
+                lam *= 0.5
+            if not accepted:
+                break
+        if np.max(np.abs(fx)) < 1e-12 and np.all(np.isfinite(x)):
+            if all(np.max(np.abs(x - y)) > 1e-8 for y in found):
+                found.append(x)
+    found.sort(key=lambda x: tuple(x))
+    return [dict(zip(unknowns, map(float, x))) for x in found]
+
+
+_SOLVE_CASES = {
+    **{f"telegraph-1/1-seed{seed}": ("telegraph", {"l1": 1, "l3": -2, "b0": 1, "b1": 1}, seed, 64)
+       for seed in range(1, 9)},
+    "burgers-seed7": ("burgers", {"a0": 0, "a1": 1, "b0": 1, "b1": 1}, 7, 64),
+    "burgers-seed11": ("burgers", {"a0": 0, "a1": 1, "b0": 1, "b1": 1}, 11, 32),
+    "telegraph-quadratic": ("quadratic", {"a1": 1, "b0": 1, "l1": 1, "v": 2}, 1, 24),
+    "x^700 - 2": ("x^700 - 2", {}, 3, 16),  # starts overflow: F is not finite
+    "x^2 + 1": ("x^2 + 1", {}, 3, 16),  # no root
+    "x^4300*y - 1": ("x^4300*y - 1", {"x": F(101, 100)}, 5, 8),  # J has no variables
+    "starts=1": ("burgers", {"a0": 0, "a1": 1, "b0": 1, "b1": 1}, 7, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_SOLVE_CASES))
+def test_batched_solve_matches_reference(case):
+    source, fixed, seed, starts = _SOLVE_CASES[case]
+    if source == "telegraph":
+        pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
+        system = reduce(pde, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")))
+    elif source == "burgers":
+        system = reduce(BURGERS, BURGERS_ANSATZ)
+    elif source == "quadratic":
+        pde = parse_model('{"tau":1,"A":0,"B":1,"kappa":1,"reaction":{"1":"l1"}}')
+        system = reduce(pde, ExpAnsatz(a=(0, "a1"), b=("b0",)))
+    else:
+        eq = parse_poly_text(source)
+        system = AlgebraicSystem(unknowns=eq.variables, equations=(eq,), provenance=(0,))
+    with np.errstate(all="ignore"):
+        expected = _reference_solve(system, fixed, seed, starts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = solve_numeric(system, fixed=fixed, seed=seed, starts=starts)
+    assert [{k: x.hex() for k, x in r.items()} for r in roots] == \
+        [{k: x.hex() for k, x in r.items()} for r in expected]
+
+
+def test_row_norms_match_linalg_norm():
+    # _norms is the line search's 2-norm, batched; its bits decide acceptance
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 41):
+        for scale in (1e-160, 1e-3, 1.0, 1e5, 1e150, 1e160):
+            rows = rng.standard_normal((25, n)) * scale * rng.uniform(0.5, 2.0, size=(25, 1))
+            with np.errstate(over="ignore", under="ignore"):
+                expected = np.array([np.linalg.norm(row) for row in rows])
+                got = _norms(rows)
+            assert got.tobytes() == expected.tobytes(), (n, scale)
+
+
 _NAMES = ("a", "b", "m", "q", "z")
 # rationals of magnitude 1e-30 to 1e30; many of a similar size, so that
 # the order of the additions shows in the last bit
@@ -405,6 +499,52 @@ def test_compiled_matches_evaluate_bit_for_bit(case):
     with np.errstate(all="ignore"):
         expected = np.array([float(p.evaluate(dict(zip(unknowns, x)))) for p in polys])
         assert _compile(polys, unknowns)(x).tobytes() == expected.tobytes()
+
+
+@st.composite
+def _stacked_cases(draw):
+    """Polynomials as in _compiled_cases, one of them perhaps without
+    variables, and a stack of 1 to 4 points."""
+    polys, unknowns, point = draw(_compiled_cases())
+    if draw(st.booleans()):
+        polys.insert(draw(st.integers(0, len(polys))), ParamPoly((), {(): draw(_COEFFICIENTS)}))
+    points = [point] + draw(st.lists(st.lists(_COORDINATES, min_size=len(unknowns),
+                                              max_size=len(unknowns)), max_size=3))
+    return polys, unknowns, np.array(points)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_stacked_cases())
+# powers of 1e40 overflow to inf, and a constant has no variable to stack
+@example(([parse_poly_text("x^12*y - 3*y^2 + 1/7"), parse_poly_text("5/3")], ("x", "y"),
+          np.array([[1e40, -2.5], [0.5, 1e40], [-1e40, -1e40]])))
+@example(([parse_poly_text("2/3*x^2 - x")], ("x",), np.array([[0.7]])))
+@example(([parse_poly_text("5/3"), parse_poly_text("-2")], ("x",), np.array([[1.0], [-3.0]])))
+def test_compiled_stack_matches_single_points(case):
+    polys, unknowns, points = case
+    evaluate = _compile(polys, unknowns)
+    with np.errstate(all="ignore"):
+        stacked = evaluate(points)
+        assert stacked.shape == (len(points), len(polys))
+        for row, point in zip(stacked, points):
+            assert row.tobytes() == evaluate(point).tobytes()
+
+
+def test_compiled_stack_in_passes():
+    # 8 terms a point, so a pass holds 2**17 points; this stack takes three
+    # passes, and only the last one has a power that overflows
+    polys = [parse_poly_text("x^3*y - 2/3*y^2 + 1/7"), parse_poly_text("5/3*x - y^3")]
+    evaluate = _compile(polys, ["x", "y"])
+    chunk = 1 << 17
+    points = np.random.default_rng(5).uniform(-3.0, 3.0, size=(2 * chunk + 7, 2))
+    points[-3] = (1e40, -1e40)
+    with np.errstate(all="ignore"):
+        stacked = evaluate(points)
+        pieces = np.concatenate([evaluate(points[at:at + 1000])
+                                 for at in range(0, len(points), 1000)])
+        assert stacked.tobytes() == pieces.tobytes()
+        for k in (0, chunk - 1, chunk, 2 * chunk, len(points) - 3, len(points) - 1):
+            assert stacked[k].tobytes() == evaluate(points[k]).tobytes()
 
 
 class TestResidualScan:

@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twbench.symcore import (
+    _FACTOR_RE,
     DivisionByZero,
     ExpRational,
     MissingParameter,
     ParamPoly,
+    int_digit_limit,
     parse_poly_text,
     poly_dxi,
 )
@@ -295,6 +297,84 @@ class TestSerialization:
     def test_exp_rational_text(self):
         w = ExpRational(E + 1, E - 1)
         assert w.to_text() == "(E + 1) / (E - 1)"
+
+
+def _reference_parse(text: str) -> ParamPoly:
+    """parse_poly_text as it was written before it built each polynomial in
+    one pass: every term added with ParamPoly.__add__."""
+    text = text.strip()
+    if not text:
+        raise ValueError("empty polynomial text")
+    limit = int_digit_limit()
+    norm = text.replace(" - ", " + -")
+    result = ParamPoly.const(0)
+    for chunk in norm.split(" + "):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"malformed polynomial text: {text!r}")
+        neg = chunk.startswith("-")
+        if neg:
+            chunk = chunk[1:]
+        term = ParamPoly.const(-1 if neg else 1)
+        for factor in chunk.split("*"):
+            m = _FACTOR_RE.match(factor.strip())
+            if not m:
+                raise ValueError(f"malformed factor {factor!r} in {text!r}")
+            if m.group("num") is not None:
+                term = term * ParamPoly.const(F(m.group("num")))
+            else:
+                term = term * ParamPoly.var(m.group("var"), int(m.group("exp") or 1))
+        top = max((e for exps in term.terms for e in exps), default=0)
+        if limit and top > limit:
+            raise ValueError(f"exponent {top} is over the limit of {limit}")
+        result = result + term
+    return result
+
+
+# factors and separators of canonical text, some zero, repeating a variable
+# or cancelling a term; one in about 15 malformed or over the exponent limit
+_VALID = ("0", "1", "2", "-3", "7/2", "-5/06", "12", "x", "y", "z", "a1", "_q", "x^0", "x^2",
+          "y^3", "z^12", "x^2150", " x", "E")
+_FACTORS = st.sampled_from(_VALID * 12 + ("3/0", "x^4301", "x^", "1x", "x^-1", "", "x y"))
+_SEPARATORS = st.sampled_from((" + ", " - ") * 20 + ("+", " ", " +  ", " - -"))
+
+
+@st.composite
+def _poly_texts(draw):
+    terms = draw(st.lists(st.tuples(st.booleans(), st.lists(_FACTORS, min_size=1, max_size=4)),
+                          min_size=1, max_size=8))
+    text = ""
+    for i, (neg, factors) in enumerate(terms):
+        text += (draw(_SEPARATORS) if i else "") + ("-" if neg else "") + "*".join(factors)
+    return text
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(_poly_texts())
+@example("x*y + x - x*y + y")  # a variable dropped by a cancellation comes back
+@example("x^2150*x^2151 + 1")  # over the limit only once the factors are multiplied
+@example("0*x^4301 + x*x")
+def test_parse_matches_reference(text):
+    try:
+        expected = _reference_parse(text)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as raised:
+            parse_poly_text(text)
+        assert str(raised.value) == str(exc)
+        return
+    got = parse_poly_text(text)
+    assert got.variables == expected.variables
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert all(type(c) is F for c in got.terms.values())
+
+
+def test_parse_many_variables():
+    # one term per variable: adding term by term made this cubic
+    n = 2000
+    p = parse_poly_text(" + ".join(f"y{i}" for i in range(n)))
+    assert p.variables == tuple(sorted(f"y{i}" for i in range(n)))
+    assert len(p.terms) == n and set(p.terms.values()) == {F(1)}
+    assert all(sum(exps) == 1 for exps in p.terms)
 
 
 def _rand_exp_rational(rng, max_deg=2) -> ExpRational:
