@@ -26,16 +26,21 @@ import numpy as np
 from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
 from .symcore import (
     E_NAME,
+    DivisionByZero,
     ExpRational,
+    MissingParameter,
     Number,
     ParamPoly,
+    _coeff,
     _merge,
+    _poly_in_E,
+    _trimmed,
     frac_str,
-    gcd_coeffs,
     int_digit_limit,
+    over_monic,
     parse_poly_text,
     poly_dxi,
-    quotient_coeffs,
+    primitive_gcd,
 )
 
 Coefficient = Union[str, Fraction, int, ParamPoly]
@@ -532,14 +537,6 @@ def solve_numeric(
 # -- numeric residual scan ----------------------------------------------------
 
 
-def _trimmed(coeffs: list) -> list:
-    """The list without its trailing zero coefficients."""
-    top = len(coeffs)
-    while top and not coeffs[top - 1]:
-        top -= 1
-    return coeffs[:top]
-
-
 def _cleared(num: list, den: list) -> tuple[list[int], list[int]]:
     """Both rational coefficient lists times the lcm of their denominators."""
     lcm = math.lcm(*(c.denominator for c in (*num, *den)))
@@ -573,9 +570,10 @@ def _quotient_rule(num: list[int], den: list[int]) -> tuple[list[int], list[int]
 
 def _canonical(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Reduce an integer pair as ``symcore._reduce_pair`` does, but for its
-    E-gcd step: divide out the common power of E and the integer content,
-    and make the leading denominator coefficient positive (which commutes
-    with dividing both sides by a monic gcd).  0/den becomes 0/1."""
+    E-gcd step (``_gcd_free``): divide out the common power of E and the
+    integer content, and make the leading denominator coefficient positive
+    (which commutes with dividing both sides by a monic gcd).  0/den becomes
+    0/1."""
     num, den = _trimmed(num), _trimmed(den)
     if not num:
         return [0], [1]
@@ -584,24 +582,13 @@ def _canonical(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     return [c // g for c in num[shift:]], [c // g for c in den[shift:]]
 
 
-def _shares_factor(num: list[int], den: list[int]) -> bool:
-    """Whether two nonzero integer lists without trailing zeros have a common
-    factor other than a power of E: Euclid's algorithm on primitive pseudo-
-    remainders, in integers."""
-    shift = min(next(i for i, c in enumerate(part) if c) for part in (num, den))
-    a, b = sorted((num[shift:], den[shift:]), key=len, reverse=True)
-    while len(b) > 1:
-        while len(a) >= len(b):  # a := lead(b)*a - a_top*E^k*b, lowering deg a
-            top, k = a[-1], len(a) - len(b)
-            a = [b[-1] * c for c in a]
-            for i, c in enumerate(b):
-                a[i + k] -= top * c
-            a = _trimmed(a)
-        if not a:
-            return True
-        g = math.gcd(*a)
-        a, b = b, [c // g for c in a]
-    return False
+def _gcd_free(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """A ``_canonical`` pair divided by its monic gcd in E, as
+    ``symcore._reduce_pair`` divides it, but on integers."""
+    g = primitive_gcd(num, den)
+    if len(g) < 2:
+        return num, den
+    return over_monic(num, g), over_monic(den, g)
 
 
 def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list[np.ndarray]:
@@ -631,16 +618,18 @@ def _scan_rows(w: ExpRational, power: int, alpha: float) -> list[np.ndarray]:
     and its ``differentiate_xi("alpha")`` twice, with ``alpha`` substituted,
     but the pairs are reduced on integer lists: clearing denominators scales
     both sides alike, so the reduced pair is the same.  Only u can need the
-    E-gcd step, and only where w's sides share a factor (w built with
-    ``reduce=False``); the symbol alpha keeps symcore from taking it for u'
-    and u'', whose numerators are alpha and alpha^2 times integer lists.
+    E-gcd step, and only where w's sides share a factor other than a power
+    of E; the symbol alpha keeps symcore from taking it for u' and u'', whose
+    numerators are alpha and alpha^2 times integer lists.  The solution
+    builder hands over a w it has already reduced, so there the one test,
+    symcore's ``primitive_gcd`` of w's pair, finds a constant; only a w built
+    with ``reduce=False`` can share a factor.
     """
     w_num, w_den = w.num.coeff_list(E_NAME), w.den.coeff_list(E_NAME)
     num, den = _cleared(w_num, w_den)
     u_num, u_den = _canonical(_power(num, power), _power(den, power))
-    if any(num) and _shares_factor(num, den):
-        g = gcd_coeffs(u_num, u_den)
-        u_num, u_den = quotient_coeffs(u_num, g), quotient_coeffs(u_den, g)
+    if len(primitive_gcd(*_canonical(num, den))) > 1:
+        u_num, u_den = _gcd_free(u_num, u_den)
     u1_num, u1_den = _canonical(*_quotient_rule(*_cleared(u_num, u_den)))
     u2_num, u2_den = _canonical(*_quotient_rule(u1_num, u1_den))
     return _float_rows([w_num, w_den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
@@ -711,29 +700,30 @@ def residual_scan(
     # the four quotients share a scaling E^-J per pair; |den of w| bounds
     # the terms of w's denominator, to flag its cancellation near a pole
     spans = [max(len(rows[i]), len(rows[i + 1])) - 1 for i in (0, 0, 2, 2, 4, 4, 6, 6)]
-    grid = _on_grid([*rows, np.abs(rows[1])], [*spans, spans[0]], E)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a value beyond the float range is judged below (PoleInWindow), not warned about
+    with np.errstate(all="ignore"):
+        grid = _on_grid([*rows, np.abs(rows[1])], [*spans, spans[0]], E)
         w_val, u_val, u1_val, u2_val = (grid[i] / grid[i + 1] for i in (0, 2, 4, 6))
         w_rel = np.abs(grid[1]) / np.where(grid[8] > 0, grid[8], 1.0)
 
-    near_pole = w_rel < 1e-9
-    if np.any(near_pole):
-        raise PoleInWindow(
-            f"denominator vanishes near xi = {xi[near_pole][0]:.6g} (undeclared pole)"
+        near_pole = w_rel < 1e-9
+        if np.any(near_pole):
+            raise PoleInWindow(
+                f"denominator vanishes near xi = {xi[near_pole][0]:.6g} (undeclared pole)"
+            )
+
+        reaction = np.zeros_like(xi)
+        for nu, lam in pde.reaction.items():
+            e = nu * p
+            reaction += float(lam) * w_val ** int(e)
+
+        residual = (
+            float(pde.tau) * vel * vel * u2_val
+            + float(pde.A) * u_val * u1_val
+            + float(pde.B) * vel * u1_val
+            - float(pde.kappa) * u2_val
+            - reaction
         )
-
-    reaction = np.zeros_like(xi)
-    for nu, lam in pde.reaction.items():
-        e = nu * p
-        reaction += float(lam) * w_val ** int(e)
-
-    residual = (
-        float(pde.tau) * vel * vel * u2_val
-        + float(pde.A) * u_val * u1_val
-        + float(pde.B) * vel * u1_val
-        - float(pde.kappa) * u2_val
-        - reaction
-    )
     bad = ~np.isfinite(residual)
     if np.any(bad):
         raise PoleInWindow(f"residual overflow near xi = {xi[bad][0]:.6g}")
@@ -758,25 +748,43 @@ def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
 
 def solution_from_assignment(ansatz: ExpAnsatz,
                              assignment: Mapping[str, Number]) -> ClosedFormSolution:
-    """Instantiate the ansatz at a numeric assignment, declaring its poles."""
+    """Instantiate the ansatz at a numeric assignment, declaring its poles.
+
+    w's pair is reduced on integer lists in ``symcore._reduce_pair``'s order:
+    each coefficient is coerced as ``ParamPoly`` coerces it (a float by its
+    exact decimal reading), the denominators are cleared, the common power
+    of E and the integer content are divided out, then the monic gcd in E.
+    So ``ExpRational(..., reduce=False)`` gets the ``Fraction``s, variables
+    and term order (ascending powers of E) that reducing the instantiated
+    ansatz gives.
+    """
     env = dict(assignment)
 
     def value(c):
-        if isinstance(c, (str, ParamPoly)):
-            return ParamPoly.lift(c).evaluate(env)
+        if isinstance(c, str):  # what ParamPoly.var(c).evaluate(env) gives
+            if c not in env:
+                raise MissingParameter(c)
+            v = env[c]
+            if isinstance(v, (int, Fraction)):
+                return Fraction(v)
+            if type(v) is float:
+                return 0.0 + v  # evaluate's sum 0 + 1*v, which reads -0.0 as 0.0
+            c = ParamPoly.var(c)
+        if isinstance(c, ParamPoly):
+            return c.evaluate(env)
         return Fraction(c)
 
     num = [value(c) for c in ansatz.a]
     den = [value(c) for c in ansatz.b]
     alpha = value(ansatz.alpha)
     velocity = value(ansatz.velocity)
-
-    def poly(coeffs):
-        # ascending powers: float evaluation sums the terms in this order
-        return ParamPoly((E_NAME,), {(k,): c for k, c in enumerate(coeffs)})
+    num_q, den_q = [_coeff(c) for c in num], [_coeff(c) for c in den]
+    if not any(den_q):
+        raise DivisionByZero("denominator is identically zero")
+    w_num, w_den = _gcd_free(*_canonical(*_cleared(num_q, den_q)))
 
     return ClosedFormSolution(
-        expression=ExpRational(poly(num), poly(den)),
+        expression=ExpRational(_poly_in_E(w_num), _poly_in_E(w_den), reduce=False),
         alpha=alpha,
         velocity=velocity,
         power=ansatz.power,

@@ -148,7 +148,7 @@ class ParamPoly:
     def _make(variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "ParamPoly":
         """Trusted constructor: ``variables`` sorted, ``terms`` merged with
         nonzero Fraction coefficients; only drops the variables no term uses."""
-        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
+        used = [i for i, column in enumerate(zip(*terms)) if any(column)]
         if len(used) != len(variables):
             variables = tuple(variables[i] for i in used)
             terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
@@ -484,67 +484,100 @@ def parse_poly_text(text: str) -> ParamPoly:
 # -- rational functions in E -------------------------------------------------
 
 
-def _strip(coeffs: list) -> list:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+def _trimmed(coeffs: list) -> list:
+    """The list without its trailing zero coefficients."""
+    top = len(coeffs)
+    while top and not coeffs[top - 1]:
+        top -= 1
+    return coeffs[:top]
 
 
-def _long_division(num: list[Fraction], den: list[Fraction]) -> tuple[list, list]:
-    """(quotient, remainder) of dense coefficient lists, lowest power first.
-
-    ``den`` must end in a nonzero coefficient; the remainder has no trailing
-    zeros."""
-    rem = _strip(list(num))
-    quot = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        q = rem[-1] / den[-1]
-        shift = len(rem) - len(den)
-        quot[shift] = q
-        for i, c in enumerate(den):
-            rem[i + shift] -= q * c
-        _strip(rem)
-    return quot, rem
+def _primitive(coeffs: list[int]) -> list[int]:
+    """A nonzero integer list divided by the gcd of its entries."""
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs]
 
 
-def _poly_in_E(coeffs: list[Fraction]) -> ParamPoly:
-    return ParamPoly._make((E_NAME,), {(k,): c for k, c in enumerate(coeffs) if c})
+def _poly_in_E(coeffs: list) -> ParamPoly:
+    return ParamPoly._make((E_NAME,), {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
+
+
+def _int_coeffs(p: ParamPoly) -> list[int]:
+    """Dense coefficients, lowest power first, of a polynomial in E alone
+    whose coefficients are integers."""
+    out = [0] * (p.degree(E_NAME) + 1)
+    for exps, c in p.terms.items():
+        out[sum(exps)] = c.numerator
+    return out
+
+
+def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, up to sign, of two dense integer coefficient lists in E,
+    lowest power first; [] when both are zero.
+
+    Euclid's algorithm on primitive pseudo-remainders, which stays in Z[E]
+    (D. E. Knuth, *TAOCP* vol. 2, section 4.6.1; G. E. Collins, JACM 14,
+    1967): each step scales a by lead(b)/h and takes top(a)/h times b off it,
+    h = gcd(lead(b), top(a)), and each remainder is made primitive.
+    """
+    a, b = _trimmed(a), _trimmed(b)
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _primitive(a) if a else []
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        lead, n = b[-1], len(b)
+        while len(a) >= n:  # lower deg a by one step of pseudo-division
+            h = math.gcd(lead, a[-1])
+            scale, top, k = lead // h, a[-1] // h, len(a) - n
+            if scale != 1:
+                a = [scale * c for c in a]
+            for i, c in enumerate(b):
+                a[i + k] -= top * c
+            a = _trimmed(a)
+        a, b = b, (_primitive(a) if a else [])
+    return a
+
+
+def over_monic(p: list[int], g: list[int]) -> list[int]:
+    """p divided by the monic g/lead(g), on integers: the exact quotient p/g
+    times lead(g); g must divide p in Z[E] (a primitive gcd of p does)."""
+    rem, n = list(p), len(g)
+    quot = [0] * (len(p) - n + 1)
+    for k in reversed(range(len(quot))):
+        c = quot[k] = rem[k + n - 1] // g[-1]
+        if c:
+            for i, x in enumerate(g):
+                rem[k + i] -= c * x
+    return [g[-1] * c for c in quot]
 
 
 def gcd_coeffs(a: list, b: list) -> list[Fraction]:
     """Monic gcd of two dense rational coefficient lists, lowest power first,
-    not both zero."""
-    ca, cb = _strip([Fraction(c) for c in a]), _strip([Fraction(c) for c in b])
-    while cb:
-        ca, cb = cb, _long_division(ca, cb)[1]
-    return [c / ca[-1] for c in ca]
+    not both zero: ``primitive_gcd`` of the lists with their denominators
+    cleared, divided by its leading coefficient."""
 
+    def cleared(coeffs: list) -> list[int]:
+        coeffs = [Fraction(c) for c in coeffs]
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (lcm // c.denominator) for c in coeffs]
 
-def quotient_coeffs(a: list, d: list) -> list[Fraction]:
-    """Exact quotient of dense rational coefficient lists, lowest power first."""
-    return _long_division([Fraction(c) for c in a], [Fraction(c) for c in d])[0]
-
-
-def _poly_gcd_in_E(a: ParamPoly, b: ParamPoly) -> ParamPoly | None:
-    """Monic gcd in E for polynomials with purely rational coefficients."""
-    for p in (a, b):
-        if any(v != E_NAME for v in p.variables):
-            return None
-    return _poly_in_E(gcd_coeffs(a.coeff_list(E_NAME), b.coeff_list(E_NAME)))
-
-
-def _poly_div_in_E(a: ParamPoly, d: ParamPoly) -> ParamPoly:
-    """Exact division in E for rationally-coefficiented polynomials."""
-    return _poly_in_E(quotient_coeffs(a.coeff_list(E_NAME), d.coeff_list(E_NAME)))
+    g = primitive_gcd(cleared(a), cleared(b))
+    return [Fraction(c, g[-1]) for c in g]
 
 
 class ExpRational:
     """Rational function in E = exp(alpha*xi) with ParamPoly numerator/denominator.
 
     Kept gcd-reduced in E: common E powers and common monomial content are
-    always cancelled; a full univariate gcd is taken when both sides have
-    purely rational coefficients.  The denominator's leading sign is
-    normalized positive for deterministic serialization.
+    always cancelled; when both sides have purely rational coefficients, which
+    are integers once the content is out, their monic gcd in E is divided out
+    on integers with ``primitive_gcd``, the module's one E-gcd.  The
+    denominator's leading sign is normalized positive for deterministic
+    serialization.  ``reduce=False`` keeps a pair as given: the closed-form
+    solution builder hands over a pair it has already reduced on integer
+    lists.
     """
 
     __slots__ = ("num", "den")
@@ -651,11 +684,12 @@ def _reduce_pair(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 
     if g_coeff != 1 or any(g_exps.values()):
         num, den = strip(num), strip(den)
-    # univariate gcd when everything else is rational
-    g = _poly_gcd_in_E(num, den)
-    if g is not None and g.degree(E_NAME) > 0:
-        num = _poly_div_in_E(num, g)
-        den = _poly_div_in_E(den, g)
+    # univariate gcd when everything else is rational: integers, the content being out
+    if all(v == E_NAME for v in num.variables + den.variables):
+        a, b = _int_coeffs(num), _int_coeffs(den)
+        g = primitive_gcd(a, b)
+        if len(g) > 1:
+            num, den = _poly_in_E(over_monic(a, g)), _poly_in_E(over_monic(b, g))
     if den._leading_coeff() < 0:
         num, den = -num, -den
     return num, den

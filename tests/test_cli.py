@@ -264,6 +264,10 @@ EXIT_3_CASES = {
     "eval-IVe-a-huge-scan": (["eval", "--family", "IVe-a", "--free",
                               "lam1=2e400,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
                              "no branch of IVe-a verifies"),
+    # the scan's grid overflows: the error line alone, without numpy's warnings
+    "eval-IVe-a-overflowing-scan": (["eval", "--family", "IVe-a", "--free",
+                                     "lam1=1e300,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
+                                    "residual overflow near xi"),
 }
 
 

@@ -24,9 +24,11 @@ from twbench.reducer import (
     PoleInWindow,
     PowerMismatch,
     AlgebraicSystem,
+    poles_of,
     reduce,
     residual_scan,
     sample_solution,
+    solution_from_assignment,
     solve_numeric,
     verify_assignment,
 )
@@ -730,3 +732,96 @@ class TestScanOverflow:
             warnings.simplefilter("error")
             assert sample_solution(sol, np.array([-2000.0, 2000.0])).tolist() == [1.0, 0.0]
             assert math.isfinite(residual_scan(self.PDE, sol, (-2000, 2000), 11))
+
+
+# -- the closed-form solution builder -------------------------------------------
+
+
+def _reference_solution(ansatz, assignment):
+    """solution_from_assignment as it was written before it reduced w on
+    integer lists: the instantiated ansatz as an ExpRational, reduced."""
+    env = dict(assignment)
+
+    def value(c):
+        if isinstance(c, (str, ParamPoly)):
+            return ParamPoly.lift(c).evaluate(env)
+        return F(c)
+
+    num = [value(c) for c in ansatz.a]
+    den = [value(c) for c in ansatz.b]
+    alpha = value(ansatz.alpha)
+    velocity = value(ansatz.velocity)
+
+    def poly(coeffs):
+        return ParamPoly((E_NAME,), {(k,): c for k, c in enumerate(coeffs)})
+
+    return ClosedFormSolution(expression=ExpRational(poly(num), poly(den)), alpha=alpha,
+                              velocity=velocity, power=ansatz.power, poles=poles_of(den, alpha))
+
+
+def _exactly(x):
+    """A value with its type, a float by its bits (so -0.0 is not 0.0)."""
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+_PAIR = ExpAnsatz(a=("a0", "a1"), b=("b0", "b1"))
+_QUADRATIC = ExpAnsatz(a=("a0", "a1", "a2"), b=("b0", "b1", "b2"), power=2)
+_BUILDER_CASES = {
+    "zero-numerator": (_PAIR, {"a0": F(0), "a1": 0, "b0": F(1), "b1": F(2), "alpha": F(1, 2), "v": 1}),
+    # (2E + 1)(E + 3) / ((2E + 1)(E - 1))
+    "shared-factor": (_QUADRATIC, {"a0": 3, "a1": 7, "a2": 2, "b0": -1, "b1": -1, "b2": 2,
+                                   "alpha": F(-1, 3), "v": F(2)}),
+    # 0.5*(1 + 0.25E) / (1 + 0.25E), on floats
+    "shared-float-factor": (_PAIR, {"a0": 0.5, "a1": 0.125, "b0": 1.0, "b1": 0.25,
+                                    "alpha": 1.5, "v": -0.75}),
+    "negative-leading-denominator": (_PAIR, {"a0": F(1, 3), "a1": F(5), "b0": 1, "b1": F(-2),
+                                             "alpha": F(2), "v": F(1)}),
+    "common-power-of-E": (ExpAnsatz(a=(F(0), "a1", "a2"), b=(0, 0, "b2"), alpha=F(-2)),
+                          {"a1": F(1, 2), "a2": F(3, 4), "b2": F(-6), "v": F(1)}),
+    "negative-zero-floats": (_PAIR, {"a0": -0.0, "a1": 1.0, "b0": 2.0, "b1": -0.0,
+                                     "alpha": -0.0, "v": -0.0}),
+    "numpy-and-huge": (_PAIR, {"a0": np.float64(0.75), "a1": F(10) ** 400, "b0": F(3, 10**400),
+                               "b1": np.float64(-0.0), "alpha": np.float64(1.25), "v": True}),
+    "polynomial-slots": (ExpAnsatz(a=(2 * ParamPoly.var("a1"), "a1"), b=(F(1), "b1", "b1"),
+                                   velocity=F(1, 7)),
+                         {"a1": 0.3, "b1": F(2, 3), "alpha": 1e-300}),
+    "missing-name": (_PAIR, {"a0": 1, "a1": 1, "b0": 1, "alpha": 1, "v": 1}),
+    "zero-denominator": (_PAIR, {"a0": 1, "a1": 1, "b0": 0.0, "b1": F(0), "alpha": 1, "v": 1}),
+    "infinite-coefficient": (_PAIR, {"a0": math.inf, "a1": 1, "b0": 1, "b1": 1, "alpha": 1, "v": 1}),
+}
+
+
+def _catalog_builder_cases():
+    """Every family's instances at seeds 1..3, three draws each."""
+    for family_id in catalog.FAMILIES:
+        fam = catalog.get_family(family_id)
+        for seed in (1, 2, 3):
+            rng = random.Random(f"{seed}:{family_id}")
+            for _ in range(3):
+                for inst in fam.instances(fam.draw(rng)):
+                    yield inst.ansatz, inst.assignment
+
+
+def test_solution_matches_reference_builder():
+    built = floats = 0
+    for ansatz, assignment in [*_BUILDER_CASES.values(), *_catalog_builder_cases()]:
+        try:
+            want = _reference_solution(ansatz, assignment)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as raised:
+                solution_from_assignment(ansatz, assignment)
+            assert str(raised.value) == str(exc)
+            continue
+        got = solution_from_assignment(ansatz, assignment)
+        for side, ref in ((got.expression.num, want.expression.num),
+                          (got.expression.den, want.expression.den)):
+            assert side.variables == ref.variables
+            assert list(side.terms.items()) == list(ref.terms.items())
+            assert all(type(c) is F for c in side.terms.values())
+        assert _exactly(got.alpha) == _exactly(want.alpha)
+        assert _exactly(got.velocity) == _exactly(want.velocity)
+        assert [_exactly(x) for x in got.poles] == [_exactly(x) for x in want.poles]
+        assert got.power == want.power
+        built += 1
+        floats += any(isinstance(x, float) for x in assignment.values())
+    assert built > 300 and floats > 25  # radical branches are among them

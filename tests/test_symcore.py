@@ -13,6 +13,7 @@ from twbench.symcore import (
     ExpRational,
     MissingParameter,
     ParamPoly,
+    gcd_coeffs,
     int_digit_limit,
     parse_poly_text,
     poly_dxi,
@@ -375,6 +376,123 @@ def test_parse_many_variables():
     assert p.variables == tuple(sorted(f"y{i}" for i in range(n)))
     assert len(p.terms) == n and set(p.terms.values()) == {F(1)}
     assert all(sum(exps) == 1 for exps in p.terms)
+
+
+def _reference_strip(coeffs):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _reference_long_division(num, den):
+    rem = _reference_strip(list(num))
+    quot = [F(0)] * max(len(rem) - len(den) + 1, 0)
+    while len(rem) >= len(den):
+        q = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        quot[shift] = q
+        for i, c in enumerate(den):
+            rem[i + shift] -= q * c
+        _reference_strip(rem)
+    return quot, rem
+
+
+def _reference_gcd_coeffs(a: list, b: list) -> list[F]:
+    """gcd_coeffs as it was written before it ran on integers: Euclid's
+    algorithm on Fraction remainders."""
+    ca, cb = _reference_strip([F(c) for c in a]), _reference_strip([F(c) for c in b])
+    while cb:
+        ca, cb = cb, _reference_long_division(ca, cb)[1]
+    return [c / ca[-1] for c in ca]
+
+
+def _in_E(coeffs):
+    return ParamPoly._make(("E",), {(k,): c for k, c in enumerate(coeffs) if c})
+
+
+def _reference_reduce_pair(num, den):
+    """ExpRational's reduction as it was written before its E-gcd ran on
+    integers: the monic Fraction gcd, divided out by Fraction long division."""
+    if num.is_zero():
+        return ParamPoly.const(0), ParamPoly.const(1)
+    cn, en = num.content()
+    cd, ed = den.content()
+    den_exps = dict(zip(den.variables, ed))
+    g_exps = {n: min(e, den_exps.get(n, 0)) for n, e in zip(num.variables, en)}
+    g_coeff = F(math.gcd(cn.numerator * cd.denominator, cd.numerator * cn.denominator),
+                cn.denominator * cd.denominator)
+    if g_coeff != 1 or any(g_exps.values()):
+        num, den = (p.divide_monomial(g_coeff, tuple(g_exps.get(n, 0) for n in p.variables))
+                    for p in (num, den))
+    if all(v == "E" for v in num.variables + den.variables):
+        g = _reference_gcd_coeffs(num.coeff_list("E"), den.coeff_list("E"))
+        if len(g) > 1:
+            num, den = (_in_E(_reference_long_division(p.coeff_list("E"), g)[0])
+                        for p in (num, den))
+    if den._leading_coeff() < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def _times(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
+# small rationals, zeros, and now and then one beyond the float range or near 0
+_GCD_COEFFICIENTS = (st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+                     | st.sampled_from((F(0), F(10) ** 400, F(3, 10**400))))
+# common factors: constants, powers of E, non-monic and negative leading coefficients
+_GCD_FACTORS = st.sampled_from(([F(1)], [F(-5, 2)], [F(0), F(1)], [F(1), F(2)], [F(3), F(-2)],
+                                [F(1), F(0), F(-1)], [F(-1), F(5), F(-3)], [F(10) ** 400, F(7)]))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.lists(_GCD_COEFFICIENTS, max_size=5), st.lists(_GCD_COEFFICIENTS, max_size=5),
+       _GCD_FACTORS)
+@example([F(0)], [F(2), F(4)], [F(1)])  # a zero on the left
+@example([F(-3), F(6)], [], [F(1)])  # a zero on the right
+@example([F(1), F(1)], [F(1), F(2)], [F(1)])  # a constant gcd
+@example([F(3)], [F(1), F(1)], [F(1), F(2)])  # the common factor 2E + 1
+@example([F(-1), F(-2)], [F(4), F(0), F(-3)], [F(3), F(-2)])  # negative leading coefficients
+@example([F(10) ** 400, F(1)], [F(3, 10**400), F(-1)], [F(1), F(1)])
+def test_gcd_matches_reference(a, b, common):
+    a, b = _times(a, common) if a else a, _times(b, common) if b else b
+    if not any(a) and not any(b):
+        return
+    got = gcd_coeffs(a, b)
+    assert got == _reference_gcd_coeffs(a, b)
+    assert got[-1] == 1 and all(type(c) is F for c in got)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(_GCD_COEFFICIENTS, max_size=4), st.lists(_GCD_COEFFICIENTS, max_size=4),
+       _GCD_FACTORS, st.sampled_from((None, "E", "x")))
+@example([F(1), F(3)], [F(2)], [F(1), F(2)], None)  # (2E + 1) divided out of (2E + 1)(3E + 1)
+@example([F(-1), F(-2)], [F(4), F(0), F(-3)], [F(3), F(-2)], None)
+@example([F(0), F(0)], [F(1), F(1)], [F(1), F(2)], None)  # a zero numerator
+@example([F(2), F(4)], [F(6), F(8)], [F(1), F(1)], "x")  # a symbol keeps the gcd in
+def test_reduced_pair_matches_reference(a, b, common, factor):
+    """ExpRational's reduction, whose E-gcd runs on integers, gives the
+    Fractions, variables and term order of the Fraction route."""
+    num, den = _in_E(_times(a, common) if a else a), _in_E(_times(b, common) if b else b)
+    if factor is not None:
+        num = num * ParamPoly.var(factor)
+    if den.is_zero():
+        return
+    w = ExpRational(num, den)
+    for got, want in zip((w.num, w.den), _reference_reduce_pair(num, den)):
+        assert got.variables == want.variables
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_gcd_of_floats_reads_them_exactly():
+    # Fraction(0.1) is the float's binary value, not 1/10
+    a, b = [0.1, 0.5, 1.25], [0.1, 1.0]
+    assert gcd_coeffs(a, b) == _reference_gcd_coeffs(a, b)
 
 
 def _rand_exp_rational(rng, max_deg=2) -> ExpRational:
