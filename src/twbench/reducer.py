@@ -27,13 +27,11 @@ from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, Schem
 from .symcore import (
     E_NAME,
     DivisionByZero,
-    ExpRational,
     MissingParameter,
     Number,
     ParamPoly,
     _coeff,
     _merge,
-    _poly_in_E,
     _trimmed,
     frac_str,
     int_digit_limit,
@@ -187,18 +185,27 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ClosedFormSolution:
-    """A fully numeric travelling-wave solution u = w(E)^power, E = exp(alpha*xi)."""
+    """A fully numeric travelling-wave solution u = w(E)^power, E = exp(alpha*xi).
 
-    expression: ExpRational  # w, with numeric coefficients
+    w = (sum num[k] E^k) / (sum den[k] E^k): integer coefficients, lowest
+    power of E first.  ``solution_from_assignment`` gives the pair reduced
+    as ``symcore._reduce_pair`` reduces w: no common power of E, no common
+    factor in E, and a positive leading denominator coefficient.  The
+    residual scan reads the pair as it is.
+    """
+
+    num: tuple[int, ...]
+    den: tuple[int, ...]
     alpha: float | Fraction
     velocity: float | Fraction
     power: int = 1
     poles: tuple[float, ...] = ()  # xi locations where the denominator vanishes
 
     def __post_init__(self):
-        for poly in (self.expression.num, self.expression.den):
-            if any(v != E_NAME for v in poly.variables):
-                raise ValueError("closed-form solution must have numeric coefficients")
+        if not all(isinstance(c, int) for c in (*self.num, *self.den)):
+            raise ValueError("closed-form solution coefficients must be integers")
+        if not any(self.den):
+            raise ValueError("closed-form solution denominator is identically zero")
 
 
 class _AnsatzTerms:
@@ -537,13 +544,6 @@ def solve_numeric(
 # -- numeric residual scan ----------------------------------------------------
 
 
-def _cleared(num: list, den: list) -> tuple[list[int], list[int]]:
-    """Both rational coefficient lists times the lcm of their denominators."""
-    lcm = math.lcm(*(c.denominator for c in (*num, *den)))
-    return ([c.numerator * (lcm // c.denominator) for c in _trimmed(num)],
-            [c.numerator * (lcm // c.denominator) for c in _trimmed(den)])
-
-
 def _product(a: list[int], b: list[int], weight=None) -> list[int]:
     """Coefficients of a*b; with ``weight``, of sum weight(i, k)*a_i*b_k*E^(i+k)."""
     out = [0] * (len(a) + len(b) - 1)
@@ -570,25 +570,15 @@ def _quotient_rule(num: list[int], den: list[int]) -> tuple[list[int], list[int]
 
 def _canonical(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Reduce an integer pair as ``symcore._reduce_pair`` does, but for its
-    E-gcd step (``_gcd_free``): divide out the common power of E and the
-    integer content, and make the leading denominator coefficient positive
-    (which commutes with dividing both sides by a monic gcd).  0/den becomes
-    0/1."""
+    E-gcd step: divide out the common power of E and the integer content,
+    and make the leading denominator coefficient positive (which commutes
+    with dividing both sides by a monic gcd).  0/den becomes 0/1."""
     num, den = _trimmed(num), _trimmed(den)
     if not num:
         return [0], [1]
     shift = min(next(i for i, c in enumerate(part) if c) for part in (num, den))
     g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
     return [c // g for c in num[shift:]], [c // g for c in den[shift:]]
-
-
-def _gcd_free(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """A ``_canonical`` pair divided by its monic gcd in E, as
-    ``symcore._reduce_pair`` divides it, but on integers."""
-    g = primitive_gcd(num, den)
-    if len(g) < 2:
-        return num, den
-    return over_monic(num, g), over_monic(den, g)
 
 
 def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list[np.ndarray]:
@@ -610,29 +600,23 @@ def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list
     return out
 
 
-def _scan_rows(w: ExpRational, power: int, alpha: float) -> list[np.ndarray]:
+def _scan_rows(num, den, power: int, alpha: float) -> list[np.ndarray]:
     """Float coefficient rows in E, lowest power first, of the numerators and
-    denominators of w, u = w^power, u' and u'' (d/dxi = alpha*E*d/dE).
+    denominators of w = num/den, u = w^power, u' and u'' (d/dxi =
+    alpha*E*d/dE), for w's integer pair as ``ClosedFormSolution`` holds it.
 
-    They are the rows of the canonical forms ``symcore`` gives ``w**power``
-    and its ``differentiate_xi("alpha")`` twice, with ``alpha`` substituted,
-    but the pairs are reduced on integer lists: clearing denominators scales
-    both sides alike, so the reduced pair is the same.  Only u can need the
-    E-gcd step, and only where w's sides share a factor other than a power
-    of E; the symbol alpha keeps symcore from taking it for u' and u'', whose
-    numerators are alpha and alpha^2 times integer lists.  The solution
-    builder hands over a w it has already reduced, so there the one test,
-    symcore's ``primitive_gcd`` of w's pair, finds a constant; only a w built
-    with ``reduce=False`` can share a factor.
+    For a pair in canonical form they are the rows of the canonical forms
+    ``symcore`` gives ``w**power`` and its ``differentiate_xi("alpha")``
+    twice, with ``alpha`` substituted, reduced on integer lists.  The sides
+    of w share no factor in E, so neither do those of w^power, and
+    ``_canonical`` reduces u; the symbol alpha keeps symcore from taking an
+    E-gcd for u' and u'', whose numerators are alpha and alpha^2 times
+    integer lists.
     """
-    w_num, w_den = w.num.coeff_list(E_NAME), w.den.coeff_list(E_NAME)
-    num, den = _cleared(w_num, w_den)
     u_num, u_den = _canonical(_power(num, power), _power(den, power))
-    if len(primitive_gcd(*_canonical(num, den))) > 1:
-        u_num, u_den = _gcd_free(u_num, u_den)
-    u1_num, u1_den = _canonical(*_quotient_rule(*_cleared(u_num, u_den)))
+    u1_num, u1_den = _canonical(*_quotient_rule(u_num, u_den))
     u2_num, u2_den = _canonical(*_quotient_rule(u1_num, u1_den))
-    return _float_rows([w_num, w_den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
+    return _float_rows([num, den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
                        alpha, (0, 0, 0, 0, 1, 0, 2, 0))
 
 
@@ -685,7 +669,7 @@ def residual_scan(
     p = sol.power
     alpha = float(sol.alpha)
     vel = float(sol.velocity)
-    rows = _scan_rows(sol.expression, p, alpha)
+    rows = _scan_rows(sol.num, sol.den, p, alpha)
 
     xi = np.linspace(float(window[0]), float(window[1]), samples)
     keep = np.ones_like(xi, dtype=bool)
@@ -754,9 +738,8 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     each coefficient is coerced as ``ParamPoly`` coerces it (a float by its
     exact decimal reading), the denominators are cleared, the common power
     of E and the integer content are divided out, then the monic gcd in E.
-    So ``ExpRational(..., reduce=False)`` gets the ``Fraction``s, variables
-    and term order (ascending powers of E) that reducing the instantiated
-    ansatz gives.
+    So ``num`` and ``den`` are the coefficients of the instantiated ansatz
+    reduced as symcore reduces it.
     """
     env = dict(assignment)
 
@@ -781,22 +764,20 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     num_q, den_q = [_coeff(c) for c in num], [_coeff(c) for c in den]
     if not any(den_q):
         raise DivisionByZero("denominator is identically zero")
-    w_num, w_den = _gcd_free(*_canonical(*_cleared(num_q, den_q)))
-
-    return ClosedFormSolution(
-        expression=ExpRational(_poly_in_E(w_num), _poly_in_E(w_den), reduce=False),
-        alpha=alpha,
-        velocity=velocity,
-        power=ansatz.power,
-        poles=poles_of(den, alpha),
-    )
+    lcm = math.lcm(*(c.denominator for c in (*num_q, *den_q)))
+    w_num, w_den = _canonical(*([c.numerator * (lcm // c.denominator) for c in side]
+                                for side in (num_q, den_q)))
+    g = primitive_gcd(w_num, w_den)
+    if len(g) > 1:
+        w_num, w_den = over_monic(w_num, g), over_monic(w_den, g)
+    return ClosedFormSolution(tuple(w_num), tuple(w_den), alpha, velocity, ansatz.power,
+                              poles_of(den, alpha))
 
 
 def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
     """u(xi) on a grid, with NaN at points within 1e-3 of a declared pole."""
     alpha = float(sol.alpha)
-    w = sol.expression
-    rows = _float_rows([w.num.coeff_list(E_NAME), w.den.coeff_list(E_NAME)], alpha, (0, 0))
+    rows = _float_rows([sol.num, sol.den], alpha, (0, 0))
     with np.errstate(over="ignore"):
         E = np.exp(alpha * np.asarray(xi, dtype=float))
     span = max(map(len, rows)) - 1

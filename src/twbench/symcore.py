@@ -41,6 +41,12 @@ E_NAME = "E"
 #: term-by-term sum (CPython 3.11 on x86-64, measured from 20 to 30 000 bits).
 _GCD_BITS2_PER_TERM = 2**16
 
+#: ``parse_poly_text`` refuses a text whose terms times variables exceed
+#: this: the parsed polynomial holds one exponent per term and variable.
+#: 4 million of them (2000 terms in 2000 variables) parse in about 0.2 s
+#: and 60 MB, 10 million in about 0.6 s and 110 MB (CPython 3.11 on x86-64).
+_MAX_PARSE_EXPONENTS = 10**7
+
 
 class MissingParameter(KeyError):
     """Evaluation requested without a value for some parameter."""
@@ -438,7 +444,9 @@ def parse_poly_text(text: str) -> ParamPoly:
     ``x^10000000`` exactly at ``x = 3`` alone takes seconds.  The terms are
     merged in text order into one dict over the final variables, so the
     work grows with the number of terms times the number of variables (the
-    size of that dict), not with its cube as adding term by term did."""
+    size of that dict), not with its cube as adding term by term did; a
+    text where that product is over ``_MAX_PARSE_EXPONENTS`` is refused
+    before the dict is built."""
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial text")
@@ -469,6 +477,9 @@ def parse_poly_text(text: str) -> ParamPoly:
                 raise ValueError(f"exponent {top} is over the limit of {limit}")
             parsed.append((coeff, powers))
     names = sorted({name for _, powers in parsed for name in powers})
+    if len(parsed) * len(names) > _MAX_PARSE_EXPONENTS:
+        raise ValueError(f"{len(parsed)} terms in {len(names)} variables are over the limit "
+                         f"of {_MAX_PARSE_EXPONENTS} exponents")
     column = {name: i for i, name in enumerate(names)}
 
     def exponents(powers: dict) -> tuple[int, ...]:
@@ -575,9 +586,7 @@ class ExpRational:
     are integers once the content is out, their monic gcd in E is divided out
     on integers with ``primitive_gcd``, the module's one E-gcd.  The
     denominator's leading sign is normalized positive for deterministic
-    serialization.  ``reduce=False`` keeps a pair as given: the closed-form
-    solution builder hands over a pair it has already reduced on integer
-    lists.
+    serialization.  ``reduce=False`` keeps a pair as given.
     """
 
     __slots__ = ("num", "den")

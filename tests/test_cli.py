@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from twbench import catalog, cli, hydro, model, reducer
+from twbench import catalog, cli, hydro, model, reducer, symcore
 
 REPO = Path(__file__).resolve().parent.parent
 EXPECTATIONS = REPO / "expectations.json"
@@ -236,6 +236,22 @@ def test_exit_2_matrix(case, input_paths):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
     assert r.stdout == ""
+
+
+def test_verify_refuses_a_huge_text_before_parsing(tmp_path, monkeypatch, capsys):
+    # 20 000 terms in 20 000 variables: the parsed polynomial would hold
+    # 4e8 exponents; the bound reads the token stream, so no term is merged
+    names = [f"y{i}" for i in range(20_000)]
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(SYSTEM, unknowns=names, equations=[" + ".join(names)])))
+
+    def merge(*_):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(symcore, "_merge", merge)
+    assert cli.main(["verify", "--system", str(path), "--assign", "y0=1"]) == 2
+    assert capsys.readouterr() == ("", "error: 20000 terms in 20000 variables are over "
+                                       "the limit of 10000000 exponents\n")
 
 
 def test_solve_fixes_a_long_rational_under_a_high_power(tmp_path):
