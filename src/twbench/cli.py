@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import model, reducer
 from .symcore import frac_str, int_digit_limit
 
@@ -168,6 +166,8 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import numpy as np
+
     from . import catalog
     free = _parse_assignments(args.free)
     _, solution = catalog.instantiate(args.family, free)
@@ -223,6 +223,8 @@ def _cmd_hydro_orbit(args) -> int:
 
 
 def _cmd_hydro_separatrix(args) -> int:
+    import numpy as np
+
     from . import hydro
     m = hydro.parse_hydro_model(_read(args.model))
     if args.samples < 0:

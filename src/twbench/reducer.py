@@ -10,6 +10,10 @@ system.
 
 The inverse check, ``residual_scan``, evaluates the PDE residual pointwise on
 a xi-grid from the analytic derivatives, so the two routes are independent.
+
+numpy is imported inside the functions that make floats, not at module
+level, so the exact route (``reduce``, ``verify_assignment``) and the
+commands built on it start without loading it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
-
-import numpy as np
 
 from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
 from .symcore import (
@@ -391,6 +393,7 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
     number of terms.  A coefficient beyond the float range raises
     NumericFailure naming ``equation(k)`` for the k-th polynomial.
     """
+    import numpy as np
     column = {name: i for i, name in enumerate(unknowns)}
     slots: dict[tuple[int, int], int] = {}  # (unknown, exponent) -> row of the power table
     # at least one factor, the 1.0 of table row 0 for a polynomial with no
@@ -442,6 +445,7 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
 
 def _norms(rows: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row, bit for bit: both take BLAS's dot."""
+    import numpy as np
     return np.sqrt(np.vecdot(rows, rows))
 
 
@@ -468,6 +472,7 @@ def solve_numeric(
     2-norm of F, or after 80 rounds; every float operation on it is the one
     a loop over that start alone would take.
     """
+    import numpy as np
     if starts < 1:
         raise DomainError("starts must be >= 1")
     if seed < 0:
@@ -587,6 +592,7 @@ def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list
     floats ``ParamPoly.evaluate`` gives a coefficient c*alpha^k of E^j, and it
     forms alpha**k only for a nonzero term, so only then can that overflow.
     A value beyond the float range raises PoleInWindow."""
+    import numpy as np
     out = []
     try:
         for row, k in zip(rows, powers):
@@ -630,6 +636,7 @@ def _on_grid(rows: list[np.ndarray], spans: list[int], E: np.ndarray) -> np.ndar
     0.0 for x in [0, 1] (E = inf gives t = 0), so every element gets the float
     operations of ``np.polynomial.polynomial.polyval`` on its own row.
     """
+    import numpy as np
     K = max(spans)
     low = np.zeros((len(rows), K + 1))  # highest power first
     high = np.zeros((len(rows), K + 1))  # lowest power first, ending at E^J
@@ -661,6 +668,7 @@ def residual_scan(
     declared pole are skipped, and an undeclared pole raises PoleInWindow.
     The result is max|residual| / (1 + max|u|).
     """
+    import numpy as np
     if not pde.is_numeric():
         raise ValueError("residual scan needs a fully numeric model")
     if samples < 2:
@@ -716,6 +724,7 @@ def residual_scan(
 
 def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
     """xi locations where sum b_k exp(k*alpha*xi) vanishes (positive E roots)."""
+    import numpy as np
     if float(alpha) == 0.0:
         # E is identically 1; a vanishing denominator then has no isolated pole
         return ()
@@ -776,6 +785,7 @@ def solution_from_assignment(ansatz: ExpAnsatz,
 
 def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
     """u(xi) on a grid, with NaN at points within 1e-3 of a declared pole."""
+    import numpy as np
     alpha = float(sol.alpha)
     rows = _float_rows([sol.num, sol.den], alpha, (0, 0))
     with np.errstate(over="ignore"):

@@ -360,15 +360,6 @@ class ParamPoly:
             buckets.setdefault(exps[i], {})[exps[:i] + exps[i + 1 :]] = c
         return {k: ParamPoly._make(rest, t) for k, t in sorted(buckets.items())}
 
-    def coeff_list(self, name: str) -> list[Fraction]:
-        """Dense coefficient list in one variable; requires all-rational coefficients."""
-        parts = self.as_univariate(name)
-        deg = max(parts) if parts else 0
-        out = [Fraction(0)] * (deg + 1)
-        for k, p in parts.items():
-            out[k] = p.constant_value()
-        return out
-
     def content(self) -> tuple[Fraction, tuple[int, ...]]:
         """Monomial content: gcd of coefficients and componentwise min exponent."""
         if not self.terms:

@@ -28,3 +28,14 @@ def rand_poly(rng, names=("x", "y", "z"), max_terms=4, max_deg=3) -> ParamPoly:
         exps = tuple(rng.randint(0, max_deg) for _ in names)
         terms[exps] = terms.get(exps, Fraction(0)) + rand_frac(rng)
     return ParamPoly(names, {e: c for e, c in terms.items() if c})
+
+
+def coeff_list(poly: ParamPoly, name: str) -> list[Fraction]:
+    """Dense coefficient list of ``poly`` in one variable, lowest power
+    first; every coefficient must be a rational constant."""
+    parts = poly.as_univariate(name)
+    deg = max(parts) if parts else 0
+    out = [Fraction(0)] * (deg + 1)
+    for k, p in parts.items():
+        out[k] = p.constant_value()
+    return out

@@ -124,9 +124,10 @@ def test_exit_3_classes_are_numeric_failures(cls, old_base):
 
 
 def test_exact_commands_do_not_import_scipy(tmp_path):
-    # each interpreter loads only what its commands run: reduce, solve and
-    # verify neither catalog, hydro nor scipy; the hydro commands hydro but
-    # neither catalog nor any scipy module; catalog list neither hydro nor scipy
+    # each interpreter loads only what its commands run: reduce and verify
+    # neither numpy, catalog, hydro nor scipy; solve numpy but neither
+    # catalog, hydro nor scipy; the hydro commands hydro but neither catalog
+    # nor any scipy module; catalog list neither numpy, hydro nor scipy
     code = textwrap.dedent("""
         import contextlib, io, sys
         from twbench import cli
@@ -135,16 +136,17 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0, argv
         def loaded():
-            print(sorted(m for m in sys.modules
-                         if m.split(".")[0] == "scipy" or m.startswith("twbench.")))
+            print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                         or m == "numpy" or m.startswith("twbench.")))
         if sys.argv[1] == "catalog":
             run(["catalog", "list"])
             loaded()
             sys.exit()
         system, pins = sys.argv[1], "a0=0,a1=1,b0=1,b1=1"
         run(["reduce", "--model", "models/burgers.json", "--ansatz", "1/1", "--out", system],
-            ["solve", "--system", system, "--fix", pins, "--starts", "8"],
             ["verify", "--system", system, "--assign", pins + ",v=-1,alpha=-1"])
+        loaded()
+        run(["solve", "--system", system, "--fix", pins, "--starts", "8"])
         loaded()
         model = ["--model", "models/hydro_reference.json"]
         run(["hydro-analyze", *model], ["hydro-orbit", *model, "--start", "1.7,0"],
@@ -159,8 +161,9 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
         return r.stdout
 
     exact = ["twbench.cli", "twbench.model", "twbench.reducer", "twbench.symcore"]
+    floats = sorted([*exact, "numpy"])
     assert loaded_after(str(tmp_path / "system.json")) == (
-        f"{exact}\n{sorted([*exact, 'twbench.hydro', 'twbench.ode'])}\n")
+        f"{exact}\n{floats}\n{sorted([*floats, 'twbench.hydro', 'twbench.ode'])}\n")
     assert loaded_after("catalog") == f"{sorted([*exact, 'twbench.catalog'])}\n"
 
 

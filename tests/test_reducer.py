@@ -34,6 +34,7 @@ from twbench.reducer import (
 )
 from twbench.symcore import E_NAME, ExpRational, ParamPoly, frac_str, parse_poly_text, poly_dxi
 
+from conftest import coeff_list
 from equiv import random_trial
 
 
@@ -655,7 +656,7 @@ def _scan_solutions(draw):
 def _int_pair(w):
     """The integer coefficients, lowest power of E first, of a reduced
     ExpRational in E alone."""
-    sides = (w.num.coeff_list(E_NAME), w.den.coeff_list(E_NAME))
+    sides = (coeff_list(w.num, E_NAME), coeff_list(w.den, E_NAME))
     assert all(c.denominator == 1 for side in sides for c in side)
     return tuple(tuple(c.numerator for c in side) for side in sides)
 

@@ -19,7 +19,7 @@ from twbench.symcore import (
     poly_dxi,
 )
 
-from conftest import rand_frac, rand_nonzero, rand_poly
+from conftest import coeff_list, rand_frac, rand_nonzero, rand_poly
 
 
 x = ParamPoly.var("x")
@@ -425,9 +425,9 @@ def _reference_reduce_pair(num, den):
         num, den = (p.divide_monomial(g_coeff, tuple(g_exps.get(n, 0) for n in p.variables))
                     for p in (num, den))
     if all(v == "E" for v in num.variables + den.variables):
-        g = _reference_gcd_coeffs(num.coeff_list("E"), den.coeff_list("E"))
+        g = _reference_gcd_coeffs(coeff_list(num, "E"), coeff_list(den, "E"))
         if len(g) > 1:
-            num, den = (_in_E(_reference_long_division(p.coeff_list("E"), g)[0])
+            num, den = (_in_E(_reference_long_division(coeff_list(p, "E"), g)[0])
                         for p in (num, den))
     if den._leading_coeff() < 0:
         num, den = -num, -den
