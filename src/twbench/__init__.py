@@ -6,6 +6,7 @@ Subpackages:
     reducer  ansatz substitution -> algebraic systems; exact and numeric checks
     catalog  the closed-form solution families and their adjudication harness
     hydro    critical points, Hamiltonian structure, separatrices, homoclinics
+    ode      Brent's root finder and the Dormand-Prince 8(5,3) integrator
     cli      deterministic command-line front end
 """
 

@@ -34,13 +34,12 @@ from .symcore import (
     ParamPoly,
     _coeff,
     _merge,
-    _trimmed,
     frac_str,
     int_digit_limit,
-    over_monic,
+    lowest_terms,
     parse_poly_text,
     poly_dxi,
-    primitive_gcd,
+    reduced_pair,
 )
 
 Coefficient = Union[str, Fraction, int, ParamPoly]
@@ -190,10 +189,9 @@ class ClosedFormSolution:
     """A fully numeric travelling-wave solution u = w(E)^power, E = exp(alpha*xi).
 
     w = (sum num[k] E^k) / (sum den[k] E^k): integer coefficients, lowest
-    power of E first.  ``solution_from_assignment`` gives the pair reduced
-    as ``symcore._reduce_pair`` reduces w: no common power of E, no common
-    factor in E, and a positive leading denominator coefficient.  The
-    residual scan reads the pair as it is.
+    power of E first, held in ``symcore.reduced_pair``'s canonical form
+    whatever pair is given: ``ClosedFormSolution((6, 2), (-2, 2), ...)``
+    holds (3, 1) over (-1, 1).  The residual scan reads the pair as it is.
     """
 
     num: tuple[int, ...]
@@ -208,6 +206,9 @@ class ClosedFormSolution:
             raise ValueError("closed-form solution coefficients must be integers")
         if not any(self.den):
             raise ValueError("closed-form solution denominator is identically zero")
+        num, den = reduced_pair(self.num, self.den)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", tuple(den))
 
 
 class _AnsatzTerms:
@@ -573,19 +574,6 @@ def _quotient_rule(num: list[int], den: list[int]) -> tuple[list[int], list[int]
     return _product(num, den, operator.sub), _product(den, den)
 
 
-def _canonical(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Reduce an integer pair as ``symcore._reduce_pair`` does, but for its
-    E-gcd step: divide out the common power of E and the integer content,
-    and make the leading denominator coefficient positive (which commutes
-    with dividing both sides by a monic gcd).  0/den becomes 0/1."""
-    num, den = _trimmed(num), _trimmed(den)
-    if not num:
-        return [0], [1]
-    shift = min(next(i for i, c in enumerate(part) if c) for part in (num, den))
-    g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
-    return [c // g for c in num[shift:]], [c // g for c in den[shift:]]
-
-
 def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list[np.ndarray]:
     """Each row's coefficients c as floats: float(c), or, for a row whose
     power k is positive, 0.0 + float(c)*alpha**k for each nonzero c.  These are the
@@ -611,17 +599,16 @@ def _scan_rows(num, den, power: int, alpha: float) -> list[np.ndarray]:
     denominators of w = num/den, u = w^power, u' and u'' (d/dxi =
     alpha*E*d/dE), for w's integer pair as ``ClosedFormSolution`` holds it.
 
-    For a pair in canonical form they are the rows of the canonical forms
-    ``symcore`` gives ``w**power`` and its ``differentiate_xi("alpha")``
-    twice, with ``alpha`` substituted, reduced on integer lists.  The sides
-    of w share no factor in E, so neither do those of w^power, and
-    ``_canonical`` reduces u; the symbol alpha keeps symcore from taking an
-    E-gcd for u' and u'', whose numerators are alpha and alpha^2 times
-    integer lists.
+    They are the rows of the canonical forms ``symcore`` gives ``w**power``
+    and its ``differentiate_xi("alpha")`` twice, with ``alpha`` substituted,
+    reduced on integer lists.  w's pair is canonical, so u's pair,
+    (num^power, den^power), is too; the symbol alpha keeps symcore from
+    taking an E-gcd for u' and u'', whose numerators are alpha and alpha^2
+    times integer lists, so ``lowest_terms`` reduces them.
     """
-    u_num, u_den = _canonical(_power(num, power), _power(den, power))
-    u1_num, u1_den = _canonical(*_quotient_rule(u_num, u_den))
-    u2_num, u2_den = _canonical(*_quotient_rule(u1_num, u1_den))
+    u_num, u_den = _power(num, power), _power(den, power)
+    u1_num, u1_den = lowest_terms(*_quotient_rule(u_num, u_den))
+    u2_num, u2_den = lowest_terms(*_quotient_rule(u1_num, u1_den))
     return _float_rows([num, den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
                        alpha, (0, 0, 0, 0, 1, 0, 2, 0))
 
@@ -743,12 +730,9 @@ def solution_from_assignment(ansatz: ExpAnsatz,
                              assignment: Mapping[str, Number]) -> ClosedFormSolution:
     """Instantiate the ansatz at a numeric assignment, declaring its poles.
 
-    w's pair is reduced on integer lists in ``symcore._reduce_pair``'s order:
-    each coefficient is coerced as ``ParamPoly`` coerces it (a float by its
-    exact decimal reading), the denominators are cleared, the common power
-    of E and the integer content are divided out, then the monic gcd in E.
-    So ``num`` and ``den`` are the coefficients of the instantiated ansatz
-    reduced as symcore reduces it.
+    Each coefficient of w is coerced as ``ParamPoly`` coerces it (a float
+    by its exact decimal reading) and the denominators are cleared;
+    ``ClosedFormSolution`` reduces the integer pair.
     """
     env = dict(assignment)
 
@@ -774,13 +758,9 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     if not any(den_q):
         raise DivisionByZero("denominator is identically zero")
     lcm = math.lcm(*(c.denominator for c in (*num_q, *den_q)))
-    w_num, w_den = _canonical(*([c.numerator * (lcm // c.denominator) for c in side]
-                                for side in (num_q, den_q)))
-    g = primitive_gcd(w_num, w_den)
-    if len(g) > 1:
-        w_num, w_den = over_monic(w_num, g), over_monic(w_den, g)
-    return ClosedFormSolution(tuple(w_num), tuple(w_den), alpha, velocity, ansatz.power,
-                              poles_of(den, alpha))
+    w_num, w_den = (tuple(c.numerator * (lcm // c.denominator) for c in side)
+                    for side in (num_q, den_q))
+    return ClosedFormSolution(w_num, w_den, alpha, velocity, ansatz.power, poles_of(den, alpha))
 
 
 def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:

@@ -542,9 +542,9 @@ def primitive_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def over_monic(p: list[int], g: list[int]) -> list[int]:
-    """p divided by the monic g/lead(g), on integers: the exact quotient p/g
-    times lead(g); g must divide p in Z[E] (a primitive gcd of p does)."""
+def _exact_quotient(p: list[int], g: list[int]) -> list[int]:
+    """p/g on integers; g must divide p in Z[E], as a primitive gcd of p
+    does (Gauss's lemma: the quotient's coefficients are integers)."""
     rem, n = list(p), len(g)
     quot = [0] * (len(p) - n + 1)
     for k in reversed(range(len(quot))):
@@ -552,32 +552,47 @@ def over_monic(p: list[int], g: list[int]) -> list[int]:
         if c:
             for i, x in enumerate(g):
                 rem[k + i] -= c * x
-    return [g[-1] * c for c in quot]
+    return quot
 
 
-def gcd_coeffs(a: list, b: list) -> list[Fraction]:
-    """Monic gcd of two dense rational coefficient lists, lowest power first,
-    not both zero: ``primitive_gcd`` of the lists with their denominators
-    cleared, divided by its leading coefficient."""
+def lowest_terms(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """An integer pair in E, lowest power first, with the common power of E
+    and the integer content divided out and a positive leading denominator
+    coefficient; 0/den becomes [0]/[1].  No factor in E is looked for."""
+    num, den = _trimmed(num), _trimmed(den)
+    if not num:
+        return [0], [1]
+    shift = min(next(i for i, c in enumerate(part) if c) for part in (num, den))
+    g = math.gcd(*num, *den) * (1 if den[-1] > 0 else -1)
+    return [c // g for c in num[shift:]], [c // g for c in den[shift:]]
 
-    def cleared(coeffs: list) -> list[int]:
-        coeffs = [Fraction(c) for c in coeffs]
-        lcm = math.lcm(*(c.denominator for c in coeffs))
-        return [c.numerator * (lcm // c.denominator) for c in coeffs]
 
-    g = primitive_gcd(cleared(a), cleared(b))
-    return [Fraction(c, g[-1]) for c in g]
+def reduced_pair(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """The canonical form of the integer pair num/den in E: ``lowest_terms``,
+    then both sides divided by their ``primitive_gcd``.  The result is
+    primitive and coprime with a positive leading denominator coefficient,
+    so every pair of one rational function has the same result; by Gauss's
+    lemma its p-th powers are in that form as well."""
+    num, den = lowest_terms(num, den)
+    g = primitive_gcd(num, den)
+    if len(g) == 1:
+        return num, den
+    if g[-1] < 0:
+        g = [-c for c in g]
+    return _exact_quotient(num, g), _exact_quotient(den, g)
 
 
 class ExpRational:
     """Rational function in E = exp(alpha*xi) with ParamPoly numerator/denominator.
 
-    Kept gcd-reduced in E: common E powers and common monomial content are
-    always cancelled; when both sides have purely rational coefficients, which
-    are integers once the content is out, their monic gcd in E is divided out
-    on integers with ``primitive_gcd``, the module's one E-gcd.  The
-    denominator's leading sign is normalized positive for deterministic
-    serialization.  ``reduce=False`` keeps a pair as given.
+    Kept reduced: common E powers and common monomial content are always
+    cancelled, and the denominator's leading sign is made positive.  When
+    both sides are in E alone, which makes them integers once the content
+    is out, the pair is ``reduced_pair``'s canonical form, which divides out
+    their gcd in E; the terms keep their order unless a factor in E is
+    divided out.  So ``hash`` agrees with ``==`` for pairs in E alone and
+    for pairs whose common factor is a monomial; there is no multivariate
+    gcd.  ``reduce=False`` keeps a pair as given.
     """
 
     __slots__ = ("num", "den")
@@ -684,12 +699,12 @@ def _reduce_pair(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 
     if g_coeff != 1 or any(g_exps.values()):
         num, den = strip(num), strip(den)
-    # univariate gcd when everything else is rational: integers, the content being out
+    # in E alone the sides are integers, the content being out
     if all(v == E_NAME for v in num.variables + den.variables):
-        a, b = _int_coeffs(num), _int_coeffs(den)
-        g = primitive_gcd(a, b)
-        if len(g) > 1:
-            num, den = _poly_in_E(over_monic(a, g)), _poly_in_E(over_monic(b, g))
+        dense = _int_coeffs(den)
+        a, b = reduced_pair(_int_coeffs(num), dense)
+        if len(b) < len(dense):  # a factor in E was divided out
+            return _poly_in_E(a), _poly_in_E(b)
     if den._leading_coeff() < 0:
         num, den = -num, -den
     return num, den

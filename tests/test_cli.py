@@ -552,7 +552,8 @@ SOLVE_SYSTEM_SHA256 = {
 }
 
 # SHA-256 of `eval --range=-3:3:61` stdout at free values whose radicals are
-# irrational, so each profile is built from float sign branches.
+# irrational, so each profile is built from float sign branches, and at one
+# whose w has a factor in E common to both sides.
 EVAL_SHA256 = {
     ("I-tanh", "lam0=-1,lam2=2,lam3=-1,A=1,B=1,kappa=1,tau=0"):
         "b811451cfb8460a00721178e5476a4147e5b8275db678a12a048043b177c35de",
@@ -560,6 +561,9 @@ EVAL_SHA256 = {
         "1785debe4b4c1fb4371ff8abfc2d7d2d280a8023330680d52fdfbdff62d8ebba",
     ("IVa-special", "lam0=0,lam1=-1,lam2=0,lam3=1,kappa=2,tau=1,alpha=1"):
         "cf6e2b59de03f3a39a7b0816057101b4c352ee364f6f3fc52c917c175292bee1",
+    # w's sides share the factor 1 + E^2, and w = 1/2
+    ("IVa-special", "lam0=1/16,lam1=-3/8,lam2=3/4,lam3=-1/2,kappa=1/16,tau=1/4,alpha=3/2"):
+        "6e6315fae9718bf939d43f9a8a4d264b001343f981d41c4f736feb090527d9e9",
     ("IVe-a", "lam1=1,lam3=-2,tau=1,kappa=1,v=2"):
         "067fca3d9b3dc3e4b20c16fe9a428aa8f0002d46126ef6450d68b8befb4016f9",
     ("IVe-b", "lam1=-1,lam3=1,tau=1,kappa=1,v=2"):

@@ -16,6 +16,8 @@ from twbench.reducer import (
     _compile,
     _norms,
     _on_grid,
+    _power,
+    _product,
     _scan_rows,
     ClosedFormSolution,
     EmptyAnsatz,
@@ -32,7 +34,16 @@ from twbench.reducer import (
     solve_numeric,
     verify_assignment,
 )
-from twbench.symcore import E_NAME, ExpRational, ParamPoly, frac_str, parse_poly_text, poly_dxi
+from twbench.symcore import (
+    E_NAME,
+    ExpRational,
+    ParamPoly,
+    frac_str,
+    lowest_terms,
+    parse_poly_text,
+    poly_dxi,
+    reduced_pair,
+)
 
 from conftest import coeff_list
 from equiv import random_trial
@@ -839,3 +850,25 @@ def test_builder_pairs_scan_as_the_exact_route():
 def test_solution_pair_is_integers_over_a_nonzero_denominator(num, den):
     with pytest.raises(ValueError, match="closed-form solution"):
         ClosedFormSolution(num, den, alpha=1.0, velocity=1.0)
+
+
+def test_solution_holds_the_canonical_pair():
+    # (2E + 6)/(2E - 2) is (E + 3)/(E - 1)
+    sol = ClosedFormSolution((6, 2), (-2, 2), alpha=1.0, velocity=1.0)
+    assert (sol.num, sol.den) == ((3, 1), (-1, 1))
+    assert ClosedFormSolution((0, 0), (0, -4), alpha=1.0, velocity=1.0).den == (1,)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
+       st.sampled_from(([1], [0, 1], [0, 0, -2], [2, -3], [1, 0, 1], [-1, 5, 3], [10**400, 7])))
+@example([3, 1], [-1, 1], [1, 2])
+def test_powers_of_a_canonical_pair_are_canonical(num, den, common):
+    """The scan forms u = w^p without reducing it: for a pair in
+    ``reduced_pair``'s form, ``lowest_terms`` leaves its powers as they are."""
+    num, den = reduced_pair(_product(num, common), _product(den, common))
+    assert reduced_pair(num, den) == (num, den)
+    for p in (1, 2):
+        u = (_power(num, p), _power(den, p))
+        assert lowest_terms(*u) == u

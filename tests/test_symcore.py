@@ -13,10 +13,10 @@ from twbench.symcore import (
     ExpRational,
     MissingParameter,
     ParamPoly,
-    gcd_coeffs,
     int_digit_limit,
     parse_poly_text,
     poly_dxi,
+    primitive_gcd,
 )
 
 from conftest import coeff_list, rand_frac, rand_nonzero, rand_poly
@@ -398,8 +398,7 @@ def _reference_long_division(num, den):
 
 
 def _reference_gcd_coeffs(a: list, b: list) -> list[F]:
-    """gcd_coeffs as it was written before it ran on integers: Euclid's
-    algorithm on Fraction remainders."""
+    """The monic gcd by Euclid's algorithm on Fraction remainders."""
     ca, cb = _reference_strip([F(c) for c in a]), _reference_strip([F(c) for c in b])
     while cb:
         ca, cb = cb, _reference_long_division(ca, cb)[1]
@@ -411,8 +410,9 @@ def _in_E(coeffs):
 
 
 def _reference_reduce_pair(num, den):
-    """ExpRational's reduction as it was written before its E-gcd ran on
-    integers: the monic Fraction gcd, divided out by Fraction long division."""
+    """ExpRational's reduction on Fractions: the monic gcd, divided out by
+    long division, then the content of the pair, so that a pair in E alone
+    ends primitive and coprime, its unique form."""
     if num.is_zero():
         return ParamPoly.const(0), ParamPoly.const(1)
     cn, en = num.content()
@@ -429,6 +429,10 @@ def _reference_reduce_pair(num, den):
         if len(g) > 1:
             num, den = (_in_E(_reference_long_division(coeff_list(p, "E"), g)[0])
                         for p in (num, den))
+        coeffs = [*num.terms.values(), *den.terms.values()]
+        content = F(math.gcd(*(c.numerator for c in coeffs)),
+                    math.lcm(*(c.denominator for c in coeffs)))
+        num, den = (p.divide_monomial(content, (0,) * len(p.variables)) for p in (num, den))
     if den._leading_coeff() < 0:
         num, den = -num, -den
     return num, den
@@ -463,9 +467,14 @@ def test_gcd_matches_reference(a, b, common):
     a, b = _times(a, common) if a else a, _times(b, common) if b else b
     if not any(a) and not any(b):
         return
-    got = gcd_coeffs(a, b)
-    assert got == _reference_gcd_coeffs(a, b)
-    assert got[-1] == 1 and all(type(c) is F for c in got)
+
+    def cleared(coeffs):
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (lcm // c.denominator) for c in coeffs]
+
+    got = primitive_gcd(cleared(a), cleared(b))
+    assert all(type(c) is int for c in got) and math.gcd(*got) == 1
+    assert [F(c, got[-1]) for c in got] == _reference_gcd_coeffs(a, b)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -489,10 +498,17 @@ def test_reduced_pair_matches_reference(a, b, common, factor):
         assert list(got.terms.items()) == list(want.terms.items())
 
 
-def test_gcd_of_floats_reads_them_exactly():
-    # Fraction(0.1) is the float's binary value, not 1/10
-    a, b = [0.1, 0.5, 1.25], [0.1, 1.0]
-    assert gcd_coeffs(a, b) == _reference_gcd_coeffs(a, b)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any), _GCD_FACTORS)
+@example([3, 1], [-1, 1], [F(1), F(2)])  # (2E + 1)(E + 3) / ((2E + 1)(E - 1))
+def test_equal_pairs_in_E_hash_equal(a, b, common):
+    """A pair in E alone and its multiple by a common factor reduce to the
+    same terms, so they hash as they compare."""
+    w = ExpRational(_in_E(list(map(F, a))), _in_E(list(map(F, b))))
+    v = ExpRational(_in_E(_times(a, common)), _in_E(_times(b, common)))
+    assert v == w and len({v, w}) == 1
+    assert (v.num.terms, v.den.terms) == (w.num.terms, w.den.terms)
 
 
 def _rand_exp_rational(rng, max_deg=2) -> ExpRational:
