@@ -466,12 +466,16 @@ def solve_numeric(
 
     Start k draws its point from ``default_rng((seed, k))``.  The starts
     advance in lockstep: each round evaluates F and J once for every start
-    still going, and each line-search halving evaluates F once for every
-    start still searching.  Only ``lstsq`` runs one start at a time.  A start
-    ends when it converges, when its F or J is not finite, on a LinAlgError
-    or a non-finite step, when 30 halvings find no step that lowers the
-    2-norm of F, or after 80 rounds; every float operation on it is the one
-    a loop over that start alone would take.
+    still going.  The line search takes the first of the steps 2^-h times
+    the Newton step, h = 0..29, that lowers the 2-norm of F.  Its first F
+    call tries, for every start at once, each h up to the one the start's
+    last step took; each further call tries the next h of the starts still
+    searching.  So a start whose steps take 20 halvings round after round
+    costs one F call a round, not 21.  Only ``lstsq`` runs one start at a
+    time.  A start ends when it converges, when its F or J is not finite,
+    on a LinAlgError or a non-finite step, when 30 halvings find no step,
+    or after 80 rounds; every float operation on it is the one a loop over
+    that start alone would take.
     """
     import numpy as np
     if starts < 1:
@@ -502,6 +506,7 @@ def solve_numeric(
     with np.errstate(over="ignore", invalid="ignore"):
         FX = f_at(X)
         going = np.arange(starts)  # the starts that still iterate, in start order
+        halvings = np.zeros(starts, dtype=np.intp)  # of each start's last accepted step
         for _ in range(80):
             going = going[~(np.abs(FX[going]).max(axis=1) < 1e-12)]
             if not going.size:
@@ -522,29 +527,38 @@ def solve_numeric(
             searching, steps = np.array(searching, dtype=np.intp), np.array(steps)
             points, base = X[searching], _norms(FX[searching])
             moved = np.zeros(starts, dtype=bool)
-            lam = 1.0
-            for _ in range(30):
-                if not searching.size:
-                    break
-                XN = points + lam * steps
+            # each call tries halvings low..high-1 of every start still searching:
+            # first up to the count its last step took, then one more at a time
+            low = np.zeros(searching.size, dtype=np.intp)
+            high = halvings[searching] + 1
+            while searching.size:
+                tries = high - low
+                owner = np.repeat(np.arange(searching.size), tries)  # a row per trial
+                offset = np.cumsum(tries) - tries  # the row of each start's first trial
+                h = low[owner] + np.arange(owner.size) - offset[owner]
+                XN = points[owner] + np.ldexp(1.0, -h)[:, None] * steps[owner]
                 FN = f_at(XN)
-                accept = np.isfinite(FN).all(axis=1) & (_norms(FN) < base)
-                if accept.any():
-                    done, rest = searching[accept], ~accept
-                    X[done], FX[done], moved[done] = XN[accept], FN[accept], True
-                    searching, points, steps, base = (searching[rest], points[rest],
-                                                      steps[rest], base[rest])
-                lam *= 0.5
+                accept = np.isfinite(FN).all(axis=1) & (_norms(FN) < base[owner])
+                # each start takes its accepted trial with the fewest halvings
+                hit, first = np.unique(owner[accept], return_index=True)
+                at = np.flatnonzero(accept)[first]
+                done = searching[hit]
+                X[done], FX[done], moved[done], halvings[done] = XN[at], FN[at], True, h[at]
+                rest = high < 30
+                rest[hit] = False
+                searching, points, steps, base, low = (searching[rest], points[rest],
+                                                       steps[rest], base[rest], high[rest])
+                high = low + 1
             going = np.flatnonzero(moved)  # a start with no accepted step ends here
 
-    found: list[np.ndarray] = []
-    for x, fx in zip(X, FX):
-        if np.max(np.abs(fx)) < 1e-12 and np.all(np.isfinite(x)):
-            if all(np.max(np.abs(x - y)) > 1e-8 for y in found):
-                found.append(x)
-
-    found.sort(key=lambda x: tuple(x))
-    return [dict(zip(unknowns, map(float, x))) for x in found]
+    converged = X[(np.abs(FX).max(axis=1) < 1e-12) & np.isfinite(X).all(axis=1)]
+    found = np.empty_like(converged)  # the distinct roots, in start order
+    count = 0
+    for x in converged:
+        if (np.abs(found[:count] - x).max(axis=1) > 1e-8).all():
+            found[count] = x
+            count += 1
+    return [dict(zip(unknowns, map(float, x))) for x in sorted(found[:count], key=tuple)]
 
 
 # -- numeric residual scan ----------------------------------------------------

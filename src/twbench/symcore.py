@@ -585,21 +585,22 @@ def reduced_pair(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
 class ExpRational:
     """Rational function in E = exp(alpha*xi) with ParamPoly numerator/denominator.
 
-    Kept reduced: common E powers and common monomial content are always
-    cancelled, and the denominator's leading sign is made positive.  When
-    both sides are in E alone, which makes them integers once the content
-    is out, the pair is ``reduced_pair``'s canonical form, which divides out
-    their gcd in E; the terms keep their order unless a factor in E is
-    divided out.  So ``hash`` agrees with ``==`` for pairs in E alone and
-    for pairs whose common factor is a monomial; there is no multivariate
-    gcd.  ``reduce=False`` keeps a pair as given.
+    Kept reduced: terms with a zero coefficient are dropped, so a side whose
+    coefficients are all zero is zero; common E powers and common monomial
+    content are always cancelled, and the denominator's leading sign is made
+    positive.  When both sides are in E alone, which makes them integers
+    once the content is out, the pair is ``reduced_pair``'s canonical form,
+    which divides out their gcd in E; the terms keep their order unless a
+    factor in E is divided out.  So ``hash`` agrees with ``==`` for pairs in
+    E alone and for pairs whose common factor is a monomial; there is no
+    multivariate gcd.  ``reduce=False`` keeps a pair as given.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None, *, reduce: bool = True):
         den = ParamPoly.const(1) if den is None else den
-        if den.is_zero():
+        if not any(den.terms.values()):
             raise DivisionByZero("denominator is identically zero")
         if reduce:
             num, den = _reduce_pair(num, den)
@@ -683,7 +684,16 @@ class ExpRational:
         return f"ExpRational({self.to_text()})"
 
 
+def _nonzero(p: ParamPoly) -> ParamPoly:
+    """p without its terms whose coefficient is zero, which ``ParamPoly._make``
+    keeps as it is given them."""
+    if all(p.terms.values()):
+        return p
+    return ParamPoly._make(p.variables, {e: c for e, c in p.terms.items() if c})
+
+
 def _reduce_pair(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
+    num, den = _nonzero(num), _nonzero(den)
     if num.is_zero():
         return ParamPoly.const(0), ParamPoly.const(1)
     # common monomial content (covers common E powers as well)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twbench import catalog
+from twbench import catalog, reducer
 from twbench.model import HyperbolicPDE, parse_model
 from twbench.reducer import (
     _compile,
@@ -371,6 +371,33 @@ class TestSolveNumeric:
         assert len(roots) == 28
         assert hashlib.sha256(text.encode()).hexdigest() == TELEGRAPH_ROOTS_SHA256
 
+    def test_line_search_batches_the_halvings(self, monkeypatch):
+        # nine of these 64 starts never converge, and their steps take up to
+        # 24 halvings each to round 80; one F call a halving made 1 890 calls
+        # of 16 190 points
+        calls = []  # per evaluator _compile made: the points of each call
+
+        def counted(*args):
+            evaluate = compile_(*args)
+            calls.append([])
+
+            def wrapped(x, points=calls[-1]):
+                points.append(len(np.atleast_2d(x)))
+                return evaluate(x)
+            return wrapped
+
+        compile_ = reducer._compile
+        monkeypatch.setattr(reducer, "_compile", counted)
+        pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
+        system = reduce(pde, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")))
+        roots = solve_numeric(system, fixed={"l1": 1, "l3": -2, "b0": 1, "b1": 1},
+                              seed=7, starts=64)
+        assert len(roots) == 28
+        f, jacobian = calls
+        assert len(jacobian) == 80  # one call a round
+        assert len(f) <= 250
+        assert sum(f) <= 17000
+
     def test_newton_never_evaluates_exactly(self, monkeypatch):
         def exact(*args):
             raise AssertionError("ParamPoly.evaluate on the Newton path")
@@ -436,6 +463,18 @@ _SOLVE_CASES = {
     "x^2 + 1": ("x^2 + 1", {}, 3, 16),  # no root
     "x^4300*y - 1": ("x^4300*y - 1", {"x": F(101, 100)}, 5, 8),  # J has no variables
     "starts=1": ("burgers", {"a0": 0, "a1": 1, "b0": 1, "b1": 1}, 7, 1),
+    # starts whose steps take 8 or more halvings round after round: for all
+    # 80 rounds without a root, or, at 2/2 seeds 92 and 142, for 54 and 39
+    # rounds before one start escapes to converge
+    **{f"telegraph-1/1-32-seed{seed}": ("telegraph", {"l1": 1, "l3": -2, "b0": 1, "b1": 1},
+                                        seed, 32)
+       for seed in range(1, 9)},
+    **{f"telegraph-2/2-seed{seed}": ("telegraph-2/2", {"l1": 1, "l3": -2, "b0": 1, "b1": 1},
+                                     seed, 8)
+       for seed in range(1, 5)},
+    **{f"telegraph-2/2-32-seed{seed}": ("telegraph-2/2", {"l1": 1, "l3": -2, "b0": 1, "b1": 1},
+                                        seed, 32)
+       for seed in (92, 142)},
 }
 
 
@@ -445,6 +484,9 @@ def test_batched_solve_matches_reference(case):
     if source == "telegraph":
         pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
         system = reduce(pde, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")))
+    elif source == "telegraph-2/2":
+        pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
+        system = reduce(pde, ExpAnsatz(a=("a0", "a1", "a2"), b=("b0", "b1", "b2")))
     elif source == "burgers":
         system = reduce(BURGERS, BURGERS_ANSATZ)
     elif source == "quadratic":
@@ -676,6 +718,8 @@ def _int_pair(w):
 @given(_scan_solutions(), st.sampled_from((1, 2)), _ALPHAS)
 @example(ExpRational(ParamPoly.const(1), 1 - 2 * _E), 1, 2.0)  # negative leading denominator
 @example(ExpRational(1 + _E, 1 - _E), 2, 1e155)  # alpha^2 overflows
+@example(ExpRational(_in_E([F(0), F(0)])), 1, 1.0)  # w = 0*E + 0, zero terms kept
+@example(ExpRational(_in_E([F(1), F(0)]), _in_E([F(2)])), 2, 1.0)  # a zero leading term
 def test_scan_rows_match_exact_route(w, p, alpha):
     num, den = _int_pair(w)
     try:
