@@ -16,15 +16,14 @@ Notation used by the derived formulas:
     Theta = a1*b0 + a0*b1
     H     = tau*v^2 - kappa
 
-The rational derived formulas, and the admissibility conditions of I, II,
-III, IVa, IVb, IVc, IVd, IVe-a/b/c and Burgers-shock, are evaluated from the
-same text that ``catalog list`` prints.  One builder, ``_table_family``,
-makes every family from its table: the PDE, the instances and the random
-draw.  A family whose table takes square roots gives it only a ``branches``
-generator, which yields the values the radicals take on each sign branch.
-Those formulas are written out in code, and so are the conditions of I-tanh,
-I-kink2 and IVa-special, whose tables state some in prose ("velocity
-discriminant >= 0").
+The rational derived formulas, and every admissibility condition that is
+formula text, are evaluated from the same text that ``catalog list`` prints.
+One builder, ``_table_family``, makes every family from its table: the PDE,
+the instances and the random draw.  A family whose table takes square roots
+gives it only a ``branches`` generator, which yields the values the radicals
+take on each sign branch.  Those formulas are written out in code, and so
+are the conditions of I-tanh, I-kink2 and IVa-special that are prose
+("velocity discriminant >= 0") or read a radical.
 """
 
 from __future__ import annotations
@@ -207,6 +206,20 @@ class CatalogEntry:
     expected: str  # PASS | FAIL-DOCUMENTED (adjudicated)
     annotations: tuple[str, ...] = ()
 
+    @cached_property  # on first use: compiling every table at import would slow each command
+    def formula_conditions(self) -> tuple[str, ...]:
+        """The printed conditions in formula text: not prose, reading no radical."""
+        formulas = {n: t for n, t in {**NOTATION, **self.derived}.items() if n not in self.free}
+
+        def text(formula: str) -> bool:
+            try:
+                _formula(formula)
+            except ValueError:
+                return False
+            return all(text(formulas[n]) for n in re.findall(r"\w+", formula) if n in formulas)
+
+        return tuple(filter(text, self.admissibility))
+
 
 @dataclass(frozen=True)
 class Family:
@@ -219,13 +232,12 @@ class Family:
 
 
 def _admissible(entry: CatalogEntry, free_values: Mapping[str, Fraction]) -> _Derived:
-    """Check the printed admissibility conditions; return the free and derived values.
-
-    The conditions are checked in printed order, so an earlier one guards the
-    divisions of a later one (``b0*b1 > 0`` before ``a0/b0 != a1/b1``).
-    """
+    """Check the printed conditions that are formula text, in printed order, so
+    an earlier one guards the divisions of a later one (``b0*b1 > 0`` before
+    ``a0/b0 != a1/b1``); return the free and derived values.  The family's
+    ``branches`` checks the others."""
     values = _Derived(free_values, entry.derived)
-    for condition in entry.admissibility:
+    for condition in entry.formula_conditions:
         if not _formula(condition)(values):
             raise Inadmissible(f"{entry.family_id} needs {condition}")
     return values
@@ -283,10 +295,10 @@ def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
     ``branches(values)`` is given the free values, which also resolve the
     table's rational formulas.  It yields ``(reading, label, branch)`` for
     each sign branch, where ``branch`` maps names to the values the radicals
-    take there; a rational table's branches are its ``_readings``.  When
-    every printed condition is formula text, the conditions are checked
-    first, in printed order; otherwise ``branches`` checks them and raises
-    Inadmissible.  The PDE has tau, A, B and kappa from the table, or 0, and
+    take there; a rational table's branches are its ``_readings``.  The
+    conditions that are formula text are checked first, by ``_admissible``;
+    ``branches`` checks the others, raising Inadmissible or yielding no branch
+    where they fail.  The PDE has tau, A, B and kappa from the table, or 0, and
     a reaction term per lam<nu> name in ascending exponent order, the order
     ``residual_scan`` sums in; a reading that writes one of them differently
     has a PDE of its own.  Each branch assigns every unknown of ``ansatz``; a
@@ -294,8 +306,7 @@ def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
     without any branch are inadmissible.
 
     The draw retries ``propose`` (None rejects its own values) until the
-    conditions hold: the printed ones, or those ``branches`` checks before
-    its first branch.  When alpha is derived, a draw whose every branch has
+    conditions hold.  When alpha is derived, a draw whose every branch has
     |alpha| > 4 is rejected too, since it would make the residual scan
     ill-conditioned.  A singular family is exempt: its scans run on a
     pole-free window, and guarding it would change the draws it reports.
@@ -308,20 +319,8 @@ def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
     coefficients = (*(n for n in ("tau", "A", "B", "kappa") if n in names), *lams)
     unknowns, shapes = ansatz.symbols(), _square_branches(ansatz)
 
-    @cache  # on first use: compiling every table at import would slow each command
-    def text_conditions() -> bool:
-        try:
-            for condition in entry.admissibility:
-                _formula(condition)
-        except ValueError:  # some are prose, so ``branches`` checks them all
-            return False
-        return True
-
-    def values_of(fv):
-        return _admissible(entry, fv) if text_conditions() else _Derived(fv, entry.derived)
-
     def instances(fv):
-        values, pdes, out = values_of(fv), {}, []
+        values, pdes, out = _admissible(entry, fv), {}, []
         for reading, label, branch in branches(values):
             point = {n: branch[n] if n in branch else values[n]
                      for n in (*coefficients, *unknowns)}
@@ -344,9 +343,10 @@ def _table_family(entry: CatalogEntry, ansatz: ExpAnsatz, propose,
     def accepted(fv) -> bool:
         if guard_alpha:
             return any(abs(float(i.assignment["alpha"])) <= 4 for i in instances(fv))
-        values = values_of(fv)
-        # prose conditions are checked by ``branches`` before its first branch
-        return text_conditions() or next(branches(values), None) is not None
+        values = _admissible(entry, fv)
+        # the other conditions are checked by ``branches`` before its first branch
+        return (entry.formula_conditions == entry.admissibility
+                or next(branches(values), None) is not None)
 
     def draw(rng: random.Random) -> dict[str, Fraction]:
         while True:
@@ -416,18 +416,10 @@ def _family_I_tanh():
     def branches(values):
         lam0, lam2, lam3 = values["lam0"], values["lam2"], values["lam3"]
         A, B, kappa, tau = values["A"], values["B"], values["kappa"], values["tau"]
-        if lam2 == 0 or lam0 * lam2 >= 0:
-            raise Inadmissible("need lam0*lam2 < 0 and lam2 != 0")
-        if B != 1:
-            # the lam0 and lam2 conditions of the parent family collapse to
-            # lam2 = +/- B*|lam2| on this profile, which forces B = 1
-            raise Inadmissible("the tanh specialization requires B = 1")
         disc = A * A * B * B - 8 * kappa * lam3 + 16 * kappa * lam2 * lam2 * tau
         if disc < 0:
             raise Inadmissible("negative velocity discriminant")
         denom = 2 * lam3 - 4 * lam2 * lam2 * tau
-        if denom == 0:
-            raise Inadmissible("velocity formula denominator vanishes")
         amplitudes = _sqrt_branches(-lam0 / lam2)
         for i, s in enumerate(_sqrt_branches(disc)):
             v = lam2 * (A * B + s) / denom
@@ -490,14 +482,7 @@ def _family_I_kink2():
     def branches(values):
         lam1, lam2, lam3 = values["lam1"], values["lam2"], values["lam3"]
         B, kappa, tau = values["B"], values["kappa"], values["tau"]
-        if B <= 0 or kappa <= 0:
-            raise Inadmissible("need B > 0, kappa > 0")
-        if lam1 == 0:
-            raise Inadmissible("lam1 = 0")
-        disc = lam2 * lam2 - 4 * lam1 * lam3
-        if disc < 0:
-            raise Inadmissible("negative b0 discriminant")
-        for bi, s in enumerate(_sqrt_branches(disc)):
+        for bi, s in enumerate(_sqrt_branches(lam2 * lam2 - 4 * lam1 * lam3)):
             b0 = (-lam2 + s) / lam1
             if b0 == 0:
                 continue
@@ -524,9 +509,7 @@ def _family_I_kink2():
         P, S = alpha_v_parts(b0, lam1, lam2, B, tau)
         if P == 0 or S <= 0:
             return None
-        kappa = v * v * S / (P * P)
-        if kappa <= 0:
-            return None
+        kappa = v * v * S / (P * P)  # > 0, as v != 0 and S > 0
         return {"lam1": lam1, "lam2": lam2, "lam3": lam3, "B": B,
                 "kappa": kappa, "tau": tau}
 
@@ -710,17 +693,8 @@ def _family_IVa_special():
     }
 
     def branches(values):
-        lam0, lam1, lam2, lam3 = (values[f"lam{k}"] for k in range(4))
+        lam1, lam2, lam3 = values["lam1"], values["lam2"], values["lam3"]
         alpha, tau = values["alpha"], values["tau"]
-        if lam3 == 0:
-            raise Inadmissible("lam3 = 0")
-        if alpha == 0:
-            raise Inadmissible("alpha = 0")
-        if tau <= 0:
-            raise Inadmissible("tau must be positive for the velocity formula")
-        a0 = values["a0"]
-        if lam0 + lam1 * a0 + lam2 * a0**2 + lam3 * a0**3 != 0:
-            raise Inadmissible("side condition lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0 fails")
         v_rad = (lam1 - lam2**2 / (3 * lam3) + values["kappa"] * alpha**2) / (tau * alpha**2)
         if v_rad < 0:
             raise Inadmissible("negative radicand for v")

@@ -20,6 +20,11 @@ from fractions import Fraction
 from . import model, reducer
 from .symcore import frac_str, int_digit_limit
 
+# The largest count that sizes an array: eval's n, hydro-separatrix --samples,
+# hydro-homoclinic --n and solve --starts.  A larger one is refused (exit 2)
+# before anything is allocated.
+MAX_COUNT = 1_000_000
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -65,6 +70,11 @@ def _csv(header: str, rows, out_path: str | None):
     lines = [header]
     lines.extend(",".join(_fmt(x) for x in row) for row in rows)
     _emit("\n".join(lines) + "\n", out_path)
+
+
+def _bounded(count: int, option: str):
+    if count > MAX_COUNT:
+        raise model.DomainError(f"{option} {count} is over the limit of {MAX_COUNT}")
 
 
 def _read(path: str) -> str:
@@ -128,6 +138,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _bounded(args.starts, "--starts")
     system = reducer.AlgebraicSystem.from_json(_read(args.system))
     fixed = _parse_assignments(args.fix)
     _bound_exact_work(system, fixed)
@@ -169,12 +180,15 @@ def _cmd_eval(args) -> int:
     import numpy as np
 
     from . import catalog
-    free = _parse_assignments(args.free)
-    _, solution = catalog.instantiate(args.family, free)
     lo, hi, n = model.parse_fields(args.range, ":", (float, float, int),
                                    "--range must look like lo:hi:n")
+    if not math.isfinite(hi - lo):  # nan or inf in a bound, or a width over the float range
+        raise model.DomainError(f"--range needs finite lo, hi and hi - lo, not {lo}:{hi}")
     if n < 2:
         raise model.SchemaError("--range needs n >= 2")
+    _bounded(n, "--range n")
+    free = _parse_assignments(args.free)
+    _, solution = catalog.instantiate(args.family, free)
     xi = np.linspace(lo, hi, n)
     u = reducer.sample_solution(solution, xi)
     _csv("xi,u", zip(xi, u), args.out)
@@ -229,6 +243,7 @@ def _cmd_hydro_separatrix(args) -> int:
     m = hydro.parse_hydro_model(_read(args.model))
     if args.samples < 0:
         raise model.DomainError(f"Number of samples, {args.samples}, must be non-negative.")
+    _bounded(args.samples, "--samples")
     r1, r3 = float(m.R1), hydro.turning_point(m)
     rows = []
     for R in np.linspace(r1, r3, args.samples):
@@ -240,6 +255,7 @@ def _cmd_hydro_separatrix(args) -> int:
 
 def _cmd_hydro_homoclinic(args) -> int:
     from . import hydro
+    _bounded(args.n, "--n")
     m = hydro.parse_hydro_model(_read(args.model))
     omega, R = hydro.homoclinic_profile(m, n=args.n)
     # full even profile: mirror the omega >= 0 branch

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -746,7 +746,10 @@ def solution_from_assignment(ansatz: ExpAnsatz,
 
     Each coefficient of w is coerced as ``ParamPoly`` coerces it (a float
     by its exact decimal reading) and the denominators are cleared;
-    ``ClosedFormSolution`` reduces the integer pair.
+    ``ClosedFormSolution`` reduces the integer pair.  The poles are those of
+    the ansatz denominator at the assignment, unless the reduction divides
+    out a factor in E other than a power of E: its zeros are removable
+    singularities, so the poles are then those of the reduced denominator.
     """
     env = dict(assignment)
 
@@ -774,7 +777,16 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     lcm = math.lcm(*(c.denominator for c in (*num_q, *den_q)))
     w_num, w_den = (tuple(c.numerator * (lcm // c.denominator) for c in side)
                     for side in (num_q, den_q))
-    return ClosedFormSolution(w_num, w_den, alpha, velocity, ansatz.power, poles_of(den, alpha))
+    sol = ClosedFormSolution(w_num, w_den, alpha, velocity, ansatz.power, poles_of(den, alpha))
+    if _span(sol.den) < _span(w_den):
+        sol = replace(sol, poles=poles_of(sol.den, alpha))
+    return sol
+
+
+def _span(coeffs) -> int:
+    """The highest minus the lowest power of E with a nonzero coefficient."""
+    powers = [k for k, c in enumerate(coeffs) if c]
+    return powers[-1] - powers[0]
 
 
 def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:

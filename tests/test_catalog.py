@@ -289,6 +289,16 @@ class TestAdmissibilityText:
         values = _Derived(fv, fam.entry.derived)
         assert all(_formula(c)(values) for c in fam.entry.admissibility)
 
+    def test_conditions_left_to_branches(self):
+        left = {family_id: [c for c in fam.entry.admissibility
+                            if c not in fam.entry.formula_conditions]
+                for family_id, fam in FAMILIES.items()}
+        assert {family_id: conditions for family_id, conditions in left.items() if conditions} == {
+            "I-tanh": ["velocity discriminant >= 0"],
+            "I-kink2": ["radicand of v positive", "2*lam2 + 3*b0*lam1 != 0"],  # b0 is a radical
+            "IVa-special": ["v radicand >= 0", "a1 radicand >= 0"],
+        }
+
     @pytest.mark.parametrize("family_id", ["I-tanh", "I-kink2", "IVa-special"])
     def test_prose_conditions_stay_in_code(self, family_id):
         conditions = FAMILIES[family_id].entry.admissibility
@@ -307,6 +317,34 @@ class TestAdmissibilityText:
         with pytest.raises(Inadmissible, match="^I needs derived A >= 0$"):
             instantiate("I", {"a0": F(0), "a1": F(1), "b0": F(1), "b1": F(1), "alpha": F(1),
                               "v": F(1), "lam3": F(1), "tau": F(0), "kappa": F(1), "B": F(0)})
+        # the formula conditions of the tables that also print prose
+        admissible = {
+            "I-tanh": {"lam0": F(-1), "lam2": F(1), "lam3": F(-2), "A": F(0), "B": F(1),
+                       "kappa": F(1), "tau": F(0)},
+            "I-kink2": {"lam1": F(1), "lam2": F(3), "lam3": F(1), "B": F(1), "kappa": F(1),
+                        "tau": F(1)},
+            "IVa-special": {"lam0": F(-1), "lam1": F(1), "lam2": F(3), "lam3": F(-2),
+                            "kappa": F(1), "tau": F(1), "alpha": F(1)},
+        }
+        violations = [
+            ("I-tanh", {"lam2": F(0)}, "lam2 != 0"),
+            ("I-tanh", {"lam0": F(1)}, "lam0*lam2 < 0"),
+            ("I-tanh", {"tau": F(-1)}, "2*lam3 - 4*lam2^2*tau != 0"),
+            ("I-tanh", {"B": F(2)}, "B = 1"),
+            ("I-kink2", {"lam1": F(0)}, "lam1 != 0"),
+            ("I-kink2", {"lam3": F(3)}, "lam2^2 - 4*lam1*lam3 >= 0"),
+            ("I-kink2", {"B": F(0)}, "B > 0"),
+            ("I-kink2", {"kappa": F(0)}, "kappa > 0"),
+            ("IVa-special", {"lam3": F(0)}, "lam3 != 0"),
+            ("IVa-special", {"alpha": F(0)}, "alpha != 0"),
+            ("IVa-special", {"tau": F(0)}, "tau > 0"),
+            ("IVa-special", {"lam0": F(0)}, "lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0"),
+        ]
+        for family_id, free in admissible.items():
+            instantiate(family_id, free)
+        for family_id, change, condition in violations:
+            with pytest.raises(Inadmissible, match=f"^{re.escape(f'{family_id} needs {condition}')}$"):
+                instantiate(family_id, {**admissible[family_id], **change})
 
 
 class TestExactSqrt:

@@ -220,6 +220,21 @@ EXIT_2_CASES = {
                                 "--expectations", "{expectations_not_object}"],
     "expectations-entry-not-object": ["catalog", "verify", "--family", "IVd", "--trials", "1",
                                       "--expectations", "{expectations_entry_not_object}"],
+    # these printed NaN rows (exit 0), the last two with numpy's RuntimeWarnings
+    "eval-range-nan": ["eval", "--family", "IVe-a", "--free", "lam1=1,lam3=-2,tau=1,kappa=1,v=2",
+                       "--range=nan:1:3"],
+    "eval-range-inf": ["eval", "--family", "IVe-a", "--free", "lam1=1,lam3=-2,tau=1,kappa=1,v=2",
+                       "--range=inf:1:3"],
+    "eval-range-wide": ["eval", "--family", "IVe-a", "--free", "lam1=1,lam3=-2,tau=1,kappa=1,v=2",
+                        "--range=-1e308:1e308:3"],
+    # counts over cli.MAX_COUNT, refused before any array is allocated; the
+    # first two ended in a numpy _ArrayMemoryError traceback (exit 1)
+    "eval-range-count": ["eval", "--family", "IVe-a", "--free", "lam1=1,lam3=-2,tau=1,kappa=1,v=2",
+                         "--range=0:1:10000000000"],
+    "separatrix-samples-count": ["hydro-separatrix", "--model", "{hydro}",
+                                 "--samples", "10000000000"],
+    "homoclinic-n-count": ["hydro-homoclinic", "--model", "{hydro}", "--n", "10000000000"],
+    "solve-starts-count": ["solve", "--system", "{system}", "--starts", "10000000000"],
 }
 
 
@@ -238,6 +253,7 @@ def test_exit_2_matrix(case, input_paths):
     r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]), timeout=30)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
     assert r.stdout == ""
 
 

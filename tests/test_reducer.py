@@ -870,6 +870,19 @@ def test_solution_matches_reference_builder():
     assert built > 300 and floats > 25  # radical branches are among them
 
 
+def test_removable_singularity_is_no_pole():
+    # (E - 1)/(E - 1): the ansatz denominator vanishes at xi = 0, w does not
+    sol = solution_from_assignment(_PAIR, {"a0": -1, "a1": 1, "b0": -1, "b1": 1,
+                                           "alpha": 1, "v": 1})
+    assert (sol.num, sol.den, sol.poles) == ((1,), (1,), ())
+    assert sample_solution(sol, np.array([-1e-4, 0.0, 1e-4])).tolist() == [1.0, 1.0, 1.0]
+    # (E - 1)(E - 2)/((E - 1)(E - 3)) keeps the pole of E - 3 alone
+    sol = solution_from_assignment(ExpAnsatz(a=("a0", "a1", "a2"), b=("b0", "b1", "b2")),
+                                   {"a0": 2, "a1": -3, "a2": 1, "b0": 3, "b1": -4, "b2": 1,
+                                    "alpha": 1, "v": 1})
+    assert sol.poles == (math.log(3.0),)
+
+
 def test_builder_pairs_scan_as_the_exact_route():
     # the float branches of the catalog give the builder long decimal
     # coefficients, which the hypothesis strategy above never draws
