@@ -418,7 +418,7 @@ def _family_I_tanh():
         A, B, kappa, tau = values["A"], values["B"], values["kappa"], values["tau"]
         disc = A * A * B * B - 8 * kappa * lam3 + 16 * kappa * lam2 * lam2 * tau
         if disc < 0:
-            raise Inadmissible("negative velocity discriminant")
+            raise Inadmissible("I-tanh needs velocity discriminant >= 0")
         denom = 2 * lam3 - 4 * lam2 * lam2 * tau
         amplitudes = _sqrt_branches(-lam0 / lam2)
         for i, s in enumerate(_sqrt_branches(disc)):
@@ -482,11 +482,14 @@ def _family_I_kink2():
     def branches(values):
         lam1, lam2, lam3 = values["lam1"], values["lam2"], values["lam3"]
         B, kappa, tau = values["B"], values["kappa"], values["tau"]
+        parts = []  # (sign, b0, P, S) of each nonzero b0
         for bi, s in enumerate(_sqrt_branches(lam2 * lam2 - 4 * lam1 * lam3)):
             b0 = (-lam2 + s) / lam1
-            if b0 == 0:
-                continue
-            P, S = alpha_v_parts(b0, lam1, lam2, B, tau)
+            if b0:
+                parts.append((bi, b0, *alpha_v_parts(b0, lam1, lam2, B, tau)))
+        if parts and all(S <= 0 for *_, S in parts):
+            raise Inadmissible("I-kink2 needs radicand of v positive")
+        for bi, b0, P, S in parts:
             if P == 0 or S <= 0:
                 continue
             for vi, v in enumerate(_sqrt_branches(kappa * P * P / S)):
@@ -697,12 +700,15 @@ def _family_IVa_special():
         alpha, tau = values["alpha"], values["tau"]
         v_rad = (lam1 - lam2**2 / (3 * lam3) + values["kappa"] * alpha**2) / (tau * alpha**2)
         if v_rad < 0:
-            raise Inadmissible("negative radicand for v")
+            raise Inadmissible("IVa-special needs v radicand >= 0")
         vs = _sqrt_branches(v_rad)
-        for reading, a1_rad in {
+        a1_rads = {
             "corrected-a1": Fraction(2, 3) * (lam2**2 - 3 * lam1 * lam3) / lam3**2,
             "as-printed": 2 * (lam2**2 - lam1 * lam3) / lam3**2,
-        }.items():
+        }
+        if all(q < 0 for q in a1_rads.values()):
+            raise Inadmissible("IVa-special needs a1 radicand >= 0")
+        for reading, a1_rad in a1_rads.items():
             if a1_rad < 0:
                 continue
             for i, a1 in enumerate(_sqrt_branches(a1_rad)):

@@ -20,9 +20,9 @@ from fractions import Fraction
 from . import model, reducer
 from .symcore import frac_str, int_digit_limit
 
-# The largest count that sizes an array: eval's n, hydro-separatrix --samples,
-# hydro-homoclinic --n and solve --starts.  A larger one is refused (exit 2)
-# before anything is allocated.
+# The largest count that sizes an array or a run: eval's n, hydro-separatrix
+# --samples, hydro-homoclinic --n, solve --starts and catalog verify --trials.
+# A larger one is refused (exit 2) before anything is allocated or run.
 MAX_COUNT = 1_000_000
 
 
@@ -167,6 +167,7 @@ def _cmd_catalog(args) -> int:
         _dump_json(doc, args.out)
         return 0
     # action == "verify"
+    _bounded(args.trials, "--trials")
     report = catalog.verify_entry(args.family, trials=args.trials, seed=args.seed)
     expectations = catalog.load_expectations(args.expectations)
     entry = expectations.get(args.family)

@@ -450,6 +450,38 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(J[i], -F[i], rcond=None)[0]`` of every i, bit for bit.
+
+    J is a stack of shape (S, m, n) with m, n >= 1 and F has shape (S, m).  An
+    element on which LAPACK fails, where lstsq would raise LinAlgError, has
+    a row of NaN; the other rows are unaffected.  Every element goes to
+    ``_umath_linalg.lstsq``, the gufunc under ``np.linalg.lstsq``, in one
+    call: lstsq itself refuses a stack.  A numpy without that gufunc or its
+    ``ddd->ddid`` loop gets lstsq one element at a time.
+    """
+    import numpy as np
+    try:
+        from numpy.linalg import _umath_linalg
+    except ImportError:
+        _umath_linalg = None
+    _, m, n = J.shape
+    gufunc = getattr(_umath_linalg, "lstsq", None)
+    if gufunc is not None and "ddd->ddid" in gufunc.types:
+        # lstsq's own call, with an error state under which a failed element
+        # is NaN instead of raising for the whole stack
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+            return gufunc(J, -F[..., None], np.finfo(float).eps * max(m, n),
+                          signature="ddd->ddid")[0][..., 0]
+    steps = np.full((len(J), n), np.nan)
+    for i, (Ji, Fi) in enumerate(zip(J, F)):
+        try:
+            steps[i] = np.linalg.lstsq(Ji, -Fi, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            pass
+    return steps
+
+
 def solve_numeric(
     system: AlgebraicSystem,
     fixed: Mapping[str, Number] | None = None,
@@ -467,15 +499,16 @@ def solve_numeric(
     Start k draws its point from ``default_rng((seed, k))``.  The starts
     advance in lockstep: each round evaluates F and J once for every start
     still going.  The line search takes the first of the steps 2^-h times
-    the Newton step, h = 0..29, that lowers the 2-norm of F.  Its first F
-    call tries, for every start at once, each h up to the one the start's
-    last step took; each further call tries the next h of the starts still
-    searching.  So a start whose steps take 20 halvings round after round
-    costs one F call a round, not 21.  Only ``lstsq`` runs one start at a
-    time.  A start ends when it converges, when its F or J is not finite,
-    on a LinAlgError or a non-finite step, when 30 halvings find no step,
-    or after 80 rounds; every float operation on it is the one a loop over
-    that start alone would take.
+    the Newton step, h = 0..29, that lowers the 2-norm of F.  The Newton
+    steps of a round are one ``_newton_steps`` call, lstsq on the stack of
+    every start's J.  The line search's first F call tries, for every start
+    at once, each h up to the one the start's last step took; each further
+    call tries the next h of the starts still searching.  So a start whose
+    steps take 20 halvings round after round costs one F call a round, not
+    21.  A start ends when it converges, when its F or J is not finite,
+    when LAPACK fails on it or its step is not finite, when 30 halvings find
+    no step, or after 80 rounds; every float operation on it is the one a
+    loop over that start alone would take.
     """
     import numpy as np
     if starts < 1:
@@ -515,16 +548,11 @@ def solve_numeric(
             # a non-finite system has no finite step, and LAPACK would print
             # its complaint about the matrix on stdout
             finite = np.isfinite(FX[going]).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
-            searching, steps = [], []
-            for k, Jk in zip(going[finite], J[finite]):
-                try:
-                    step = np.linalg.lstsq(Jk, -FX[k], rcond=None)[0]
-                except np.linalg.LinAlgError:
-                    continue
-                if np.isfinite(step).all():
-                    searching.append(k)
-                    steps.append(step)
-            searching, steps = np.array(searching, dtype=np.intp), np.array(steps)
+            searching = going[finite]
+            steps = _newton_steps(J[finite], FX[searching])
+            # a LAPACK failure is a row of NaN: no finite step, and the start ends
+            stepped = np.isfinite(steps).all(axis=1)
+            searching, steps = searching[stepped], steps[stepped]
             points, base = X[searching], _norms(FX[searching])
             moved = np.zeros(starts, dtype=bool)
             # each call tries halvings low..high-1 of every start still searching:
@@ -728,6 +756,10 @@ def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
     import numpy as np
     if float(alpha) == 0.0:
         # E is identically 1; a vanishing denominator then has no isolated pole
+        return ()
+    if all(c >= 0 for c in den_coeffs) or all(c <= 0 for c in den_coeffs):
+        # no sign change among the nonzero coefficients: by Descartes' rule
+        # of signs, no positive root
         return ()
     arr = np.array([float(c) for c in den_coeffs])
     while len(arr) and arr[-1] == 0:

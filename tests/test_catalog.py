@@ -339,6 +339,13 @@ class TestAdmissibilityText:
             ("IVa-special", {"alpha": F(0)}, "alpha != 0"),
             ("IVa-special", {"tau": F(0)}, "tau > 0"),
             ("IVa-special", {"lam0": F(0)}, "lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0"),
+            # the prose conditions, checked by the branch generators
+            ("I-tanh", {"lam3": F(2)}, "velocity discriminant >= 0"),
+            # negative on both signs of b0
+            ("I-kink2", {"tau": F(-5)}, "radicand of v positive"),
+            ("IVa-special", {"kappa": F(-10)}, "v radicand >= 0"),
+            # negative in both readings of a1
+            ("IVa-special", {"lam0": F(0), "lam2": F(0), "lam3": F(1)}, "a1 radicand >= 0"),
         ]
         for family_id, free in admissible.items():
             instantiate(family_id, free)

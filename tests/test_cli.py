@@ -235,6 +235,8 @@ EXIT_2_CASES = {
                                  "--samples", "10000000000"],
     "homoclinic-n-count": ["hydro-homoclinic", "--model", "{hydro}", "--n", "10000000000"],
     "solve-starts-count": ["solve", "--system", "{system}", "--starts", "10000000000"],
+    # ran until killed, one trial record after another
+    "catalog-trials-count": ["catalog", "verify", "--family", "IVd", "--trials", "10000000000"],
 }
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import types
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,6 +16,7 @@ from twbench import catalog, reducer
 from twbench.model import HyperbolicPDE, parse_model
 from twbench.reducer import (
     _compile,
+    _newton_steps,
     _norms,
     _on_grid,
     _power,
@@ -388,6 +391,14 @@ class TestSolveNumeric:
 
         compile_ = reducer._compile
         monkeypatch.setattr(reducer, "_compile", counted)
+        stacks = []  # the starts of each _newton_steps call; lstsq a start made 1 341 calls
+
+        def steps(J, F):
+            stacks.append(len(J))
+            return newton_steps(J, F)
+
+        newton_steps = reducer._newton_steps
+        monkeypatch.setattr(reducer, "_newton_steps", steps)
         pde = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
         system = reduce(pde, ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")))
         roots = solve_numeric(system, fixed={"l1": 1, "l3": -2, "b0": 1, "b1": 1},
@@ -395,8 +406,24 @@ class TestSolveNumeric:
         assert len(roots) == 28
         f, jacobian = calls
         assert len(jacobian) == 80  # one call a round
+        assert len(stacks) == 80 and stacks[0] == 64  # one call a round, every start
         assert len(f) <= 250
         assert sum(f) <= 17000
+
+    def test_start_ends_when_lapack_fails(self, monkeypatch):
+        # the one start finds the shock unless its first step is a LAPACK failure
+        system = reduce(BURGERS, BURGERS_ANSATZ)
+        fixed = {"a0": 0, "a1": 1, "b0": 1, "b1": 1}
+        assert solve_numeric(system, fixed=fixed, seed=7, starts=1)
+        stacks = []
+
+        def failed(J, F):
+            stacks.append(len(J))
+            return np.full((len(J), J.shape[2]), np.nan)
+
+        monkeypatch.setattr(reducer, "_newton_steps", failed)
+        assert solve_numeric(system, fixed=fixed, seed=7, starts=1) == []
+        assert stacks == [1]
 
     def test_newton_never_evaluates_exactly(self, monkeypatch):
         def exact(*args):
@@ -502,6 +529,96 @@ def test_batched_solve_matches_reference(case):
         roots = solve_numeric(system, fixed=fixed, seed=seed, starts=starts)
     assert [{k: x.hex() for k, x in r.items()} for r in roots] == \
         [{k: x.hex() for k, x in r.items()} for r in expected]
+
+
+def _stacks():
+    """(S, m, n) stacks of Jacobians and residuals: square, tall, wide,
+    rank-deficient, all-zero, nearly singular, and values across the float
+    range."""
+    rng = np.random.default_rng(20261019)
+    for m, n in [(1, 1), (3, 3), (6, 4), (5, 2), (2, 5), (4, 7), (12, 12)]:
+        for scale in (1e-150, 1e-3, 1.0, 1e6, 1e150):
+            J = rng.standard_normal((9, m, n)) * scale
+            F = rng.standard_normal((9, m)) * scale
+            J[1] = 0.0  # all zero
+            J[2, :, -1] = J[2, :, 0]  # a repeated column
+            low = rng.standard_normal((m, 1)) @ rng.standard_normal((1, n))
+            J[3] = low * scale  # rank one
+            J[4] = np.round(J[4] / scale) * scale  # small integers: ties in the SVD
+            F[5] = 0.0
+            k = min(m, n)
+            if k > 1:  # a singular value just above lstsq's cut-off, eps*max(m, n)
+                U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+                V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+                sigma = np.ones(k)
+                sigma[-1] = 2.5 * np.finfo(float).eps * max(m, n)
+                J[6] = (U * sigma) @ V.T * scale
+            yield J, F
+
+
+def _lstsq_loop(J, F):
+    with np.errstate(all="ignore"):
+        return np.array([np.linalg.lstsq(Ji, -Fi, rcond=None)[0] for Ji, Fi in zip(J, F)])
+
+
+# numpy.linalg._umath_linalg as _newton_steps finds it: the numpy module, one
+# without lstsq, one whose lstsq has no float64 loop, and none at all
+_GUFUNC_MODULES = {
+    "gufunc": np.linalg._umath_linalg,
+    "no-lstsq": types.SimpleNamespace(),
+    "no-float64-loop": types.SimpleNamespace(lstsq=np.add),
+    "no-module": None,
+}
+
+
+@pytest.fixture(params=list(_GUFUNC_MODULES))
+def lstsq_calls(request, monkeypatch):
+    """Take _newton_steps's gufunc or its fallback; count np.linalg.lstsq calls."""
+    # np.linalg.lstsq keeps the real module, imported into numpy.linalg._linalg
+    if _GUFUNC_MODULES[request.param] is None:
+        monkeypatch.delattr(np.linalg, "_umath_linalg")
+        monkeypatch.setitem(sys.modules, "numpy.linalg._umath_linalg", None)  # ImportError
+    else:
+        monkeypatch.setattr(np.linalg, "_umath_linalg", _GUFUNC_MODULES[request.param])
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return request.param, calls
+
+
+def test_newton_steps_match_lstsq(lstsq_calls):
+    path, calls = lstsq_calls
+    for J, F in _stacks():
+        expected = _lstsq_loop(J, F)
+        del calls[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _newton_steps(J, F)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), J.shape
+        assert len(calls) == (0 if path == "gufunc" else len(J))
+
+
+def test_newton_steps_of_an_empty_stack(lstsq_calls):
+    assert _newton_steps(np.empty((0, 3, 2)), np.empty((0, 3))).shape == (0, 2)
+
+
+def test_failed_element_is_a_nan_row(lstsq_calls, capfd):
+    # LAPACK fails on a matrix of NaN, where lstsq raises; the neighbours of
+    # that element keep their steps
+    rng = np.random.default_rng(7)
+    J, F = rng.standard_normal((3, 4, 3)), rng.standard_normal((3, 4))
+    J[1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(J[1], -F[1], rcond=None)
+    got = _newton_steps(J, F)
+    assert np.isnan(got[1]).all()
+    assert got[[0, 2]].tobytes() == _lstsq_loop(J[[0, 2]], F[[0, 2]]).tobytes()
+    capfd.readouterr()  # LAPACK's complaint about the matrix, on stdout
 
 
 def test_row_norms_match_linalg_norm():
@@ -881,6 +998,18 @@ def test_removable_singularity_is_no_pole():
                                    {"a0": 2, "a1": -3, "a2": 1, "b0": 3, "b1": -4, "b2": 1,
                                     "alpha": 1, "v": 1})
     assert sol.poles == (math.log(3.0),)
+
+
+def test_no_sign_change_has_no_pole(monkeypatch):
+    # Descartes' rule of signs: no positive root, so no np.roots call
+    def roots(_):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", roots)
+    for den in ([1, 2, 1], (F(1, 3), 0, 0.5, 0), [0, -1, 0, -2], [-1.5, -0.0]):
+        assert poles_of(den, 1) == ()
+    with pytest.raises(AssertionError, match="np.roots called"):
+        poles_of([1, -2, 1], 1)
 
 
 def test_builder_pairs_scan_as_the_exact_route():
