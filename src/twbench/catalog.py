@@ -55,6 +55,7 @@ from .symcore import ParamPoly, exact_root, frac_str
 
 SCAN_WINDOW = (-10.0, 10.0)
 SCAN_SAMPLES = 1001
+POLE_MARGIN = 0.75  # how far a singular profile's scan window keeps from its poles
 SCAN_TOL = 1e-9
 
 
@@ -1053,13 +1054,14 @@ def _judged(insts: list[Instance], shape: str, memo: dict) -> Iterator[
         yield inst, systems[key], verdict, scan, note
 
 
-def _pole_free_window(poles, lo=-10.0, hi=10.0, margin=0.75):
-    """Largest subinterval of [lo, hi] staying `margin` away from every pole."""
+def _pole_free_window(poles):
+    """Largest subinterval of SCAN_WINDOW staying POLE_MARGIN away from every pole."""
+    lo, hi = SCAN_WINDOW
     cuts = [lo] + sorted(p for p in poles if lo < p < hi) + [hi]
     best = None
     for a, b in zip(cuts, cuts[1:]):
-        aa = a + (margin if a != lo else 0.0)
-        bb = b - (margin if b != hi else 0.0)
+        aa = a + (POLE_MARGIN if a != lo else 0.0)
+        bb = b - (POLE_MARGIN if b != hi else 0.0)
         if best is None or bb - aa > best[1] - best[0]:
             best = (aa, bb)
     if best is None or best[1] - best[0] < 0.5:

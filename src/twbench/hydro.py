@@ -198,20 +198,23 @@ class FloatKernel:
 
     def __init__(self, model: HydroModel):
         nu = model.nu
-        self.R1 = float(model.R1)
-        self.nu, self.beta, self.sigma = float(nu), float(model.beta), float(model.sigma)
-        self.E = float(model.E)
-        self.H1 = float(saddle_level(model))
-        self.theorem_holds = model.theorem_holds()
-        # exponents, divisors and coefficients rounded once from their exact
-        # values, as P_of_R and hamiltonian round them
-        self._nu1, self._nu2, self._nu3 = float(nu + 1), float(nu + 2), float(nu + 3)
-        self._2nu1, self._2nu2 = float(2 * (nu + 1)), float(2 * (nu + 2))
-        self._nu2_sq = float((nu + 2) ** 2)
-        self._D2, self._2D2 = float(model.D**2), float(2 * model.D**2)
-        self._2E = float(2 * model.E)
-        self._dP_coef = self.beta * (self.nu + 3) / (self.nu + 2)
-        self.rhs = self._build_rhs(float(model.D) ** 2)
+        try:
+            self.R1 = float(model.R1)
+            self.nu, self.beta, self.sigma = float(nu), float(model.beta), float(model.sigma)
+            self.E = float(model.E)
+            self.H1 = float(saddle_level(model))
+            self.theorem_holds = model.theorem_holds()
+            # exponents, divisors and coefficients rounded once from their
+            # exact values, as P_of_R and hamiltonian round them
+            self._nu1, self._nu2, self._nu3 = float(nu + 1), float(nu + 2), float(nu + 3)
+            self._2nu1, self._2nu2 = float(2 * (nu + 1)), float(2 * (nu + 2))
+            self._nu2_sq = float((nu + 2) ** 2)
+            self._D2, self._2D2 = float(model.D**2), float(2 * model.D**2)
+            self._2E = float(2 * model.E)
+            self._dP_coef = self.beta * (self.nu + 3) / (self.nu + 2)
+            self.rhs = self._build_rhs(float(model.D) ** 2)
+        except OverflowError:
+            raise NumericFailure("a model coefficient is beyond the float range") from None
 
     def P(self, R):
         """P(R) = beta*R^(nu+3)/(nu+2) - E*R + D^2."""

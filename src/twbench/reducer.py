@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
@@ -616,6 +616,9 @@ def _quotient_rule(num: list[int], den: list[int]) -> tuple[list[int], list[int]
     return _product(num, den, operator.sub), _product(den, den)
 
 
+_BEYOND_FLOATS = "residual overflow: a coefficient is beyond the float range"
+
+
 def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list[np.ndarray]:
     """Each row's coefficients c as floats: float(c), or, for a row whose
     power k is positive, 0.0 + float(c)*alpha**k for each nonzero c.  These are the
@@ -632,7 +635,7 @@ def _float_rows(rows: list[list], alpha: float, powers: tuple[int, ...]) -> list
             else:
                 out.append(np.array([float(c) for c in row]))
     except OverflowError:
-        raise PoleInWindow("residual overflow: a coefficient is beyond the float range") from None
+        raise PoleInWindow(_BEYOND_FLOATS) from None
     return out
 
 
@@ -704,8 +707,12 @@ def residual_scan(
         raise ValueError("need at least two samples")
 
     p = sol.power
-    alpha = float(sol.alpha)
-    vel = float(sol.velocity)
+    try:
+        alpha, vel = float(sol.alpha), float(sol.velocity)
+        tau, A, B, kappa = (float(c) for c in (pde.tau, pde.A, pde.B, pde.kappa))
+        reaction_terms = [(int(nu * p), float(lam)) for nu, lam in pde.reaction.items()]
+    except OverflowError:
+        raise PoleInWindow(_BEYOND_FLOATS) from None
     rows = _scan_rows(sol.num, sol.den, p, alpha)
 
     xi = np.linspace(float(window[0]), float(window[1]), samples)
@@ -734,15 +741,14 @@ def residual_scan(
             )
 
         reaction = np.zeros_like(xi)
-        for nu, lam in pde.reaction.items():
-            e = nu * p
-            reaction += float(lam) * w_val ** int(e)
+        for e, lam in reaction_terms:
+            reaction += lam * w_val ** e
 
         residual = (
-            float(pde.tau) * vel * vel * u2_val
-            + float(pde.A) * u_val * u1_val
-            + float(pde.B) * vel * u1_val
-            - float(pde.kappa) * u2_val
+            tau * vel * vel * u2_val
+            + A * u_val * u1_val
+            + B * vel * u1_val
+            - kappa * u2_val
             - reaction
         )
     bad = ~np.isfinite(residual)
@@ -752,16 +758,23 @@ def residual_scan(
 
 
 def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
-    """xi locations where sum b_k exp(k*alpha*xi) vanishes (positive E roots)."""
+    """xi locations where sum b_k exp(k*alpha*xi) vanishes (positive E roots).
+
+    An alpha beyond the float range raises NumericFailure, and so does such
+    a coefficient when the coefficients change sign."""
     import numpy as np
-    if float(alpha) == 0.0:
-        # E is identically 1; a vanishing denominator then has no isolated pole
-        return ()
-    if all(c >= 0 for c in den_coeffs) or all(c <= 0 for c in den_coeffs):
-        # no sign change among the nonzero coefficients: by Descartes' rule
-        # of signs, no positive root
-        return ()
-    arr = np.array([float(c) for c in den_coeffs])
+    try:
+        alpha = float(alpha)
+        if alpha == 0.0:
+            # E is identically 1; a vanishing denominator then has no isolated pole
+            return ()
+        if all(c >= 0 for c in den_coeffs) or all(c <= 0 for c in den_coeffs):
+            # no sign change among the nonzero coefficients: by Descartes'
+            # rule of signs, no positive root
+            return ()
+        arr = np.array([float(c) for c in den_coeffs])
+    except OverflowError:
+        raise NumericFailure("alpha or a denominator coefficient is beyond the float range") from None
     while len(arr) and arr[-1] == 0:
         arr = arr[:-1]
     if len(arr) < 2:
@@ -769,7 +782,7 @@ def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
     roots = np.roots(arr[::-1])
     real_pos = [float(r.real) for r in roots
                 if abs(r.imag) <= 1e-9 * (1 + abs(r.real)) and r.real > 0]
-    return tuple(sorted(np.log(r) / float(alpha) for r in real_pos))
+    return tuple(sorted(np.log(r) / alpha for r in real_pos))
 
 
 def solution_from_assignment(ansatz: ExpAnsatz,
@@ -777,11 +790,11 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     """Instantiate the ansatz at a numeric assignment, declaring its poles.
 
     Each coefficient of w is coerced as ``ParamPoly`` coerces it (a float
-    by its exact decimal reading) and the denominators are cleared;
-    ``ClosedFormSolution`` reduces the integer pair.  The poles are those of
-    the ansatz denominator at the assignment, unless the reduction divides
-    out a factor in E other than a power of E: its zeros are removable
-    singularities, so the poles are then those of the reduced denominator.
+    by its exact decimal reading), the denominators are cleared and the
+    integer pair is reduced.  The poles are those of the ansatz denominator
+    at the assignment, unless the reduction divides out a factor in E other
+    than a power of E: its zeros are removable singularities, so the poles
+    are then those of the reduced denominator.
     """
     env = dict(assignment)
 
@@ -809,10 +822,9 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     lcm = math.lcm(*(c.denominator for c in (*num_q, *den_q)))
     w_num, w_den = (tuple(c.numerator * (lcm // c.denominator) for c in side)
                     for side in (num_q, den_q))
-    sol = ClosedFormSolution(w_num, w_den, alpha, velocity, ansatz.power, poles_of(den, alpha))
-    if _span(sol.den) < _span(w_den):
-        sol = replace(sol, poles=poles_of(sol.den, alpha))
-    return sol
+    r_num, r_den = reduced_pair(w_num, w_den)
+    poles = poles_of(r_den if _span(r_den) < _span(w_den) else den, alpha)
+    return ClosedFormSolution(r_num, r_den, alpha, velocity, ansatz.power, poles)
 
 
 def _span(coeffs) -> int:

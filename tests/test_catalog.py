@@ -223,10 +223,14 @@ class TestParabolicSubstitution:
 
 class TestExpectations:
     def test_committed_file_matches_reports(self):
+        # at seed 9 and at the file's own reference seed and trials, which
+        # are catalog verify's defaults
         expectations = load_expectations(EXPECTATIONS_PATH)
-        for family_id in FAMILIES:
-            report = verify_entry(family_id, trials=2, seed=9)
-            assert matches_expectations(report, expectations[family_id]), family_id
+        meta = expectations["_meta"]
+        for seed, trials in [(9, 2), (meta["reference_seed"], meta["reference_trials"])]:
+            for family_id in FAMILIES:
+                report = verify_entry(family_id, trials=trials, seed=seed)
+                assert matches_expectations(report, expectations[family_id]), (family_id, seed)
 
     def test_mismatch_detected(self):
         report = verify_entry("IVd", trials=1, seed=1)

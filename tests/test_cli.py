@@ -185,6 +185,8 @@ INPUT_DOCUMENTS = {
                                         equations=[f"1{'0' * 400}*x - 1"])),
     "expectations_not_object": "[1, 2]",
     "expectations_entry_not_object": '{"IVd": [1, 2]}',
+    "huge_number": '{"tau":1e10000000,"A":0,"B":1,"kappa":1,"reaction":{}}',
+    "hydro_huge_D": '{"nu":0,"beta":"1/2","sigma":1,"D":1e400,"R1":1}',
 }
 
 EXIT_2_CASES = {
@@ -215,6 +217,8 @@ EXIT_2_CASES = {
     # ran past 10 s substituting the pin exactly before any float work
     "solve-fix-huge-power": ["solve", "--system", "{huge_power}",
                              "--fix", f"x={'7' * 4000}", "--starts", "1"],
+    # a number of ten million digits, refused before it is expanded
+    "reduce-huge-number": ["reduce", "--model", "{huge_number}", "--ansatz", "1/1"],
     # these two ended in an AttributeError traceback (exit 1)
     "expectations-not-object": ["catalog", "verify", "--family", "IVd", "--trials", "1",
                                 "--expectations", "{expectations_not_object}"],
@@ -252,7 +256,7 @@ def input_paths(tmp_path):
 @pytest.mark.parametrize("case", list(EXIT_2_CASES))
 def test_exit_2_matrix(case, input_paths):
     # bad input is refused before any long computation starts
-    r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]), timeout=30)
+    r = run_cli(*(a.format(**input_paths) for a in EXIT_2_CASES[case]), timeout=5)
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1, r.stderr
@@ -305,6 +309,17 @@ EXIT_3_CASES = {
     "eval-IVe-a-overflowing-scan": (["eval", "--family", "IVe-a", "--free",
                                      "lam1=1e300,lam3=-2,tau=1,kappa=1,v=2", "--range=-1:1:3"],
                                     "residual overflow near xi"),
+    # a denominator coefficient, alpha, a PDE coefficient and a hydro constant
+    "eval-I-huge-pole": (["eval", "--family", "I", "--free",
+                          "a0=1,a1=2,b0=1,b1=-1e400,alpha=1,v=1,lam3=1,tau=0,kappa=1,B=0",
+                          "--range=-1:1:3"], "denominator coefficient"),
+    "eval-Burgers-shock-huge-alpha": (["eval", "--family", "Burgers-shock", "--free",
+                                       "a0=1,a1=2,b0=1,b1=1,A=1e400,B=1,kappa=1",
+                                       "--range=-1:1:3"], "alpha"),
+    "eval-IVe-a-huge-tau": (["eval", "--family", "IVe-a", "--free",
+                             "lam1=1,lam3=-2,tau=1e401,kappa=1,v=2", "--range=-1:1:3"],
+                            "beyond the float range"),
+    "hydro-huge-D": (["hydro-analyze", "--model", "{hydro_huge_D}"], "beyond the float range"),
 }
 
 
@@ -315,6 +330,7 @@ def test_exit_3_matrix(case, input_paths):
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
     assert message in r.stderr
+    assert len(r.stderr.splitlines()) == 1, r.stderr
     assert r.stdout == ""
 
 
@@ -326,7 +342,9 @@ def test_exit_3_matrix(case, input_paths):
      "error: pinned names not in the system: zz, ww (symbols: x, y)\n"),
     (["eval", "--family", "IVe-a", "--free", "lam1=-1,lam3=-2,tau=1,kappa=1,v=2",
       "--range=-1:1:3"], "error: IVe-a needs lam1 > 0\n"),
-], ids=["missing-unknowns", "unknown-family", "misspelt-pin", "inadmissible"])
+    (["eval", "--family", "I-tanh", "--free", "lam0=-1,lam2=2,lam3=-1,A=1,B=2,kappa=1,tau=0",
+      "--range=-1:1:3"], "error: I-tanh needs B = 1\n"),
+], ids=["missing-unknowns", "unknown-family", "misspelt-pin", "inadmissible", "prose-condition"])
 def test_input_error_messages(args, stderr, input_paths):
     r = run_cli(*(a.format(**input_paths) for a in args))
     assert r.returncode == 2
@@ -486,6 +504,15 @@ class TestCatalogCommands:
         assert len(u) == 3
         assert all(abs(x / (math.sqrt(2.0) * 1e-200) - 1) < 1e-15 for x in u)
 
+    def test_eval_huge_velocity(self, capsys):
+        # lam1 = 4*alpha^2*(v^2*tau - kappa) is beyond the float range, but
+        # the branch verifies exactly, and u = sech(xi)^2 has no v in it
+        assert cli.main(["eval", "--family", "IVd", "--free",
+                         "a0=1,a1=0,alpha=1,v=1e200,tau=1,kappa=1", "--range=-1:1:3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        u = [float(row.split(",")[1]) for row in rows]
+        assert len(u) == 3 and all(math.isfinite(x) for x in u)
+
     @pytest.mark.parametrize("free, name", [
         ("lam3=-2,tau=1,kappa=1,v=2", "missing lam1"),
         ("lam1=1,lam3=-2,tau=1,kappa=1,v=2,lamm=5", "unknown lamm"),
@@ -604,7 +631,20 @@ HYDRO_SHA256 = {
 }
 
 
+# perfbench's committed SHA-256 of `reduce` stdout, keyed <model>.<d>-<d>.p<power>
+REDUCE_SHA256 = json.loads((REPO / "perfbench" / "golden.json").read_text())["reduce"]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("key", list(REDUCE_SHA256))
+    def test_reduce_byte_identical(self, key, capsys):
+        name, ansatz, power = key.split(".")
+        argv = ["reduce", "--model", str(REPO / "models" / f"{name}.json"),
+                "--ansatz", ansatz.replace("-", "/"), "--power", power.removeprefix("p")]
+        assert cli.main(argv) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == REDUCE_SHA256[key]
+
     @pytest.mark.parametrize("command", list(HYDRO_SHA256))
     def test_hydro_byte_identical(self, command, capsys):
         name, *rest = command.split()

@@ -603,6 +603,18 @@ def test_newton_steps_match_lstsq(lstsq_calls):
         assert len(calls) == (0 if path == "gufunc" else len(J))
 
 
+def test_installed_numpy_takes_the_gufunc(monkeypatch):
+    # without _umath_linalg.lstsq's ddd->ddid loop every Newton round of
+    # solve_numeric would loop np.linalg.lstsq over its starts
+    def lstsq(*_, **__):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    rng = np.random.default_rng(3)
+    assert _newton_steps(rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3))).shape \
+        == (4, 2)
+
+
 def test_newton_steps_of_an_empty_stack(lstsq_calls):
     assert _newton_steps(np.empty((0, 3, 2)), np.empty((0, 3))).shape == (0, 2)
 
