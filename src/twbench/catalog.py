@@ -1041,9 +1041,10 @@ def _judged(insts: list[Instance], shape: str, memo: dict) -> Iterator[
     systems: dict = {}
     for inst in insts:
         key = (inst.pde, inst.ansatz)
-        if key not in systems:
-            systems[key] = reduce(inst.pde, inst.ansatz, memo)
-        verdict = verify_assignment(systems[key], inst.assignment) if inst.exact else None
+        system = systems.get(key)
+        if system is None:
+            system = systems[key] = reduce(inst.pde, inst.ansatz, memo)
+        verdict = verify_assignment(system, inst.assignment) if inst.exact else None
         # a singular profile's denominator always vanishes somewhere; scan clear of it
         window = _pole_free_window(inst.solution.poles) if shape == "singular" else SCAN_WINDOW
         try:
@@ -1051,7 +1052,7 @@ def _judged(insts: list[Instance], shape: str, memo: dict) -> Iterator[
             note = None
         except PoleInWindow as exc:
             scan, note = None, str(exc)
-        yield inst, systems[key], verdict, scan, note
+        yield inst, system, verdict, scan, note
 
 
 def _pole_free_window(poles):

@@ -21,7 +21,8 @@ from . import model, reducer
 from .symcore import frac_str, int_digit_limit
 
 # The largest count that sizes an array or a run: eval's n, hydro-separatrix
-# --samples, hydro-homoclinic --n, solve --starts and catalog verify --trials.
+# --samples, hydro-homoclinic --n, solve --starts, catalog verify --trials and
+# the degrees M and N of reduce --ansatz.
 # A larger one is refused (exit 2) before anything is allocated or run.
 MAX_COUNT = 1_000_000
 
@@ -92,6 +93,8 @@ def _cmd_reduce(args) -> int:
     pde = model.parse_model(_read(args.model))
     m_deg, n_deg = model.parse_fields(
         args.ansatz, "/", (int, int), "--ansatz must look like M/N (numerator/denominator degree)")
+    _bounded(m_deg, "--ansatz M")
+    _bounded(n_deg, "--ansatz N")
     ansatz = reducer.ExpAnsatz(
         a=tuple(f"a{i}" for i in range(m_deg + 1)),
         b=tuple(f"b{i}" for i in range(n_deg + 1)),

@@ -21,11 +21,19 @@ from __future__ import annotations
 import json
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Union
 
-from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
+from .model import (
+    ALLOWED_EXPONENTS,
+    DomainError,
+    HyperbolicPDE,
+    InputError,
+    NumericFailure,
+    SchemaError,
+)
 from .symcore import (
     E_NAME,
     DivisionByZero,
@@ -38,7 +46,6 @@ from .symcore import (
     int_digit_limit,
     lowest_terms,
     parse_poly_text,
-    poly_dxi,
     reduced_pair,
 )
 
@@ -94,14 +101,6 @@ class ExpAnsatz:
     @property
     def n(self) -> int:
         return len(self.b) - 1
-
-    def numerator(self) -> ParamPoly:
-        E = ParamPoly.var(E_NAME)
-        return sum((ParamPoly.lift(c) * E**k for k, c in enumerate(self.a)), ParamPoly.const(0))
-
-    def denominator(self) -> ParamPoly:
-        E = ParamPoly.var(E_NAME)
-        return sum((ParamPoly.lift(c) * E**k for k, c in enumerate(self.b)), ParamPoly.const(0))
 
     def symbols(self) -> tuple[str, ...]:
         """Unknowns, in slot order: numerator, denominator, alpha, velocity."""
@@ -211,33 +210,109 @@ class ClosedFormSolution:
         object.__setattr__(self, "den", tuple(den))
 
 
+#: ``struct`` codes of the unsigned packed-monomial fields by their size in bytes
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _mul(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+    """The product of two (D, terms) pairs, its pairs of terms taken in
+    ``ParamPoly.__mul__``'s order; two packed monomials multiply by adding."""
+    (Da, ta), (Db, tb) = a, b
+    return Da * Db, _merge({}, ((ka + kb, ca * cb) for ka, ca in ta.items()
+                                for kb, cb in tb.items()))
+
+
+def _sub(a: tuple[int, dict], b: tuple[int, dict]) -> tuple[int, dict]:
+    """a - b over the lcm of their denominators, in ``ParamPoly.__sub__``'s order."""
+    (Da, ta), (Db, tb) = a, b
+    D = math.lcm(Da, Db)
+    sa, sb = D // Da, D // Db
+    return D, _merge({k: c * sa for k, c in ta.items()}, ((k, -c * sb) for k, c in tb.items()))
+
+
+def _pow(base: tuple[int, dict], n: int) -> tuple[int, dict]:
+    """base**n by ``ParamPoly.__pow__``'s squarings."""
+    result = (1, {0: 1})
+    while n:
+        if n & 1:
+            result = _mul(result, base)
+        if n > 1:
+            base = _mul(base, base)
+        n >>= 1
+    return result
+
+
 class _AnsatzTerms:
     """The part of ``reduce`` that depends on the ansatz (and the names of the
     PDE's symbolic coefficients) alone, each piece made on first use: u =
     N0/g^p and its xi-derivatives N1/g^(p+1) and N2/g^(p+2); the factor that
     each PDE term multiplies its coefficient by; and that factor times
-    g^(K-k), split by power of E into integer coefficient dicts."""
+    g^(K-k), split by power of E.
 
-    __slots__ = ("names", "f", "g", "linear", "factors", "powers", "buckets")
+    Each polynomial is a pair (D, terms): integer coefficients over one
+    positive denominator D, the layout of FLINT's ``fmpq_poly``.  A term is
+    keyed by its monomial packed into one int, a field of ``width`` bits per
+    variable: the exponent of E in the lowest field, those of ``names``
+    above it, the last name lowest.  ``width`` is 8, 16, 32 or 64, the
+    least that holds the largest exponent any product can reach (from the
+    slots' exponents, the ansatz degrees, the power and the largest reaction
+    exponent), so two monomials multiply by adding their keys and
+    ``unpacked`` reads the fields with ``struct``.  Every operation takes its
+    pairs of terms in the order of the ``ParamPoly`` operation it stands
+    for, so the terms come in the order ``ParamPoly`` gives them."""
+
+    __slots__ = ("names", "width", "shift", "f", "g", "alpha", "linear", "factors",
+                 "powers", "buckets")
 
     def __init__(self, ansatz: ExpAnsatz, symbols: tuple[str, ...]):
         p = ansatz.power
         self.names = tuple(sorted((*ansatz.symbols(), *symbols)))
-        self.f = f = ansatz.numerator()
-        self.g = g = ansatz.denominator()
-        alpha = ansatz.alpha
-        v = ParamPoly.lift(ansatz.velocity)
-        N0 = f**p
-        N1 = poly_dxi(N0, alpha) * g - p * N0 * poly_dxi(g, alpha)
-        N2 = poly_dxi(N1, alpha) * g - (p + 1) * N1 * poly_dxi(g, alpha)
+        slots = [ParamPoly.lift(c) for c in (*ansatz.a, *ansatz.b, ansatz.alpha,
+                                             ansatz.velocity)]
+        # a term of the residual cleared by g^K is a product of K of f and g
+        # and at most four of alpha, v and a symbol (tau's v^2*alpha^2), each
+        # with exponents up to top; K is at most the largest k
+        K = max(p + 2, 2 * p + 1, int(max(ALLOWED_EXPONENTS) * p))
+        top = max(1, ansatz.m, ansatz.n, *(x for s in slots for exps in s.terms for x in exps))
+        w = next((8 * size for size in _FIELD_CODES if (K + 4) * top >> 8 * size == 0), None)
+        if w is None:
+            raise DomainError(f"an ansatz exponent of {top} is too large to reduce")
+        self.width = w
+        self.shift = {name: w * (len(self.names) - i) for i, name in enumerate(self.names)}
+        self.f = f = self._side(slots[:len(ansatz.a)])
+        self.g = g = self._side(slots[len(ansatz.a):-2])
+        self.alpha = self._packed(slots[-2])
+        v = self._packed(slots[-1])
+        N0 = _pow(f, p)
+        N1 = _sub(_mul(self._dxi(N0), g), _mul(_mul(N0, (1, {0: p})), self._dxi(g)))
+        N2 = _sub(_mul(self._dxi(N1), g), _mul(_mul(N1, (1, {0: p + 1})), self._dxi(g)))
         # tau*u_tt, A*u*u_x, B*u_t and -kappa*u_xx over g^k, without the coefficient
-        self.linear = {"tau": lambda: v * v * N2, "A": lambda: N0 * N1,
-                       "B": lambda: v * N1, "kappa": lambda: N2}
+        self.linear = {"tau": lambda: _mul(_mul(v, v), N2), "A": lambda: _mul(N0, N1),
+                       "B": lambda: _mul(v, N1), "kappa": lambda: N2}
         self.factors: dict = {}
         self.powers: dict[int, tuple[int, dict]] = {}
         self.buckets: dict = {}
 
-    def factor(self, term) -> ParamPoly:
+    def _packed(self, poly: ParamPoly, e: int = 0) -> tuple[int, dict]:
+        """poly times E^e as a (D, terms) pair."""
+        shifts = [self.shift[name] for name in poly.variables]
+        D = math.lcm(*(c.denominator for c in poly.terms.values()))
+        return D, {sum(x << s for x, s in zip(exps, shifts)) + e:
+                   c.numerator * (D // c.denominator) for exps, c in poly.terms.items() if c}
+
+    def _side(self, slots: list[ParamPoly]) -> tuple[int, dict]:
+        """The sum of slots[e] * E^e, added from 0 in the order of e."""
+        parts = [self._packed(c, e) for e, c in enumerate(slots)]
+        D = math.lcm(*(d for d, _ in parts))
+        return D, {k: c * (D // d) for d, terms in parts for k, c in terms.items()}
+
+    def _dxi(self, poly: tuple[int, dict]) -> tuple[int, dict]:
+        """``symcore.poly_dxi``: E^k picks up a factor k*alpha."""
+        D, terms = poly
+        mask = (1 << self.width) - 1
+        return _mul((D, {k: c * (k & mask) for k, c in terms.items() if k & mask}), self.alpha)
+
+    def factor(self, term) -> tuple[int, dict]:
         """A linear term's factor by name; for the reaction term (e, symbol),
         u^(e/p) over g^e: f^e, times the symbol when there is one."""
         if term not in self.factors:
@@ -245,42 +320,35 @@ class _AnsatzTerms:
                 self.factors[term] = self.linear[term]()
             else:
                 e, symbol = term
-                self.factors[term] = self.f**e if symbol is None else (
-                    ParamPoly.var(symbol) * self.f**e)
+                self.factors[term] = _pow(self.f, e) if symbol is None else (
+                    _mul(self._packed(ParamPoly.var(symbol)), _pow(self.f, e)))
         return self.factors[term]
 
     def cleared(self, term, k: int, K: int) -> tuple[int, dict[int, dict]]:
         """(D, buckets) of factor(term) * g^(K-k) times a positive integer D
-        that clears its denominators: buckets[j] maps the exponents (over
-        ``names``) of each term of E^j to its integer coefficient.  The
-        product is taken on integers, pair by pair as ``ParamPoly.__mul__``
-        takes it, so its terms come in that order."""
+        that clears its denominators: buckets[j] maps the packed monomial of
+        each term of E^j, without its E field, to its integer coefficient."""
         if (term, K) not in self.buckets:
             if K - k not in self.powers:
-                self.powers[K - k] = self._integers(self.g ** (K - k))
-            Da, a = self._integers(self.factor(term))
-            Db, b = self.powers[K - k]
-            product = _merge({}, ((tuple(map(operator.add, ka, kb)), ca * cb)
-                                  for ka, ca in a.items() for kb, cb in b.items()))
+                self.powers[K - k] = _pow(self.g, K - k)
+            D, product = _mul(self.factor(term), self.powers[K - k])
+            w, mask = self.width, (1 << self.width) - 1
             buckets: dict[int, dict] = {}
-            for exps, c in product.items():
-                buckets.setdefault(exps[-1], {})[exps[:-1]] = c
-            self.buckets[term, K] = Da * Db, buckets
+            for key, c in product.items():
+                buckets.setdefault(key & mask, {})[key >> w] = c
+            self.buckets[term, K] = D, buckets
         return self.buckets[term, K]
 
-    def _integers(self, poly: ParamPoly) -> tuple[int, dict]:
-        """(D, terms): D the lcm of poly's coefficient denominators, and terms
-        D*poly's, as ints keyed by exponents over ``names`` and then E."""
-        layout = (*self.names, E_NAME)
-        D = math.lcm(*(c.denominator for c in poly.terms.values()))
-        spots = [layout.index(n) for n in poly.variables]
-        out = {}
-        for exps, c in poly.terms.items():
-            key = [0] * len(layout)
-            for i, x in zip(spots, exps):
-                key[i] = x
-            out[tuple(key)] = c.numerator * (D // c.denominator)
-        return D, out
+    def unpacked(self, keys) -> list[tuple[int, ...]]:
+        """The exponents over ``names`` of each packed monomial without its E
+        field, as tuples in the order of ``keys``."""
+        n = len(self.names)
+        if not n:
+            return [()] * len(keys)
+        size = self.width // 8
+        fields = struct.unpack(f">{n * len(keys)}{_FIELD_CODES[size]}",
+                               b"".join([key.to_bytes(n * size, "big") for key in keys]))
+        return list(zip(*[iter(fields)] * n))
 
 
 def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> AlgebraicSystem:
@@ -293,9 +361,12 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> A
     every returned equation vanishes.
 
     The factors, times g^(K-k) and split by power of E, do not depend on the
-    PDE's numbers.  A caller that reduces one ansatz against many PDEs passes
-    the same ``memo`` dict to every call, which then makes each of them once;
-    a call only weighs them by its PDE's coefficients, in integers.
+    PDE's numbers; ``_AnsatzTerms`` makes them on packed integer monomials.
+    A caller that reduces one ansatz against many PDEs passes the same
+    ``memo`` dict to every call, which then makes each of them once; a call
+    only weighs them by its PDE's coefficients, in integers, adds them on
+    the packed keys, and unpacks each output term once.  The equations'
+    terms come in the order that the same algebra on ``ParamPoly`` gives.
     """
     p = ansatz.power
     if pde.has_half_integer_reaction() and p != 2:
@@ -305,9 +376,9 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> A
         raise DomainError(f"ansatz symbols collide with model symbols: {sorted(clash)}")
     memo = {} if memo is None else memo
     key = (ansatz, pde.symbols())
-    if key not in memo:
-        memo[key] = _AnsatzTerms(ansatz, pde.symbols())
-    shape: _AnsatzTerms = memo[key]
+    shape = memo.get(key)
+    if shape is None:
+        shape = memo[key] = _AnsatzTerms(ansatz, pde.symbols())
 
     # (term, coefficient, k) in the residual's order; a symbolic reaction
     # coefficient lam is a factor of its term, whose coefficient is then -1
@@ -317,7 +388,7 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> A
         e = int(nu * p)
         symbolic = isinstance(lam, str)
         terms.append(((e, lam if symbolic else None), Fraction(-1) if symbolic else -lam, e))
-    terms = [(t, c, k) for t, c, k in terms if c and not shape.factor(t).is_zero()]
+    terms = [(t, c, k) for t, c, k in terms if c and shape.factor(t)[1]]
     K = max((k for _, _, k in terms), default=0)
     parts = [(c, *shape.cleared(t, k, K)) for t, c, k in terms]
 
@@ -332,12 +403,13 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> A
     provenance = tuple(j for j in sorted(sums) if sums[j])
     equations = []
     for j in provenance:
-        bucket = sums[j]
-        content = math.gcd(*bucket.values())
-        if bucket[max(bucket, key=lambda e: (sum(e), e))] < 0:  # primitive()'s sign rule
+        keys, values = shape.unpacked(sums[j]), list(sums[j].values())
+        content = math.gcd(*values)
+        # primitive()'s sign rule: the graded-lex leading term is positive
+        if max(zip(map(sum, keys), keys, values))[2] < 0:
             content = -content
-        equations.append(ParamPoly._make(shape.names, {exps: Fraction(x // content)
-                                                       for exps, x in bucket.items()}))
+        equations.append(ParamPoly._make(shape.names, dict(zip(
+            keys, map(Fraction, [x // content for x in values])))))
     return AlgebraicSystem(
         unknowns=ansatz.symbols(),
         equations=tuple(equations),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twbench import catalog
+from twbench import catalog, reducer
 from twbench.catalog import (
     FAMILIES,
     NOTATION,
@@ -26,7 +26,7 @@ from twbench.catalog import (
 from twbench.cli import main as cli_main
 from twbench.model import SchemaError
 from twbench.reducer import reduce, residual_scan, sample_solution, verify_assignment
-from twbench.symcore import ParamPoly, exact_root
+from twbench.symcore import exact_root
 
 EXPECTATIONS_PATH = Path(__file__).resolve().parent.parent / "expectations.json"
 
@@ -140,16 +140,15 @@ class TestVerifyEntry:
 
     def test_no_cached_state_outlives_a_call(self, monkeypatch):
         # reduce's memo lives for one verify_entry call: a second call of the
-        # same family does the same exact work and reports the same
+        # same family takes the same packed products and reports the same
         calls = []
-        mul = ParamPoly.__mul__
+        mul = reducer._mul
 
-        def counted(self, other):
+        def counted(a, b):
             calls.append(None)
-            return mul(self, other)
+            return mul(a, b)
 
-        monkeypatch.setattr(ParamPoly, "__mul__", counted)
-        monkeypatch.setattr(ParamPoly, "__rmul__", counted)
+        monkeypatch.setattr(reducer, "_mul", counted)
         first = verify_entry("IVc")
         first_calls = len(calls)
         assert verify_entry("IVc") == first

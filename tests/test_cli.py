@@ -241,6 +241,12 @@ EXIT_2_CASES = {
     "solve-starts-count": ["solve", "--system", "{system}", "--starts", "10000000000"],
     # ran until killed, one trial record after another
     "catalog-trials-count": ["catalog", "verify", "--family", "IVd", "--trials", "10000000000"],
+    # built ten billion symbol names: a MemoryError traceback (exit 1) under a
+    # memory cap, all of memory without one
+    "reduce-ansatz-count": ["reduce", "--model", "models/burgers.json",
+                            "--ansatz", "10000000000/1"],
+    "reduce-ansatz-count-denominator": ["reduce", "--model", "models/burgers.json",
+                                        "--ansatz", "1/10000000000"],
 }
 
 

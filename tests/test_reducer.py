@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import sys
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twbench import catalog, reducer
-from twbench.model import HyperbolicPDE, parse_model
+from twbench import catalog, reducer, symcore
+from twbench.model import DomainError, HyperbolicPDE, parse_model
 from twbench.reducer import (
     _compile,
     _newton_steps,
@@ -136,8 +137,9 @@ def _reference_reduce(pde, ansatz):
     """``reduce`` as it was written before it cached its per-ansatz work: all
     of its algebra on ``ParamPoly``, once per call."""
     p = ansatz.power
-    f = ansatz.numerator()
-    g = ansatz.denominator()
+    E = ParamPoly.var(E_NAME)
+    f, g = (sum((ParamPoly.lift(c) * E**k for k, c in enumerate(side)), ParamPoly.const(0))
+            for side in (ansatz.a, ansatz.b))
     alpha = ansatz.alpha
     v = ParamPoly.lift(ansatz.velocity)
     N0 = f**p
@@ -217,6 +219,11 @@ def _reductions(draw):
           [parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":"l1","2":3}}'),
            parse_model('{"tau":0,"A":2,"B":1,"kappa":0,"reaction":{"1/2":0,"3":"l3"}}'),
            parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":"l1","2":3}}')]))
+@example((ExpAnsatz(a=("a0", ParamPoly.var("a1", 70000)), b=("b0", "b1"), alpha=F(-1, 2),
+                    power=2),  # exponents up to 420 000, past a 16-bit packed field
+          [parse_model((REPO / "models" / "telegraph_cubic.json").read_text())]))
+@example((ExpAnsatz(a=(1, F(2, 3)), b=(F(1, 3), 5), alpha=F(2), velocity=F(3, 2)),
+          [parse_model('{"tau":1,"A":1,"B":1,"kappa":1,"reaction":{"0":-8,"3":1}}')]))  # no names
 def test_reduce_matches_reference(case):
     ansatz, pdes = case
     memo: dict = {}
@@ -237,6 +244,41 @@ def test_catalog_sweep_reductions_match_reference(monkeypatch):
     assert len(calls) == 101
     for pde, ansatz, system in calls:
         _assert_same_system(system, _reference_reduce(pde, ansatz))
+
+
+def test_reduce_refuses_an_exponent_past_64_bit_fields():
+    with pytest.raises(DomainError):
+        reduce(BURGERS, ExpAnsatz(a=(ParamPoly.var("a1", 2**62),), b=("b0",)))
+
+
+def test_reduce_takes_no_param_poly_arithmetic(monkeypatch):
+    # reduce has one path, on packed integer monomials: with every ParamPoly
+    # operation refused it still gives the ladder's golden systems, term for
+    # term, and a catalog ansatz whose slots are ParamPolys
+    telegraph = parse_model((REPO / "models" / "telegraph_cubic.json").read_text())
+    cases = [(f"telegraph_cubic.{d}-{d}.p{p}", telegraph,
+              ExpAnsatz(a=tuple(f"a{i}" for i in range(d + 1)),
+                        b=tuple(f"b{i}" for i in range(d + 1)), power=p))
+             for p in (1, 2) for d in (1, 2, 3, 4)]
+    family = catalog.FAMILIES["IVb"]
+    instance = next(iter(family.instances(family.draw(random.Random(1)))))
+    assert any(isinstance(c, ParamPoly) and len(c.terms) > 1 for c in instance.ansatz.b)
+    cases.append((None, instance.pde, instance.ansatz))
+    want = [_reference_reduce(pde, ansatz) for _, pde, ansatz in cases]
+    golden = json.loads((REPO / "perfbench" / "golden.json").read_text())["reduce"]
+
+    def refused(*args):
+        raise AssertionError("reduce took ParamPoly arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__neg__", "__pow__"):
+        monkeypatch.setattr(ParamPoly, name, refused)
+    monkeypatch.setattr(symcore, "poly_dxi", refused)
+    for (key, pde, ansatz), reference in zip(cases, want):
+        system = reduce(pde, ansatz)
+        _assert_same_system(system, reference)
+        if key is not None:
+            assert hashlib.sha256(system.to_json().encode()).hexdigest() == golden[key]
 
 
 class TestVerifyAssignment:
