@@ -1059,15 +1059,10 @@ def _pole_free_window(poles):
     """Largest subinterval of SCAN_WINDOW staying POLE_MARGIN away from every pole."""
     lo, hi = SCAN_WINDOW
     cuts = [lo] + sorted(p for p in poles if lo < p < hi) + [hi]
-    best = None
-    for a, b in zip(cuts, cuts[1:]):
-        aa = a + (POLE_MARGIN if a != lo else 0.0)
-        bb = b - (POLE_MARGIN if b != hi else 0.0)
-        if best is None or bb - aa > best[1] - best[0]:
-            best = (aa, bb)
-    if best is None or best[1] - best[0] < 0.5:
-        return (lo, hi)
-    return best
+    gaps = [(a + (POLE_MARGIN if a != lo else 0.0), b - (POLE_MARGIN if b != hi else 0.0))
+            for a, b in zip(cuts, cuts[1:])]
+    best = max(gaps, key=lambda gap: gap[1] - gap[0])
+    return best if best[1] - best[0] >= 0.5 else (lo, hi)
 
 
 def instantiate(family_id: str, free_values: Mapping[str, Fraction]):

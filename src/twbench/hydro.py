@@ -331,18 +331,6 @@ class CriticalPointReport:
     Psi_positive: bool
 
 
-def Psi(model: HydroModel, R: float, R2: float | None = None) -> float:
-    """The positive cofactor in P(R) = (R - R1)*(R - R2)*Psi(R)."""
-    k = model.kernel
-    R1 = k.R1
-    R2 = k.R2 if R2 is None else R2
-    if abs(R - R1) < 1e-9:
-        return k.dP(R1) / (R1 - R2)
-    if abs(R - R2) < 1e-9:
-        return k.dP(R2) / (R2 - R1)
-    return k.P(R) / ((R - R1) * (R - R2))
-
-
 def critical_points(model: HydroModel) -> CriticalPointReport:
     """Locate and classify the equilibria of the reduced system.
 
@@ -370,7 +358,8 @@ def saddle_angle(model: HydroModel) -> float:
     """Angle between the outgoing separatrix and the R axis at the saddle."""
     k = model.kernel
     r1, r2 = k.R1, k.R2
-    s = (r2 - r1) * Psi(model, r1, r2) / (k.sigma * r1 ** (k.nu + 2))
+    # Psi(R1) = P'(R1)/(R1 - R2), the cofactor in P(R) = (R - R1)*(R - R2)*Psi(R)
+    s = (r2 - r1) * (k.dP(r1) / (r1 - r2)) / (k.sigma * r1 ** (k.nu + 2))
     return math.atan(math.sqrt(s))
 
 

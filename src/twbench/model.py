@@ -89,10 +89,12 @@ class HyperbolicPDE:
                 lam = Fraction(lam)
             cleaned[nu] = lam
         object.__setattr__(self, "reaction", cleaned)
+        # frozen, so hashed once: a PDE keys the catalog's per-instance lookups
+        object.__setattr__(self, "_hash", hash((self.tau, self.A, self.B, self.kappa,
+                                                tuple(sorted(cleaned.items())))))
 
     def __hash__(self):
-        return hash((self.tau, self.A, self.B, self.kappa,
-                     tuple(sorted(self.reaction.items(), key=lambda kv: kv[0]))))
+        return self._hash
 
     def is_numeric(self) -> bool:
         """True when every reaction coefficient is an exact rational."""

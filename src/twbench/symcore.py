@@ -190,11 +190,6 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_value(self) -> Fraction:
-        if self.variables:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
-
     def degree(self, name: str | None = None) -> int:
         """Total degree, or degree in one variable; zero polynomial -> -1."""
         if not self.terms:
@@ -349,17 +344,6 @@ class ParamPoly:
 
         return ParamPoly._make(tuple(self.variables[i] for i in keep), _merge({}, reduced()))
 
-    def as_univariate(self, name: str) -> dict[int, "ParamPoly"]:
-        """Split into coefficients of powers of one variable."""
-        if name not in self.variables:
-            return {0: self} if self.terms else {}
-        i = self.variables.index(name)
-        rest = self.variables[:i] + self.variables[i + 1 :]
-        buckets: dict[int, dict] = {}
-        for exps, c in self.terms.items():
-            buckets.setdefault(exps[i], {})[exps[:i] + exps[i + 1 :]] = c
-        return {k: ParamPoly._make(rest, t) for k, t in sorted(buckets.items())}
-
     def content(self) -> tuple[Fraction, tuple[int, ...]]:
         """Monomial content: gcd of coefficients and componentwise min exponent."""
         if not self.terms:
@@ -380,15 +364,6 @@ class ParamPoly:
                 raise ValueError("monomial does not divide polynomial")
             out[key] = c / coeff
         return ParamPoly._make(self.variables, out)
-
-    def primitive(self) -> "ParamPoly":
-        """Divide out the rational content and normalize the leading sign."""
-        if not self.terms:
-            return self
-        c, _ = self.content()
-        if self._leading_coeff() < 0:
-            c = -c
-        return self.divide_monomial(c, (0,) * len(self.variables))
 
     def _leading_coeff(self) -> Fraction:
         key = max(self.terms, key=lambda e: (sum(e), e))

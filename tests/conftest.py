@@ -33,9 +33,19 @@ def rand_poly(rng, names=("x", "y", "z"), max_terms=4, max_deg=3) -> ParamPoly:
 def coeff_list(poly: ParamPoly, name: str) -> list[Fraction]:
     """Dense coefficient list of ``poly`` in one variable, lowest power
     first; every coefficient must be a rational constant."""
-    parts = poly.as_univariate(name)
-    deg = max(parts) if parts else 0
-    out = [Fraction(0)] * (deg + 1)
-    for k, p in parts.items():
-        out[k] = p.constant_value()
+    assert set(poly.variables) <= {name}, f"{poly.to_text()} is not in {name} alone"
+    out = [Fraction(0)] * (max(poly.degree(name), 0) + 1)
+    for exps, c in poly.terms.items():
+        out[sum(exps)] = c
     return out
+
+
+def by_power(poly: ParamPoly, name: str) -> dict[int, ParamPoly]:
+    """The coefficient of each power of one variable, lowest power first,
+    each keeping the order of ``poly``'s terms."""
+    rest = tuple(n for n in poly.variables if n != name)
+    parts: dict[int, dict] = {}
+    for exps, c in poly.terms.items():
+        powers = dict(zip(poly.variables, exps))
+        parts.setdefault(powers.pop(name, 0), {})[tuple(powers.values())] = c
+    return {k: ParamPoly._make(rest, terms) for k, terms in sorted(parts.items())}

@@ -235,6 +235,15 @@ class TestExpectations:
         report = verify_entry("IVd", trials=1, seed=1)
         assert not matches_expectations(report, {"expected": "FAIL-DOCUMENTED"})
 
+    def test_committed_notes_match_the_catalog(self):
+        # catalog list prints the catalog's copy and matches_expectations
+        # reads neither field, so only this catches the two drifting apart
+        expectations = load_expectations(EXPECTATIONS_PATH)
+        for family_id, fam in FAMILIES.items():
+            committed = expectations[family_id]
+            assert committed["annotations"] == list(fam.entry.annotations), family_id
+            assert committed["adopted_reading"] == fam.adopted, family_id
+
 
 class TestDerivedFormulas:
     """The evaluator that turns each family's printed formula text into values."""

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import textwrap
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -247,6 +246,8 @@ EXIT_2_CASES = {
                             "--ansatz", "10000000000/1"],
     "reduce-ansatz-count-denominator": ["reduce", "--model", "models/burgers.json",
                                         "--ansatz", "1/10000000000"],
+    # took 11.5 s and 607 MB; its products are bounded before any is built
+    "reduce-ansatz-size": ["reduce", "--model", "models/burgers.json", "--ansatz", "400/1"],
 }
 
 

@@ -63,6 +63,12 @@ class TestParseModel:
         for pde in models:
             assert parse_model(serialize_model(pde)) == pde
 
+    def test_equal_models_hash_equal(self):
+        # the hash is taken once, from the reaction map sorted by exponent
+        a = HyperbolicPDE(tau=1, A=0, B=1, kappa=1, reaction={1: "l1", F(3, 2): F(2, 7)})
+        b = HyperbolicPDE(tau=F(1), A=0, B=1, kappa=1, reaction={F(3, 2): F(2, 7), 1: "l1"})
+        assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+
 
 class TestQuarticReduction:
     def test_reference_coefficients(self):

@@ -49,7 +49,7 @@ from twbench.symcore import (
     reduced_pair,
 )
 
-from conftest import coeff_list
+from conftest import by_power, coeff_list
 from equiv import random_trial
 
 
@@ -163,10 +163,18 @@ def _reference_reduce(pde, ansatz):
         K = max(k for _, k in terms)
         for num, k in terms:
             residual = residual + num * g ** (K - k)
-    buckets = residual.as_univariate(E_NAME)
-    provenance = tuple(sorted(buckets))
-    return AlgebraicSystem(ansatz.symbols(), tuple(buckets[k].primitive() for k in provenance),
-                           provenance, pde.symbols())
+    buckets = by_power(residual, E_NAME)
+    equations = []
+    for eq in buckets.values():
+        # the rational content divided out, the graded-lex leading term positive
+        coeffs = eq.terms.values()
+        content = F(math.gcd(*(c.numerator for c in coeffs)),
+                    math.lcm(*(c.denominator for c in coeffs)))
+        if eq.terms[max(eq.terms, key=lambda e: (sum(e), e))] < 0:
+            content = -content
+        equations.append(ParamPoly._make(eq.variables,
+                                         {e: c / content for e, c in eq.terms.items()}))
+    return AlgebraicSystem(ansatz.symbols(), tuple(equations), tuple(buckets), pde.symbols())
 
 
 def _assert_same_system(got, want):
@@ -249,6 +257,17 @@ def test_catalog_sweep_reductions_match_reference(monkeypatch):
 def test_reduce_refuses_an_exponent_past_64_bit_fields():
     with pytest.raises(DomainError):
         reduce(BURGERS, ExpAnsatz(a=(ParamPoly.var("a1", 2**62),), b=("b0",)))
+
+
+def test_reduce_refuses_an_ansatz_past_the_product_budget(monkeypatch):
+    # 401 numerator and 2 denominator terms at K = 3: C(405, 3) terms at most
+    def product(*_):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(reducer, "_mul", product)
+    ansatz = ExpAnsatz(a=tuple(f"a{i}" for i in range(401)), b=("b0", "b1"))
+    with pytest.raises(DomainError, match="products of 10989810 terms, over the limit of 100000"):
+        reduce(BURGERS, ansatz)
 
 
 def test_reduce_takes_no_param_poly_arithmetic(monkeypatch):
@@ -836,7 +855,7 @@ def _exact_rows(w, p, alpha):
     u2 = u1.differentiate_xi("alpha")
     rows = []
     for poly in (w.num, w.den, u.num, u.den, u1.num, u1.den, u2.num, u2.den):
-        parts = poly.as_univariate("E")
+        parts = by_power(poly, "E")
         row = np.zeros(max(parts, default=0) + 1)
         for k, coeff in parts.items():
             row[k] = float(coeff.evaluate({"alpha": alpha}))
@@ -1097,6 +1116,24 @@ def test_solution_holds_the_canonical_pair():
     sol = ClosedFormSolution((6, 2), (-2, 2), alpha=1.0, velocity=1.0)
     assert (sol.num, sol.den) == ((3, 1), (-1, 1))
     assert ClosedFormSolution((0, 0), (0, -4), alpha=1.0, velocity=1.0).den == (1,)
+
+
+def test_each_built_solution_is_reduced_once(monkeypatch):
+    # the builder only clears denominators; ClosedFormSolution reduces the pair
+    counts = {"reduced": 0, "built": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(reducer, "reduced_pair", counted("reduced", reducer.reduced_pair))
+    monkeypatch.setattr(catalog, "solution_from_assignment",
+                        counted("built", catalog.solution_from_assignment))
+    for family_id in catalog.FAMILIES:
+        catalog.verify_entry(family_id, trials=5, seed=1)
+    assert counts == {"reduced": 206, "built": 206}
 
 
 @settings(max_examples=300, deadline=None, database=None)

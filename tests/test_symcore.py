@@ -63,9 +63,8 @@ class TestPolyArithmetic:
             p, q = rand_poly(rng), rand_poly(rng)
             e = rand_poly(rng, names=("E", "x"))
             results = [p, p + q, p - q, p * q, p ** rng.randint(0, 3), p.diff("x"),
-                       p.substitute({"y": rand_frac(rng)}), p.primitive(),
-                       poly_dxi(e), poly_dxi(e, rand_frac(rng)),
-                       *p.as_univariate("z").values()]
+                       p.substitute({"y": rand_frac(rng)}),
+                       poly_dxi(e), poly_dxi(e, rand_frac(rng))]
             for r in results:
                 again = ParamPoly(r.variables, r.terms)
                 assert again == r
