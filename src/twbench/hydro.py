@@ -84,18 +84,6 @@ def _rpow(base: Number, exp: Fraction) -> Number:
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    """A point (R, Y) of the phase plane, restricted to R > 0."""
-
-    R: float
-    Y: float
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise OutOfDomain("phase states live in the right half-plane R > 0")
-
-
-@dataclass(frozen=True)
 class HydroModel:
     """Parameters nu, beta, sigma, D, R1 with derived C1 and E.
 
@@ -162,8 +150,8 @@ def P_of_R(model: HydroModel, R: Number) -> Number:
 
 
 def hamiltonian(model: HydroModel, state) -> Number:
-    """H(R, Y); exact Fraction when the inputs and powers are rational."""
-    R, Y = (state.R, state.Y) if isinstance(state, PhaseState) else state
+    """H at state = (R, Y); exact Fraction when the inputs and powers are rational."""
+    R, Y = state
     if not (R > 0):
         raise OutOfDomain("hamiltonian requires R > 0")
     nu = model.nu
@@ -302,8 +290,12 @@ def G_second(model: HydroModel, R: float) -> float:
     return model.kernel.d2G(R)
 
 
-def _polish(f, df, x: float, steps: int = 4) -> float:
-    for _ in range(steps):
+#: Newton steps that polish a bracketed root of P or G.
+_POLISH_STEPS = 4
+
+
+def _polish(f, df, x: float) -> float:
+    for _ in range(_POLISH_STEPS):
         d = df(x)
         if d == 0 or not math.isfinite(d):
             break
@@ -393,7 +385,8 @@ class Trajectory:
 
 
 def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajectory:
-    """Integrate the reduced system with an adaptive embedded Runge-Kutta pair.
+    """Integrate the reduced system from start = (R, Y) over omega_span, a
+    pair (omega0, omega1), with an adaptive embedded Runge-Kutta pair.
 
     Samples are the accepted solver steps; H is evaluated at all of them in
     one array expression.
@@ -405,10 +398,6 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     """
     if not rel_tol >= 1e-13:
         raise DomainError("rel_tol below 1e-13 is not resolvable in double precision")
-    if isinstance(start, PhaseState):
-        start = (start.R, start.Y)
-    if isinstance(omega_span, (int, float)):
-        omega_span = (0.0, float(omega_span))
     y0 = [float(start[0]), float(start[1])]
     if not all(map(math.isfinite, [*y0, *omega_span])):
         raise DomainError("the start and the span must be finite")
@@ -451,6 +440,9 @@ _GAUSS10, _GAUSS20 = _gauss01(10), _gauss01(20)
 #: Fewest rule applications per half of the homoclinic (s and t).
 MIN_PANELS = 64
 
+#: The homoclinic profile stops at R = R1 + HOMOCLINIC_DELTA, short of the saddle.
+HOMOCLINIC_DELTA = 1e-6
+
 
 def panel_quadrature(fun, grid: np.ndarray, parts: int = 1) -> np.ndarray:
     """Integrals of fun over the panels [grid[i], grid[i+1]], all at once.
@@ -479,8 +471,7 @@ def panel_quadrature(fun, grid: np.ndarray, parts: int = 1) -> np.ndarray:
     return q20.reshape(-1, parts).sum(axis=1)
 
 
-def homoclinic_profile(model: HydroModel, n: int = 400,
-                       delta: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+def homoclinic_profile(model: HydroModel, n: int = 400) -> tuple[np.ndarray, np.ndarray]:
     """The homoclinic profile (omega, R) by quadrature, peak-centered.
 
     Both quadrature endpoints are singular: G has a simple root at the peak
@@ -497,7 +488,7 @@ def homoclinic_profile(model: HydroModel, n: int = 400,
     the pieces are summed in order.  On a coarse grid each panel is cut into
     equal parts so that each half gets at least MIN_PANELS rule applications.
     The returned branch has omega >= 0 increasing while R falls from R3 to
-    R1 + delta; the orbit is even in omega, so the other side is the mirror.
+    R1 + HOMOCLINIC_DELTA; the orbit is even in omega, so the other side is the mirror.
     """
     if n < 2:
         raise DomainError("need at least two sample points")
@@ -526,8 +517,8 @@ def homoclinic_profile(model: HydroModel, n: int = 400,
     n_t = max(n - n_s, 2)
     s_grid = np.linspace(0.0, math.sqrt(r3 - r_mid), n_s)
     omega_s = accumulate(integrand_s, s_grid, 0.0)
-    # t decreasing: R walks from r_mid down to r1 + delta
-    t_grid = np.linspace(math.log(r_mid - r1), math.log(delta), n_t)
+    # t decreasing: R walks from r_mid down to r1 + HOMOCLINIC_DELTA
+    t_grid = np.linspace(math.log(r_mid - r1), math.log(HOMOCLINIC_DELTA), n_t)
     omega_t = accumulate(integrand_t, t_grid, omega_s[-1])
     omega = np.concatenate([omega_s, omega_t[1:]])
     R = np.concatenate([r3 - s_grid**2, r1 + np.exp(t_grid[1:])])
@@ -553,12 +544,6 @@ class ExplicitHomoclinic:
 
     corrected: float
     printed: float
-
-
-def _is_reference_instance(model: HydroModel) -> bool:
-    ref = reference_instance()
-    return (model.nu, model.beta, model.sigma, model.D, model.R1) == \
-           (ref.nu, ref.beta, ref.sigma, ref.D, ref.R1)
 
 
 def _asin_clamped(x: float) -> float:
@@ -589,7 +574,7 @@ def explicit_homoclinic(R: float, model: HydroModel | None = None) -> ExplicitHo
     corrected branch satisfies d(omega)/dR = quadrature integrand.
     """
     model = reference_instance() if model is None else model
-    if not _is_reference_instance(model):
+    if model != reference_instance():
         raise OutOfDomain("the explicit homoclinic is specific to the worked instance")
     r3 = 2.0 * _SQRT2 - 1.0
     if not (1.0 < R <= r3):

@@ -286,13 +286,19 @@ class _AnsatzTerms:
             raise DomainError(f"an ansatz of {ansatz.m}/{ansatz.n} at power {p} may make "
                               f"products of {size} terms, over the limit of "
                               f"{MAX_PRODUCT_TERMS}")
-        self.names = tuple(sorted((*ansatz.symbols(), *symbols)))
         slots = [ParamPoly.lift(c) for c in (*ansatz.a, *ansatz.b, ansatz.alpha,
                                              ansatz.velocity)]
         top = max(1, ansatz.m, ansatz.n, *(x for s in slots for exps in s.terms for x in exps))
         w = next((8 * size for size in _FIELD_CODES if (K + 4) * top >> 8 * size == 0), None)
         if w is None:
             raise DomainError(f"an ansatz exponent of {top} is too large to reduce")
+        # after the budget, so an oversize ansatz is refused before its symbols
+        # are walked; a memo hit in reduce skips this, its key holding `symbols`
+        unknowns = ansatz.symbols()
+        clash = set(unknowns) & (set(symbols) | {E_NAME})
+        if clash:
+            raise DomainError(f"ansatz symbols collide with model symbols: {sorted(clash)}")
+        self.names = tuple(sorted((*unknowns, *symbols)))
         self.width = w
         self.shift = {name: w * (len(self.names) - i) for i, name in enumerate(self.names)}
         self.f = f = self._side(slots[:len(ansatz.a)])
@@ -387,9 +393,6 @@ def reduce(pde: HyperbolicPDE, ansatz: ExpAnsatz, memo: dict | None = None) -> A
     p = ansatz.power
     if pde.has_half_integer_reaction() and p != 2:
         raise PowerMismatch("half-integer reaction exponents require power 2")
-    clash = set(ansatz.symbols()) & (set(pde.symbols()) | {E_NAME})
-    if clash:
-        raise DomainError(f"ansatz symbols collide with model symbols: {sorted(clash)}")
     memo = {} if memo is None else memo
     key = (ansatz, pde.symbols())
     shape = memo.get(key)
@@ -863,10 +866,7 @@ def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
         arr = np.array([float(c) for c in den_coeffs])
     except OverflowError:
         raise NumericFailure("alpha or a denominator coefficient is beyond the float range") from None
-    while len(arr) and arr[-1] == 0:
-        arr = arr[:-1]
-    if len(arr) < 2:
-        return ()
+    # np.roots drops the zero coefficients of the highest powers of E itself
     roots = np.roots(arr[::-1])
     real_pos = [float(r.real) for r in roots
                 if abs(r.imag) <= 1e-9 * (1 + abs(r.real)) and r.real > 0]

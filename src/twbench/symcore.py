@@ -190,12 +190,10 @@ class ParamPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self, name: str | None = None) -> int:
-        """Total degree, or degree in one variable; zero polynomial -> -1."""
+    def degree(self, name: str) -> int:
+        """Degree in one variable; zero polynomial -> -1."""
         if not self.terms:
             return -1
-        if name is None:
-            return max(sum(e) for e in self.terms)
         if name not in self.variables:
             return 0
         i = self.variables.index(name)
@@ -568,67 +566,31 @@ class ExpRational:
     which divides out their gcd in E; the terms keep their order unless a
     factor in E is divided out.  So ``hash`` agrees with ``==`` for pairs in
     E alone and for pairs whose common factor is a monomial; there is no
-    multivariate gcd.  ``reduce=False`` keeps a pair as given.
+    multivariate gcd.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly | None = None, *, reduce: bool = True):
+    def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
         den = ParamPoly.const(1) if den is None else den
         if not any(den.terms.values()):
             raise DivisionByZero("denominator is identically zero")
-        if reduce:
-            num, den = _reduce_pair(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _reduce_pair(num, den)
 
-    @staticmethod
-    def lift(value) -> "ExpRational":
-        if isinstance(value, ExpRational):
-            return value
-        return ExpRational(ParamPoly.lift(value), reduce=False)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other) -> "ExpRational":
-        other = ExpRational.lift(other)
+    def __add__(self, other: "ExpRational") -> "ExpRational":
         if self.den == other.den:
             return ExpRational(self.num + other.num, self.den)
         return ExpRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExpRational":
-        return ExpRational(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other) -> "ExpRational":
-        return self + (-ExpRational.lift(other))
-
-    def __rsub__(self, other) -> "ExpRational":
-        return ExpRational.lift(other) + (-self)
-
-    def __mul__(self, other) -> "ExpRational":
-        other = ExpRational.lift(other)
+    def __mul__(self, other: "ExpRational") -> "ExpRational":
         return ExpRational(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ExpRational":
-        other = ExpRational.lift(other)
-        return ExpRational(self.num * other.den, self.den * other.num)
-
     def __pow__(self, n: int) -> "ExpRational":
-        if n < 0:
-            return ExpRational(self.den**-n, self.num**-n)
         return ExpRational(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpRational):
-            try:
-                other = ExpRational.lift(other)
-            except TypeError:
-                return NotImplemented
+            return NotImplemented
         return (self.num * other.den - other.num * self.den).is_zero()
 
     def __hash__(self):

@@ -186,6 +186,12 @@ INPUT_DOCUMENTS = {
     "expectations_entry_not_object": '{"IVd": [1, 2]}',
     "huge_number": '{"tau":1e10000000,"A":0,"B":1,"kappa":1,"reaction":{}}',
     "hydro_huge_D": '{"nu":0,"beta":"1/2","sigma":1,"D":1e400,"R1":1}',
+    "model_symbolic_tau": '{"tau":"x","A":0,"B":1,"kappa":1,"reaction":{}}',
+    "model_reaction_list": '{"tau":1,"A":0,"B":1,"kappa":1,"reaction":[1]}',
+    # a "p/q" string past Python's default limit of 4300 digits for int()
+    "model_long_rational": json.dumps({"tau": "1/" + "7" * 5000, "A": 0, "B": 1,
+                                       "kappa": 1, "reaction": {}}),
+    "system_undeclared_symbol": json.dumps(dict(SYSTEM, equations=["x^2 + z"])),
 }
 
 EXIT_2_CASES = {
@@ -248,6 +254,17 @@ EXIT_2_CASES = {
                                         "--ansatz", "1/10000000000"],
     # took 11.5 s and 607 MB; its products are bounded before any is built
     "reduce-ansatz-size": ["reduce", "--model", "models/burgers.json", "--ansatz", "400/1"],
+    # at the count limit: the product budget refuses it before its symbols are walked
+    "reduce-ansatz-at-count-limit": ["reduce", "--model", "models/burgers.json",
+                                     "--ansatz", "1000000/1"],
+    "reduce-missing-model": ["reduce", "--model", "{missing}", "--ansatz", "1/1"],
+    "model-symbolic-tau": ["reduce", "--model", "{model_symbolic_tau}", "--ansatz", "1/1"],
+    "model-reaction-list": ["reduce", "--model", "{model_reaction_list}", "--ansatz", "1/1"],
+    "model-long-rational": ["reduce", "--model", "{model_long_rational}", "--ansatz", "1/1"],
+    "system-undeclared-symbol": ["verify", "--system", "{system_undeclared_symbol}",
+                                 "--assign", "x=1,y=1"],
+    "eval-range-one-point": ["eval", "--family", "IVe-a",
+                             "--free", "lam1=1,lam3=-2,tau=1,kappa=1,v=2", "--range=0:1:1"],
 }
 
 
@@ -284,6 +301,15 @@ def test_verify_refuses_a_huge_text_before_parsing(tmp_path, monkeypatch, capsys
     assert cli.main(["verify", "--system", str(path), "--assign", "y0=1"]) == 2
     assert capsys.readouterr() == ("", "error: 20000 terms in 20000 variables are over "
                                        "the limit of 10000000 exponents\n")
+
+
+def test_solve_prints_the_origin_when_the_pins_zero_every_equation(tmp_path, capsys):
+    # x = 0 makes x*y and x^2 vanish identically: any y solves, and solve gives y = 0
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(SYSTEM, equations=["x*y", "x^2"],
+                                    provenance={"0": 0, "1": 1})))
+    assert cli.main(["solve", "--system", str(path), "--fix", "x=0"]) == 0
+    assert json.loads(capsys.readouterr().out)["solutions"] == [{"y": "0"}]
 
 
 def test_solve_fixes_a_long_rational_under_a_high_power(tmp_path):
@@ -544,6 +570,15 @@ class TestHydroCommands:
         kinds = [p["kind"] for p in doc["critical_points"]]
         assert kinds == ["saddle", "center"]
         assert doc["Psi_positive"] is True
+
+    def test_analyze_prints_an_irrational_E_as_a_float(self, tmp_path, capsys):
+        # nu = 1/2 and R1 = 2: E = D^2/R1 + beta*R1^(5/2)/(5/2) has the irrational 2^(5/2)
+        path = tmp_path / "half.json"
+        path.write_text('{"nu":"1/2","beta":"1/2","sigma":1,"D":3,"R1":2}')
+        assert cli.main(["hydro-analyze", "--model", str(path)]) == 0
+        E = json.loads(capsys.readouterr().out)["E"]
+        assert "/" not in E and len(E.replace(".", "").lstrip("0")) == 17
+        assert math.isclose(float(E), 4.5 + 2**2.5 / 5, rel_tol=1e-15)
 
     def test_orbit_csv(self, hydro_model, tmp_path):
         out = tmp_path / "orbit.csv"

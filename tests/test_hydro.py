@@ -15,7 +15,6 @@ from twbench.hydro import (
     NoSecondRoot,
     OutOfDomain,
     P_of_R,
-    PhaseState,
     QuadratureFailure,
     critical_points,
     explicit_homoclinic,
@@ -120,10 +119,6 @@ class TestHamiltonian:
         r2 = second_root(worked)
         assert abs(float(hamiltonian(worked, (r2, 0.0))) - 0.818300) < 1e-6
         assert abs(float(G_of_R(worked, r2)) - 0.056700) < 1e-6
-
-    def test_phase_state_domain(self):
-        with pytest.raises(OutOfDomain):
-            PhaseState(R=-1.0, Y=0.0)
 
 
 class TestGFunction:

@@ -270,6 +270,18 @@ def test_reduce_refuses_an_ansatz_past_the_product_budget(monkeypatch):
         reduce(BURGERS, ansatz)
 
 
+def test_reduce_refuses_an_oversize_ansatz_before_walking_its_symbols(monkeypatch):
+    # the ansatz of `reduce --ansatz 1000000/1`: the budget refuses it before
+    # the symbol-clash check collects its million names
+    def symbols(*_):
+        raise AssertionError("the ansatz symbols were walked")
+
+    ansatz = ExpAnsatz(a=tuple(f"a{i}" for i in range(1_000_001)), b=("b0", "b1"))
+    monkeypatch.setattr(ExpAnsatz, "symbols", symbols)
+    with pytest.raises(DomainError, match="over the limit of 100000"):
+        reduce(BURGERS, ansatz)
+
+
 def test_reduce_takes_no_param_poly_arithmetic(monkeypatch):
     # reduce has one path, on packed integer monomials: with every ParamPoly
     # operation refused it still gives the ladder's golden systems, term for
