@@ -21,7 +21,8 @@ formula text, are evaluated from the same text that ``catalog list`` prints.
 One builder, ``_table_family``, makes every family from its table: the PDE,
 the instances and the random draw.  A family whose table takes square roots
 gives it only a ``branches`` generator, which yields the values the radicals
-take on each sign branch.  Those formulas are written out in code, and so
+take on each sign branch from the radicands of the printed text.  What is
+computed from a root, which may be a float, is written out in code, and so
 are the conditions of I-tanh, I-kink2 and IVa-special that are prose
 ("velocity discriminant >= 0") or read a radical.
 """
@@ -37,7 +38,8 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Iterator, Mapping
+from itertools import accumulate
+from typing import Callable, ClassVar, Iterator, Mapping
 
 from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
 from .reducer import (
@@ -129,6 +131,15 @@ def _formula(text: str) -> Callable[[Mapping[str, Fraction]], Fraction]:
     return _compile(tree.body)
 
 
+@cache
+def _radicands(text: str) -> tuple[str, ...]:
+    """The argument of each ``sqrt(...)`` in printed formula text, in order:
+    it ends where the parenthesis depth first falls below its opening's."""
+    depth = list(accumulate((c == "(") - (c == ")") for c in text))
+    return tuple(text[m.end():depth.index(depth[m.end() - 1] - 1, m.end())]
+                 for m in re.finditer(r"sqrt\(", text))
+
+
 def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
     match node:
         case ast.BinOp(left, ast.Pow(), ast.Constant(int() as n)):
@@ -155,9 +166,9 @@ def _compile(node: ast.expr) -> Callable[[Mapping[str, Fraction]], Fraction]:
 class _Derived(dict):
     """Free values, then a family's formulas, then the shared notation.
 
-    Each formula is evaluated exactly on first use and kept.  Free values
-    must be rational, so no float operation can depend on the order in which
-    a formula is written.
+    Each formula is evaluated exactly on first use and kept; ``radicand``
+    evaluates the argument of one of its square roots.  Free values must be
+    rational, so no float operation can depend on how a formula is written.
     """
 
     def __init__(self, free_values: Mapping[str, Fraction],
@@ -173,6 +184,10 @@ class _Derived(dict):
     def __missing__(self, name):
         value = self[name] = _formula(self.formulas[name])(self)
         return value
+
+    def radicand(self, name: str, i: int = 0) -> Fraction:
+        """The argument of the i-th ``sqrt(...)`` of formula ``name``."""
+        return _formula(_radicands(self.formulas[name])[i])(self)
 
 
 @dataclass(frozen=True)
@@ -204,8 +219,8 @@ class CatalogEntry:
     free: tuple[str, ...]
     derived: Mapping[str, str]
     admissibility: tuple[str, ...]
-    expected: str  # PASS | FAIL-DOCUMENTED (adjudicated)
     annotations: tuple[str, ...] = ()
+    expected: ClassVar[str] = "PASS"  # every family's adjudicated outcome
 
     @cached_property  # on first use: compiling every table at import would slow each command
     def formula_conditions(self) -> tuple[str, ...]:
@@ -391,7 +406,6 @@ def _family_I():
         free=free,
         derived=derived,
         admissibility=("b0*b1 != 0", "Delta != 0", "alpha != 0", "derived A >= 0"),
-        expected="PASS",
         annotations=(
             "kink-like when b0*b1 > 0 and a0/b0 != a1/b1 (the source table writes "
             "b2, a2 where only b1, a1 exist)",
@@ -415,13 +429,12 @@ def _family_I_tanh():
     }
 
     def branches(values):
-        lam0, lam2, lam3 = values["lam0"], values["lam2"], values["lam3"]
-        A, B, kappa, tau = values["A"], values["B"], values["kappa"], values["tau"]
-        disc = A * A * B * B - 8 * kappa * lam3 + 16 * kappa * lam2 * lam2 * tau
+        lam2, A, B = values["lam2"], values["A"], values["B"]
+        disc = values.radicand("v")
         if disc < 0:
             raise Inadmissible("I-tanh needs velocity discriminant >= 0")
-        denom = 2 * lam3 - 4 * lam2 * lam2 * tau
-        amplitudes = _sqrt_branches(-lam0 / lam2)
+        denom = 2 * values["lam3"] - 4 * lam2 * lam2 * values["tau"]
+        amplitudes = _sqrt_branches(values.radicand("a0"))
         for i, s in enumerate(_sqrt_branches(disc)):
             v = lam2 * (A * B + s) / denom
             if v == 0:
@@ -453,7 +466,6 @@ def _family_I_tanh():
         derived=derived,
         admissibility=("lam2 != 0", "lam0*lam2 < 0", "velocity discriminant >= 0",
                        "2*lam3 - 4*lam2^2*tau != 0", "B = 1"),
-        expected="PASS",
         annotations=(
             "the printed alpha sign does not verify as read; the branch search "
             "selects the opposite sign of alpha (equivalently of the tanh slope)",
@@ -481,10 +493,10 @@ def _family_I_kink2():
         return P, S
 
     def branches(values):
-        lam1, lam2, lam3 = values["lam1"], values["lam2"], values["lam3"]
+        lam1, lam2 = values["lam1"], values["lam2"]
         B, kappa, tau = values["B"], values["kappa"], values["tau"]
         parts = []  # (sign, b0, P, S) of each nonzero b0
-        for bi, s in enumerate(_sqrt_branches(lam2 * lam2 - 4 * lam1 * lam3)):
+        for bi, s in enumerate(_sqrt_branches(values.radicand("b0"))):
             b0 = (-lam2 + s) / lam1
             if b0:
                 parts.append((bi, b0, *alpha_v_parts(b0, lam1, lam2, B, tau)))
@@ -528,7 +540,6 @@ def _family_I_kink2():
         },
         admissibility=("lam1 != 0", "lam2^2 - 4*lam1*lam3 >= 0", "B > 0", "kappa > 0",
                        "radicand of v positive", "2*lam2 + 3*b0*lam1 != 0"),
-        expected="PASS",
         annotations=("A = lam0 = 0 by construction; the profile variable is "
                      "exp(2*alpha*xi), so the ansatz growth rate is twice the printed alpha",),
     )
@@ -568,7 +579,6 @@ def _family_II():
         derived=derived,
         admissibility=("b0*b1 > 0", "|a0|/|b0| = |a1|/|b1|", "a0/b0 != a1/b1",
                        "alpha != 0"),
-        expected="PASS",
         annotations=("the solitary-wave condition is printed with subscripts a2, b2 "
                      "where the displayed solution has a1, b1; the a1/b1 reading is adopted",),
     )
@@ -588,11 +598,10 @@ def _family_III():
                        b=(-pa1**3, -3 * pa1**2 * pa2, 3 * pa1 * pa2**2, ParamPoly.var("a3") ** 3))
 
     def branches(values):
-        lam1, lam3, A = values["lam1"], values["lam3"], values["A"]
-        q = _sqrt_branches(lam3 / lam1)[0]
+        q = _sqrt_branches(values.radicand("a2"))[0]
         a2 = -q / (6 * values["a1"])
-        alpha = q * lam1 / A  # sqrt(lam1*lam3) = q*lam1
-        vs = _sqrt_branches((A * A / lam3 + values["kappa"]) / values["tau"])
+        alpha = q * values["lam1"] / values["A"]  # sqrt(lam1*lam3) = q*lam1
+        vs = _sqrt_branches(values.radicand("v"))
         # the printed symbol a3 is undefined; any stand-in shows the literal reading
         for reading, a3 in {"a3_as_a2": a2, "a3_literal": a2 + 1}.items():
             for vi, v in enumerate(vs):
@@ -623,7 +632,6 @@ def _family_III():
             "v": "+/- sqrt((A^2/lam3 + kappa)/tau)",
         },
         admissibility=("lam1 > 0", "lam3 > 0", "A > 0", "tau > 0", "a1 != 0"),
-        expected="PASS",
         annotations=(
             "the printed denominator uses an undefined symbol a3; both the literal "
             "reading and the a3 -> a2 reinterpretation are adjudicated, and only "
@@ -669,7 +677,6 @@ def _family_IVa():
         derived=derived,
         admissibility=("a0 != 0", "b0 != 0", "|a1| + |b1| != 0", "Delta != 0",
                        "alpha != 0"),
-        expected="PASS",
         annotations=(
             f"the printed lam3 = {derived['lam3']} drops a factor of b0; the corrected "
             f"lam3 = {readings['corrected-lam3']['lam3']} "
@@ -695,18 +702,15 @@ def _family_IVa_special():
         "a1": "sqrt(2*(lam2^2 - lam1*lam3)/lam3^2)",
         "v": "+/- sqrt((lam1 - lam2^2/(3*lam3) + kappa*alpha^2)/(tau*alpha^2))",
     }
+    a1_radicands = {"corrected-a1": "(2/3)*(lam2^2 - 3*lam1*lam3)/lam3^2",
+                    "as-printed": _radicands(derived["a1"])[0]}
 
     def branches(values):
-        lam1, lam2, lam3 = values["lam1"], values["lam2"], values["lam3"]
-        alpha, tau = values["alpha"], values["tau"]
-        v_rad = (lam1 - lam2**2 / (3 * lam3) + values["kappa"] * alpha**2) / (tau * alpha**2)
+        v_rad = values.radicand("v")
         if v_rad < 0:
             raise Inadmissible("IVa-special needs v radicand >= 0")
         vs = _sqrt_branches(v_rad)
-        a1_rads = {
-            "corrected-a1": Fraction(2, 3) * (lam2**2 - 3 * lam1 * lam3) / lam3**2,
-            "as-printed": 2 * (lam2**2 - lam1 * lam3) / lam3**2,
-        }
+        a1_rads = {r: _formula(t)(values) for r, t in a1_radicands.items()}
         if all(q < 0 for q in a1_rads.values()):
             raise Inadmissible("IVa-special needs a1 radicand >= 0")
         for reading, a1_rad in a1_rads.items():
@@ -721,7 +725,7 @@ def _family_IVa_special():
     def propose(rng):
         lam2 = _frac(rng, -4, 4)
         lam3 = _nonzero(rng, -4, 4)
-        # corrected relation: a1^2 = (2/3)*(lam2^2 - 3*lam1*lam3)/lam3^2
+        # a1^2 is the corrected radicand
         a1 = _frac(rng, -4, 4)
         lam1 = (lam2 * lam2 - Fraction(3, 2) * lam3**2 * a1**2) / (3 * lam3)
         alpha = _small_alpha(rng)
@@ -743,11 +747,10 @@ def _family_IVa_special():
         admissibility=("lam3 != 0", "alpha != 0", "tau > 0", "v radicand >= 0",
                        "a1 radicand >= 0",
                        "lam0 + lam1*a0 + lam2*a0^2 + lam3*a0^3 = 0"),
-        expected="PASS",
         annotations=(
             "the side condition pins lam0; alpha stays a free parameter",
-            "the printed a1 radicand 2*(lam2^2 - lam1*lam3)/lam3^2 does not verify; "
-            "the corrected radicand (2/3)*(lam2^2 - 3*lam1*lam3)/lam3^2, derived "
+            f"the printed a1 radicand {a1_radicands['as-printed']} does not verify; "
+            f"the corrected radicand {a1_radicands['corrected-a1']}, derived "
             "from the corrected parent table, is adopted (the printed v formula "
             "is consistent with the correction)",
         ),
@@ -783,7 +786,6 @@ def _family_IVb():
         free=free,
         derived=derived,
         admissibility=("b1 != 0", "alpha != 0"),
-        expected="PASS",
         annotations=(),
     )
     pb0, pb1 = ParamPoly.var("b0"), ParamPoly.var("b1")
@@ -816,7 +818,6 @@ def _family_IVc():
         free=free,
         derived=derived,
         admissibility=("a1 != 0", "alpha != 0"),
-        expected="PASS",
         annotations=(
             f"the printed lam1/2 = {derived['lam1/2']} does not verify on either sqrt(u) "
             "branch (flipping the branch also flips lam3/2); the sign-corrected "
@@ -853,7 +854,6 @@ def _family_IVd():
         free=free,
         derived=derived,
         admissibility=("a0 != 0", "alpha != 0"),
-        expected="PASS",
         annotations=("equivalent to u = [a0*cosh(alpha*xi) + a1]^-2 up to gauge",),
     )
     pa0, pa1 = ParamPoly.var("a0"), ParamPoly.var("a1")
@@ -869,8 +869,8 @@ def _family_IVe_a():
     free = ("lam1", "lam3", "tau", "kappa", "v")
 
     def branches(values):
-        k = _sqrt_branches(values["lam1"] / values["H"])[0]
-        amp = _sqrt_branches(-2 * values["lam1"] / values["lam3"])[0]
+        k = _sqrt_branches(values.radicand("u", 1))[0]
+        amp = _sqrt_branches(values.radicand("u", 0))[0]
         # amp*sech(k*xi) = 2*amp*E/(1 + E^2) with E = exp(k*xi)
         yield "main", "direct", {"a1": 2 * amp, "alpha": k}
 
@@ -891,7 +891,6 @@ def _family_IVe_a():
         free=free,
         derived={"u": "sqrt(-2*lam1/lam3)*sech(sqrt(lam1/H)*xi)", "H": NOTATION["H"]},
         admissibility=("lam1 > 0", "lam3 < 0", "H > 0"),
-        expected="PASS",
         annotations=(),
     )
     return _table_family(entry, ExpAnsatz(a=(0, "a1"), b=(1, 0, 1)), propose, branches)
@@ -905,8 +904,8 @@ def _family_IVe_b():
     ansatz = ExpAnsatz(a=(-c, 0, c), b=(1, 0, 1))
 
     def branches(values):
-        k = _sqrt_branches(-values["lam1"] / (2 * values["H"]))[0]  # corrected argument
-        amp = _sqrt_branches(-values["lam1"] / values["lam3"])[0]
+        k = _sqrt_branches(values.radicand("u", 1))[0]  # corrected argument
+        amp = _sqrt_branches(values.radicand("u", 0))[0]
         yield "main", "corrected-argument", {"c": amp, "alpha": k}
 
     def propose(rng):
@@ -926,7 +925,6 @@ def _family_IVe_b():
         free=free,
         derived={"u": "sqrt(-lam1/lam3)*tanh(sqrt(-lam1/(2*H))*xi)", "H": NOTATION["H"]},
         admissibility=("lam1 < 0", "lam3 > 0", "H > 0"),
-        expected="PASS",
         annotations=(
             "the tanh argument is printed as sqrt(-lam1)/(2*H); the corrected "
             "argument sqrt(-lam1/(2*H)) verifies and is adopted; the printed "
@@ -951,7 +949,7 @@ def _family_IVe_c():
     free = ("lam1", "lam2", "tau", "kappa", "v")
 
     def branches(values):
-        k = _sqrt_branches(values["lam1"] / values["H"])[0]
+        k = _sqrt_branches(values.radicand("u"))[0]
         amp = -3 * values["lam1"] / (2 * values["lam2"])
         # amp*sech^2(k*xi/2) = 4*amp*E/(1 + E)^2 with E = exp(k*xi)
         yield "main", "direct", {"a1": 4 * amp, "alpha": k}
@@ -971,7 +969,6 @@ def _family_IVe_c():
         free=free,
         derived={"u": "-(3*lam1/(2*lam2))*sech^2(sqrt(lam1/H)*xi/2)", "H": NOTATION["H"]},
         admissibility=("lam1 > 0", "lam2 != 0", "H > 0"),
-        expected="PASS",
         annotations=(),
     )
     return _table_family(entry, ExpAnsatz(a=(0, "a1"), b=(1, 2, 1)), propose, branches)
@@ -1002,7 +999,6 @@ def _family_burgers():
         free=free,
         derived=derived,
         admissibility=("A > 0", "B > 0", "kappa > 0", "b0*b1 > 0", "Delta != 0"),
-        expected="PASS",
         annotations=("independent oracle: one integration of the travelling "
                      "Burgers equation against the front's two asymptotic states",),
     )

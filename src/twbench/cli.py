@@ -21,9 +21,9 @@ from . import model, reducer
 from .symcore import frac_str, int_digit_limit
 
 # The largest count that sizes an array or a run: eval's n, hydro-separatrix
-# --samples, hydro-homoclinic --n, solve --starts, catalog verify --trials and
-# the degrees M and N of reduce --ansatz.
-# A larger one is refused (exit 2) before anything is allocated or run.
+# --samples, hydro-homoclinic --n, solve --starts and catalog verify --trials.
+# A larger one is refused (exit 2) before anything is allocated or run.  The
+# degrees of reduce --ansatz have a far tighter bound, reducer's product budget.
 MAX_COUNT = 1_000_000
 
 
@@ -93,8 +93,8 @@ def _cmd_reduce(args) -> int:
     pde = model.parse_model(_read(args.model))
     m_deg, n_deg = model.parse_fields(
         args.ansatz, "/", (int, int), "--ansatz must look like M/N (numerator/denominator degree)")
-    _bounded(m_deg, "--ansatz M")
-    _bounded(n_deg, "--ansatz N")
+    # refused before any name is built; a negative degree has no names
+    reducer.check_ansatz_size(max(m_deg + 1, 0) + max(n_deg + 1, 0), args.power)
     ansatz = reducer.ExpAnsatz(
         a=tuple(f"a{i}" for i in range(m_deg + 1)),
         b=tuple(f"b{i}" for i in range(n_deg + 1)),

@@ -75,13 +75,12 @@ class ExpAnsatz:
     Coefficient slots may be symbol names, exact rationals, or small
     polynomial expressions in symbols (e.g. the palindromic numerators of the
     even families need slots like 2*a1).  No leading-coefficient gauge is
-    imposed.
+    imposed.  The growth rate of E = exp(alpha*xi) and the velocity are
+    always the unknowns alpha and v.
     """
 
     a: tuple[Coefficient, ...]
     b: tuple[Coefficient, ...]
-    alpha: Union[str, Fraction] = "alpha"
-    velocity: Union[str, Fraction] = "v"
     power: int = 1
 
     def __post_init__(self):
@@ -103,9 +102,9 @@ class ExpAnsatz:
         return len(self.b) - 1
 
     def symbols(self) -> tuple[str, ...]:
-        """Unknowns, in slot order: numerator, denominator, alpha, velocity."""
+        """Unknowns, in slot order: numerator, denominator, alpha, v."""
         seen: dict[str, None] = {}
-        for c in (*self.a, *self.b, self.alpha, self.velocity):
+        for c in (*self.a, *self.b, "alpha", "v"):
             if isinstance(c, str):
                 seen.setdefault(c)
             elif isinstance(c, ParamPoly):
@@ -216,6 +215,28 @@ class ClosedFormSolution:
 #: grow about as fast as the bound.
 MAX_PRODUCT_TERMS = 100_000
 
+#: samples this close to a declared pole are skipped by ``residual_scan`` and
+#: NaN in ``sample_solution``
+POLE_EXCLUSION = 1e-3
+
+
+def check_ansatz_size(terms: int, power: int) -> int:
+    """Refuse an ansatz whose slots have ``terms`` terms in all if a product
+    could have more than MAX_PRODUCT_TERMS terms; return K.
+
+    A term of the residual cleared by g^K is a product of K of f and g and
+    at most four of alpha, v and a symbol (tau's v^2*alpha^2); K is at most
+    the largest k.  So a product has at most as many terms as there are
+    multisets of K of the terms of f and g (alpha, v and a symbol are one
+    term each)."""
+    K = max(power + 2, 2 * power + 1, int(max(ALLOWED_EXPONENTS) * power))
+    size = math.comb(terms + K - 1, K)
+    if size > MAX_PRODUCT_TERMS:
+        raise DomainError(f"an ansatz of {terms} coefficient terms at power {power} may make "
+                          f"products of {size} terms, over the limit of {MAX_PRODUCT_TERMS}")
+    return K
+
+
 #: ``struct`` codes of the unsigned packed-monomial fields by their size in bytes
 _FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -272,22 +293,10 @@ class _AnsatzTerms:
 
     def __init__(self, ansatz: ExpAnsatz, symbols: tuple[str, ...]):
         p = ansatz.power
-        # a term of the residual cleared by g^K is a product of K of f and g
-        # and at most four of alpha, v and a symbol (tau's v^2*alpha^2), each
-        # with exponents up to top; K is at most the largest k
-        K = max(p + 2, 2 * p + 1, int(max(ALLOWED_EXPONENTS) * p))
-        # so a product has at most as many terms as there are multisets of K
-        # of the terms of f and g (alpha, v and a symbol are one term each);
-        # counted before any slot is lifted
-        t = sum(len(c.terms) if isinstance(c, ParamPoly) else not _is_zero_number(c)
-                for c in (*ansatz.a, *ansatz.b))
-        size = math.comb(t + K - 1, K)
-        if size > MAX_PRODUCT_TERMS:
-            raise DomainError(f"an ansatz of {ansatz.m}/{ansatz.n} at power {p} may make "
-                              f"products of {size} terms, over the limit of "
-                              f"{MAX_PRODUCT_TERMS}")
-        slots = [ParamPoly.lift(c) for c in (*ansatz.a, *ansatz.b, ansatz.alpha,
-                                             ansatz.velocity)]
+        # counted before any slot is lifted; each factor has exponents up to top
+        K = check_ansatz_size(sum(len(c.terms) if isinstance(c, ParamPoly)
+                                  else not _is_zero_number(c) for c in (*ansatz.a, *ansatz.b)), p)
+        slots = [ParamPoly.lift(c) for c in (*ansatz.a, *ansatz.b, "alpha", "v")]
         top = max(1, ansatz.m, ansatz.n, *(x for s in slots for exps in s.terms for x in exps))
         w = next((8 * size for size in _FIELD_CODES if (K + 4) * top >> 8 * size == 0), None)
         if w is None:
@@ -365,8 +374,6 @@ class _AnsatzTerms:
         """The exponents over ``names`` of each packed monomial without its E
         field, as tuples in the order of ``keys``."""
         n = len(self.names)
-        if not n:
-            return [()] * len(keys)
         size = self.width // 8
         fields = struct.unpack(f">{n * len(keys)}{_FIELD_CODES[size]}",
                                b"".join([key.to_bytes(n * size, "big") for key in keys]))
@@ -779,16 +786,12 @@ def _on_grid(rows: list[np.ndarray], spans: list[int], E: np.ndarray) -> np.ndar
     return out
 
 
-def residual_scan(
-    pde: HyperbolicPDE,
-    sol: ClosedFormSolution,
-    window: tuple[float, float] = (-10.0, 10.0),
-    samples: int = 1001,
-) -> float:
+def residual_scan(pde: HyperbolicPDE, sol: ClosedFormSolution,
+                  window: tuple[float, float], samples: int) -> float:
     """Max relative PDE residual of a closed-form solution on a xi-grid.
 
-    Uses the analytic E-derivatives of u = w^p; points within 1e-3 of a
-    declared pole are skipped, and an undeclared pole raises PoleInWindow.
+    Uses the analytic E-derivatives of u = w^p; points within POLE_EXCLUSION
+    of a declared pole are skipped, and an undeclared pole raises PoleInWindow.
     The result is max|residual| / (1 + max|u|).
     """
     import numpy as np
@@ -809,7 +812,7 @@ def residual_scan(
     xi = np.linspace(float(window[0]), float(window[1]), samples)
     keep = np.ones_like(xi, dtype=bool)
     for pole in sol.poles:
-        keep &= np.abs(xi - pole) > 1e-3
+        keep &= np.abs(xi - pole) > POLE_EXCLUSION
     if not np.any(keep):
         raise ValueError("every sample lies within the pole exclusion zones")
     xi = xi[keep]
@@ -902,8 +905,8 @@ def solution_from_assignment(ansatz: ExpAnsatz,
 
     num = [value(c) for c in ansatz.a]
     den = [value(c) for c in ansatz.b]
-    alpha = value(ansatz.alpha)
-    velocity = value(ansatz.velocity)
+    alpha = value("alpha")
+    velocity = value("v")
     num_q, den_q = [_coeff(c) for c in num], [_coeff(c) for c in den]
     if not any(den_q):
         raise DivisionByZero("denominator is identically zero")
@@ -924,7 +927,7 @@ def _span(coeffs) -> int:
 
 
 def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
-    """u(xi) on a grid, with NaN at points within 1e-3 of a declared pole."""
+    """u(xi) on a grid, with NaN at points within POLE_EXCLUSION of a declared pole."""
     import numpy as np
     alpha = float(sol.alpha)
     rows = _float_rows([sol.num, sol.den], alpha, (0, 0))
@@ -936,5 +939,5 @@ def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
         w_val = num / den
     out = w_val ** sol.power
     for pole in sol.poles:
-        out[np.abs(xi - pole) <= 1e-3] = np.nan
+        out[np.abs(xi - pole) <= POLE_EXCLUSION] = np.nan
     return out

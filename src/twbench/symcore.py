@@ -169,12 +169,8 @@ class ParamPoly:
         return ParamPoly._make((), {(): c} if c else {})
 
     @staticmethod
-    def var(name: str, power: int = 1) -> "ParamPoly":
-        if power < 0:
-            raise ValueError("negative power")
-        if power == 0:
-            return ParamPoly.const(1)
-        return ParamPoly._make((name,), {(power,): Fraction(1)})
+    def var(name: str) -> "ParamPoly":
+        return ParamPoly._make((name,), {(1,): Fraction(1)})
 
     @staticmethod
     def lift(value: "ParamPoly | str | Number") -> "ParamPoly":

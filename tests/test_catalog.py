@@ -17,6 +17,7 @@ from twbench.catalog import (
     _admissible,
     _Derived,
     _formula,
+    _radicands,
     instantiate,
     list_families,
     load_expectations,
@@ -276,6 +277,39 @@ class TestDerivedFormulas:
     def test_other_syntax_rejected(self, text):
         with pytest.raises(ValueError):
             _Derived({"x": F(4), "y": F(4)}, {"r": text})["r"]
+
+    def test_radicands_read_from_printed_text(self):
+        # every sqrt(...) argument of every printed formula is found and compiles
+        found = {}
+        for family_id, fam in FAMILIES.items():
+            for name, text in fam.entry.derived.items():
+                args = _radicands(text)
+                assert len(args) == text.count("sqrt(")
+                for arg in args:
+                    _formula(arg)
+                if args:
+                    found[family_id, name] = args
+        assert found == {
+            ("I-tanh", "v"): ("A^2*B^2 - 8*kappa*lam3 + 16*kappa*lam2^2*tau",),
+            ("I-tanh", "alpha"): ("-lam0*lam2",),
+            ("I-tanh", "a0"): ("-lam0/lam2",),
+            ("I-kink2", "b0"): ("lam2^2 - 4*lam1*lam3",),
+            ("I-kink2", "v"): ("kappa", "4*lam2^2*tau + 4*b0*lam2*(B^2+3*lam1*tau) "
+                                        "+ b0^2*lam1*(2*B^2+9*lam1*tau)"),
+            ("III", "a2"): ("lam3/lam1",),
+            ("III", "alpha"): ("lam1*lam3",),
+            ("III", "v"): ("(A^2/lam3 + kappa)/tau",),
+            ("IVa-special", "a1"): ("2*(lam2^2 - lam1*lam3)/lam3^2",),
+            ("IVa-special", "v"): ("(lam1 - lam2^2/(3*lam3) + kappa*alpha^2)/(tau*alpha^2)",),
+            ("IVe-a", "u"): ("-2*lam1/lam3", "lam1/H"),
+            ("IVe-b", "u"): ("-lam1/lam3", "-lam1/(2*H)"),
+            ("IVe-c", "u"): ("lam1/H",),
+        }
+
+    def test_radicand_evaluated_exactly(self):
+        fv = {"lam1": F(2), "lam3": F(-1), "tau": F(1), "kappa": F(1), "v": F(2)}
+        values = _Derived(fv, FAMILIES["IVe-a"].entry.derived)
+        assert (values.radicand("u"), values.radicand("u", 1)) == (F(4), F(2, 3))  # H = 3
 
     def test_notation_resolves_after_free_values(self):
         fv = {"a0": F(1), "a1": F(2), "b0": F(3), "b1": F(5)}

@@ -257,6 +257,11 @@ EXIT_2_CASES = {
     # at the count limit: the product budget refuses it before its symbols are walked
     "reduce-ansatz-at-count-limit": ["reduce", "--model", "models/burgers.json",
                                      "--ansatz", "1000000/1"],
+    # no names at all: EmptyAnsatz
+    "reduce-ansatz-negative": ["reduce", "--model", "models/burgers.json", "--ansatz=-5/1"],
+    # a negative degree adds no names, so it cannot offset a huge one in the budget
+    "reduce-ansatz-huge-and-negative": ["reduce", "--model", "models/burgers.json",
+                                        "--ansatz=1000000000000/-1000000000000"],
     "reduce-missing-model": ["reduce", "--model", "{missing}", "--ansatz", "1/1"],
     "model-symbolic-tau": ["reduce", "--model", "{model_symbolic_tau}", "--ansatz", "1/1"],
     "model-reaction-list": ["reduce", "--model", "{model_reaction_list}", "--ansatz", "1/1"],
@@ -285,6 +290,18 @@ def test_exit_2_matrix(case, input_paths):
     assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1, r.stderr
     assert r.stdout == ""
+
+
+def test_reduce_refuses_the_ansatz_degrees_before_building_it(monkeypatch, capsys):
+    def ansatz(*_, **__):
+        raise AssertionError("an ExpAnsatz was built")
+
+    monkeypatch.setattr(reducer, "ExpAnsatz", ansatz)
+    assert cli.main(["reduce", "--model", str(REPO / "models" / "burgers.json"),
+                     "--ansatz", "1000000/1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: an ansatz of 1000003 coefficient terms at power 1 ")
 
 
 def test_verify_refuses_a_huge_text_before_parsing(tmp_path, monkeypatch, capsys):

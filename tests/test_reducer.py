@@ -140,8 +140,8 @@ def _reference_reduce(pde, ansatz):
     E = ParamPoly.var(E_NAME)
     f, g = (sum((ParamPoly.lift(c) * E**k for k, c in enumerate(side)), ParamPoly.const(0))
             for side in (ansatz.a, ansatz.b))
-    alpha = ansatz.alpha
-    v = ParamPoly.lift(ansatz.velocity)
+    alpha = "alpha"
+    v = ParamPoly.var("v")
     N0 = f**p
     N1 = poly_dxi(N0, alpha) * g - p * N0 * poly_dxi(g, alpha)
     N2 = poly_dxi(N1, alpha) * g - (p + 1) * N1 * poly_dxi(g, alpha)
@@ -214,8 +214,7 @@ def _reductions(draw):
     power = draw(st.sampled_from((1, 2)))
     ansatz = ExpAnsatz(a=tuple(draw(st.lists(_SLOTS, min_size=1, max_size=3).filter(any))),
                        b=tuple(draw(st.lists(_SLOTS, min_size=1, max_size=3).filter(any))),
-                       alpha=draw(st.sampled_from(("alpha", F(2), F(-1, 2)))),
-                       velocity=draw(st.sampled_from(("v", F(0), F(3, 2)))), power=power)
+                       power=power)
     return ansatz, draw(st.lists(_pdes(power), min_size=1, max_size=4))
 
 
@@ -227,11 +226,11 @@ def _reductions(draw):
           [parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":"l1","2":3}}'),
            parse_model('{"tau":0,"A":2,"B":1,"kappa":0,"reaction":{"1/2":0,"3":"l3"}}'),
            parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":"l1","2":3}}')]))
-@example((ExpAnsatz(a=("a0", ParamPoly.var("a1", 70000)), b=("b0", "b1"), alpha=F(-1, 2),
+@example((ExpAnsatz(a=("a0", ParamPoly.var("a1") ** 70000), b=("b0", "b1"),
                     power=2),  # exponents up to 420 000, past a 16-bit packed field
           [parse_model((REPO / "models" / "telegraph_cubic.json").read_text())]))
-@example((ExpAnsatz(a=(1, F(2, 3)), b=(F(1, 3), 5), alpha=F(2), velocity=F(3, 2)),
-          [parse_model('{"tau":1,"A":1,"B":1,"kappa":1,"reaction":{"0":-8,"3":1}}')]))  # no names
+@example((ExpAnsatz(a=(1, F(2, 3)), b=(F(1, 3), 5)),  # numeric slots: only alpha, v unknown
+          [parse_model('{"tau":1,"A":1,"B":1,"kappa":1,"reaction":{"0":-8,"3":1}}')]))
 def test_reduce_matches_reference(case):
     ansatz, pdes = case
     memo: dict = {}
@@ -256,7 +255,7 @@ def test_catalog_sweep_reductions_match_reference(monkeypatch):
 
 def test_reduce_refuses_an_exponent_past_64_bit_fields():
     with pytest.raises(DomainError):
-        reduce(BURGERS, ExpAnsatz(a=(ParamPoly.var("a1", 2**62),), b=("b0",)))
+        reduce(BURGERS, ExpAnsatz(a=(ParamPoly.var("a1") ** 2**62,), b=("b0",)))
 
 
 def test_reduce_refuses_an_ansatz_past_the_product_budget(monkeypatch):
@@ -996,8 +995,8 @@ def _reference_solution(ansatz, assignment):
 
     num = [value(c) for c in ansatz.a]
     den = [value(c) for c in ansatz.b]
-    alpha = value(ansatz.alpha)
-    velocity = value(ansatz.velocity)
+    alpha = value("alpha")
+    velocity = value("v")
 
     def poly(coeffs):
         return ParamPoly((E_NAME,), {(k,): c for k, c in enumerate(coeffs)})
@@ -1024,15 +1023,14 @@ _BUILDER_CASES = {
                                     "alpha": 1.5, "v": -0.75}),
     "negative-leading-denominator": (_PAIR, {"a0": F(1, 3), "a1": F(5), "b0": 1, "b1": F(-2),
                                              "alpha": F(2), "v": F(1)}),
-    "common-power-of-E": (ExpAnsatz(a=(F(0), "a1", "a2"), b=(0, 0, "b2"), alpha=F(-2)),
-                          {"a1": F(1, 2), "a2": F(3, 4), "b2": F(-6), "v": F(1)}),
+    "common-power-of-E": (ExpAnsatz(a=(F(0), "a1", "a2"), b=(0, 0, "b2")),
+                          {"a1": F(1, 2), "a2": F(3, 4), "b2": F(-6), "alpha": F(-2), "v": F(1)}),
     "negative-zero-floats": (_PAIR, {"a0": -0.0, "a1": 1.0, "b0": 2.0, "b1": -0.0,
                                      "alpha": -0.0, "v": -0.0}),
     "numpy-and-huge": (_PAIR, {"a0": np.float64(0.75), "a1": F(10) ** 400, "b0": F(3, 10**400),
                                "b1": np.float64(-0.0), "alpha": np.float64(1.25), "v": True}),
-    "polynomial-slots": (ExpAnsatz(a=(2 * ParamPoly.var("a1"), "a1"), b=(F(1), "b1", "b1"),
-                                   velocity=F(1, 7)),
-                         {"a1": 0.3, "b1": F(2, 3), "alpha": 1e-300}),
+    "polynomial-slots": (ExpAnsatz(a=(2 * ParamPoly.var("a1"), "a1"), b=(F(1), "b1", "b1")),
+                         {"a1": 0.3, "b1": F(2, 3), "alpha": 1e-300, "v": F(1, 7)}),
     "missing-name": (_PAIR, {"a0": 1, "a1": 1, "b0": 1, "alpha": 1, "v": 1}),
     "zero-denominator": (_PAIR, {"a0": 1, "a1": 1, "b0": 0.0, "b1": F(0), "alpha": 1, "v": 1}),
     "infinite-coefficient": (_PAIR, {"a0": math.inf, "a1": 1, "b0": 1, "b1": 1, "alpha": 1, "v": 1}),

@@ -323,7 +323,7 @@ def _reference_parse(text: str) -> ParamPoly:
             if m.group("num") is not None:
                 term = term * ParamPoly.const(F(m.group("num")))
             else:
-                term = term * ParamPoly.var(m.group("var"), int(m.group("exp") or 1))
+                term = term * ParamPoly.var(m.group("var")) ** int(m.group("exp") or 1)
         top = max((e for exps in term.terms for e in exps), default=0)
         if limit and top > limit:
             raise ValueError(f"exponent {top} is over the limit of {limit}")
