@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, ClassVar, Iterator, Mapping
 
 from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
@@ -940,7 +940,10 @@ def _family_IVe_b():
         amp = math.sqrt(float(-fv["lam1"] / fv["lam3"]))
         printed = replace(corrected, assignment={**corrected.assignment, "c": amp, "alpha": k},
                           branch="printed-argument")
-        return residual_scan(printed.pde, printed.solution, SCAN_WINDOW, SCAN_SAMPLES)
+        [scan] = residual_scan([(printed.pde, printed.solution, SCAN_WINDOW)], SCAN_SAMPLES)
+        if isinstance(scan, Exception):
+            raise scan
+        return scan
 
     return replace(family, printed_argument_scan=printed_argument_scan)
 
@@ -1033,22 +1036,36 @@ def _judged(insts: list[Instance], shape: str, memo: dict) -> Iterator[
         tuple[Instance, AlgebraicSystem, Verdict | None, float | None, str | None]]:
     """Each instance with its system (reduced once per PDE and ansatz, with
     ``reduce``'s ``memo``), exact verdict (when rational), scan residual, and
-    any scan failure note."""
-    systems: dict = {}
+    any scan failure note.
+
+    Every instance is scanned first, in one ``residual_scan`` stack.  An
+    instance whose solution cannot be built, or whose scan stops with an
+    error that is not a pole, raises that error only when the loop reaches
+    it, after its reduction and verdict, as a loop over it alone would."""
+    built = []  # each instance's solution, or the error that building it raised
     for inst in insts:
+        try:
+            built.append(inst.solution)
+        except Exception as exc:  # raised below, when the loop reaches it
+            built.append(exc)
+    # a singular profile's denominator always vanishes somewhere; scan clear of it
+    scans = iter(residual_scan([
+        (inst.pde, sol, _pole_free_window(sol.poles) if shape == "singular" else SCAN_WINDOW)
+        for inst, sol in zip(insts, built) if not isinstance(sol, Exception)], SCAN_SAMPLES))
+    systems: dict = {}
+    for inst, sol in zip(insts, built):
         key = (inst.pde, inst.ansatz)
         system = systems.get(key)
         if system is None:
             system = systems[key] = reduce(inst.pde, inst.ansatz, memo)
         verdict = verify_assignment(system, inst.assignment) if inst.exact else None
-        # a singular profile's denominator always vanishes somewhere; scan clear of it
-        window = _pole_free_window(inst.solution.poles) if shape == "singular" else SCAN_WINDOW
-        try:
-            scan = residual_scan(inst.pde, inst.solution, window, SCAN_SAMPLES)
-            note = None
-        except PoleInWindow as exc:
-            scan, note = None, str(exc)
-        yield inst, system, verdict, scan, note
+        scan = sol if isinstance(sol, Exception) else next(scans)
+        if isinstance(scan, PoleInWindow):
+            yield inst, system, verdict, None, str(scan)
+        elif isinstance(scan, Exception):
+            raise scan
+        else:
+            yield inst, system, verdict, scan, None
 
 
 def _pole_free_window(poles):
@@ -1105,12 +1122,14 @@ def verify_entry(family_id: str, trials: int = 5, seed: int = 1) -> dict:
     branches_used: set[str] = set()
     details = []
     memo: dict = {}  # the family's ansatz terms, shared by its trials
-    for _ in range(trials):
-        fv = fam.draw(rng)
+    # every trial drawn first, so that all their instances are scanned in one stack
+    drawn = [(fv, fam.instances(fv)) for fv in (fam.draw(rng) for _ in range(trials))]
+    judged = _judged([inst for _, insts in drawn for inst in insts], fam.entry.shape, memo)
+    for fv, insts in drawn:
         chosen = None
         failures = []
         trial_readings: dict[str, bool] = {}
-        for inst, system, verdict, scan, note in _judged(fam.instances(fv), fam.entry.shape, memo):
+        for inst, system, verdict, scan, note in islice(judged, len(insts)):
             exact_ok = verdict.passed if verdict is not None else None
             scan_ok = scan is not None and scan < SCAN_TOL
             ok = (exact_ok if exact_ok is not None else scan_ok) and scan_ok

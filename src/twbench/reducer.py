@@ -752,103 +752,182 @@ def _scan_rows(num, den, power: int, alpha: float) -> list[np.ndarray]:
     u_num, u_den = _power(num, power), _power(den, power)
     u1_num, u1_den = lowest_terms(*_quotient_rule(u_num, u_den))
     u2_num, u2_den = lowest_terms(*_quotient_rule(u1_num, u1_den))
-    return _float_rows([num, den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
+    rows = _float_rows([num, den, u_num, u_den, u1_num, u1_den, u2_num, u2_den],
                        alpha, (0, 0, 0, 0, 1, 0, 2, 0))
+    if power == 1:
+        rows[2:4] = rows[0:2]  # u is w: the same objects, which the grid evaluates once
+    return rows
 
 
-def _on_grid(rows: list[np.ndarray], spans: list[int], E: np.ndarray) -> np.ndarray:
-    """Row i, lowest power first, evaluated at every E: as sum c_j E^j where
-    E <= 1, and as E^-J times that sum, in t = 1/E, where E > 1, with J =
-    spans[i] (at least the row's degree), so no power of a large E is formed.
+def _horner(seq: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner's rule with ``polyval``'s float operations: row i of ``seq``,
+    highest power first, at every point of row i of ``x``."""
+    acc = x * 0
+    acc += seq[:, :1]
+    for k in range(1, seq.shape[1]):
+        acc *= x
+        acc += seq[:, k:k + 1]
+    return acc
 
-    One Horner loop per point group serves all rows.  Each row's Horner
-    sequence is padded in front with zeros, which leave its running value at
-    0.0 for x in [0, 1] (E = inf gives t = 0), so every element gets the float
-    operations of ``np.polynomial.polynomial.polyval`` on its own row.
+
+def _on_grids(rows: list[np.ndarray], spans: list[int], E: np.ndarray,
+              owner: np.ndarray) -> np.ndarray:
+    """Row i, lowest power first, at every point of the grid E[owner[i]]: as
+    sum c_j E^j where E <= 1, and as E^-J times that sum, in t = 1/E, where
+    E > 1, with J = spans[i] (at least the row's degree), so no power of a
+    large E is formed.  The rows of one span share a Horner loop in E and
+    one in t, each over only the columns where some grid takes that form.
+    Zeros pad a Horner sequence in front and leave its running value at 0.0
+    for x in [0, 1] (E = inf gives t = 0), so every element gets the float
+    operations of ``polyval`` on its own row.  A row given again (the same
+    object) for the same grid and span is evaluated once.
     """
     import numpy as np
-    K = max(spans)
-    low = np.zeros((len(rows), K + 1))  # highest power first
-    high = np.zeros((len(rows), K + 1))  # lowest power first, ending at E^J
-    for i, (row, J) in enumerate(zip(rows, spans)):
-        low[i, K + 1 - len(row):] = row[::-1]
-        high[i, K - J:K - J + len(row)] = row
-    out = np.empty((len(rows), len(E)))
+    N = E.shape[1]
     small = E <= 1.0
-    for mask, seq in ((small, low), (~small, high)):
-        if np.any(mask):
-            x = E[mask] if seq is low else 1.0 / E[mask]
-            acc = seq[:, :1] + x * 0
-            for k in range(1, K + 1):
-                acc *= x
-                np.add(seq[:, k:k + 1], acc, out=acc)
-            out[:, mask] = acc
+    # columns [0, lo) are E <= 1 in every grid, and columns [hi, N) in none
+    lo = N if small.all() else int(np.argmin(small.all(axis=0)))
+    hi = N - int(np.argmax(small.any(axis=0)[::-1])) if small.any() else 0
+    keys = list(zip(map(id, rows), owner.tolist(), spans))
+    first: dict = {}  # key -> the row that evaluates it
+    groups: dict[int, list[int]] = {}  # span -> the rows that it evaluates
+    for i, key in enumerate(keys):
+        if first.setdefault(key, i) == i:
+            groups.setdefault(key[2], []).append(i)
+    out = np.empty((len(rows), N))
+    with np.errstate(all="ignore"):  # a point's other form may overflow; it is discarded
+        t = 1.0 / E[:, lo:]
+        for J, group in groups.items():
+            # in E highest power first; in t lowest power first, ending at E^J
+            seq = np.zeros((2, len(group), J + 1))
+            for g, i in enumerate(group):
+                seq[0, g, J + 1 - len(rows[i]):] = rows[i][::-1]
+                seq[1, g, :len(rows[i])] = rows[i]
+            grids = owner[group]
+            in_E, in_t = _horner(seq[0], E[grids, :hi]), _horner(seq[1], t[grids])
+            out[group, :lo], out[group, hi:] = in_E[:, :lo], in_t[:, hi - lo:]
+            out[group, lo:hi] = np.where(small[grids, lo:hi], in_E[:, lo:], in_t[:, :hi - lo])
+    again = [i for i, key in enumerate(keys) if first[key] != i]
+    out[again] = out[[first[keys[i]] for i in again]]
     return out
 
 
-def residual_scan(pde: HyperbolicPDE, sol: ClosedFormSolution,
-                  window: tuple[float, float], samples: int) -> float:
-    """Max relative PDE residual of a closed-form solution on a xi-grid.
+#: ``residual_scan`` runs its stack in passes of at most this many grid
+#: points (and at least one case), so that memory does not grow with the stack
+SCAN_PASS_POINTS = 1 << 13
 
-    Uses the analytic E-derivatives of u = w^p; points within POLE_EXCLUSION
-    of a declared pole are skipped, and an undeclared pole raises PoleInWindow.
-    The result is max|residual| / (1 + max|u|).
-    """
+
+def _scan_case(pde: HyperbolicPDE, sol: ClosedFormSolution, window: tuple[float, float],
+               samples: int, grids: dict) -> tuple:
+    """A case's floats, or the error that stops its scan: its rows (those of
+    ``_scan_rows``, then |den of w|), alpha, (tau*v*v, A, B*v, kappa), the
+    reaction terms (exponent of w, coefficient), its window's xi-grid (kept
+    in ``grids``) and the points not within POLE_EXCLUSION of a declared pole."""
     import numpy as np
     if not pde.is_numeric():
-        raise ValueError("residual scan needs a fully numeric model")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-
+        raise DomainError("residual scan needs a fully numeric model")
     p = sol.power
+    if pde.has_half_integer_reaction() and p != 2:
+        raise PowerMismatch("half-integer reaction exponents require power 2")
     try:
         alpha, vel = float(sol.alpha), float(sol.velocity)
         tau, A, B, kappa = (float(c) for c in (pde.tau, pde.A, pde.B, pde.kappa))
-        reaction_terms = [(int(nu * p), float(lam)) for nu, lam in pde.reaction.items()]
+        reaction = [(int(nu * p), float(lam)) for nu, lam in pde.reaction.items()]
     except OverflowError:
         raise PoleInWindow(_BEYOND_FLOATS) from None
     rows = _scan_rows(sol.num, sol.den, p, alpha)
-
-    xi = np.linspace(float(window[0]), float(window[1]), samples)
-    keep = np.ones_like(xi, dtype=bool)
+    # |den of w| bounds its terms, to flag their cancellation near a pole
+    rows.append(rows[1] if min(sol.den) >= 0 else np.abs(rows[1]))
+    key = (float(window[0]), float(window[1]))
+    if key not in grids:
+        grids[key] = np.linspace(*key, samples)
+    keep = np.ones(samples, dtype=bool)
     for pole in sol.poles:
-        keep &= np.abs(xi - pole) > POLE_EXCLUSION
+        keep &= np.abs(grids[key] - pole) > POLE_EXCLUSION
     if not np.any(keep):
-        raise ValueError("every sample lies within the pole exclusion zones")
-    xi = xi[keep]
-    with np.errstate(over="ignore"):  # E = inf is evaluated in t = 1/E = 0
-        E = np.exp(alpha * xi)
+        raise DomainError("every sample lies within the pole exclusion zones")
+    return rows, alpha, (tau * vel * vel, A, B * vel, kappa), reaction, grids[key], keep
 
-    # the four quotients share a scaling E^-J per pair; |den of w| bounds
-    # the terms of w's denominator, to flag its cancellation near a pole
-    spans = [max(len(rows[i]), len(rows[i + 1])) - 1 for i in (0, 0, 2, 2, 4, 4, 6, 6)]
+
+def residual_scan(cases, samples: int) -> list:
+    """Max relative PDE residual of each closed-form solution u = w^p on its
+    xi-grid, from the analytic E-derivatives.
+
+    A case (pde, solution, window) gives max|residual| / (1 + max|u|) over
+    the points not within POLE_EXCLUSION of a declared pole, or the error
+    that stops it: PoleInWindow (an undeclared pole, a value beyond the
+    float range), PowerMismatch (half-integer reaction exponents at power
+    1) or DomainError (a symbolic model, every sample excluded).  Fewer than
+    two samples raise DomainError.  The stack runs in passes of at most
+    SCAN_PASS_POINTS grid points, and each element gets the float operations
+    that a stack of one gives it.
+    """
+    if samples < 2:
+        raise DomainError("need at least two samples")
+    per_pass = max(1, SCAN_PASS_POINTS // samples)
+    return [outcome for at in range(0, len(cases), per_pass)
+            for outcome in _scan_pass(cases[at:at + per_pass], samples)]
+
+
+def _scan_pass(cases, samples: int) -> list:
+    """``residual_scan`` of one pass."""
+    import numpy as np
+    outcomes: list = [None] * len(cases)
+    grids: dict = {}
+    live = {}  # case index -> its floats
+    for k, case in enumerate(cases):
+        try:
+            live[k] = _scan_case(*case, samples, grids)
+        except (PoleInWindow, InputError) as exc:
+            outcomes[k] = exc
+    if not live:
+        return outcomes
+    rows, alpha, linear, reaction, xi, keep = zip(*live.values())
+    S = len(live)
+    # a case with alpha < 0 runs backwards, so that E ascends along every
+    # row and the grid's two forms meet near one column
+    flip = [a < 0 for a in alpha]
+    xi, keep = (np.array([x[::-1] if f else x for x, f in zip(arrays, flip)])
+                for arrays in (xi, keep))
+    with np.errstate(over="ignore"):  # E = inf is evaluated in t = 1/E = 0
+        E = np.exp(np.array(alpha)[:, None] * xi)
+    # nine rows a case, kind by kind: the numerators and denominators of w,
+    # u, u' and u'', each pair scaled by one E^-J, and |den of w|
+    pairs = (0, 0, 2, 2, 4, 4, 6, 6, 0)
+    grid = _on_grids([r[kind] for kind in range(9) for r in rows],
+                     [max(len(r[i]), len(r[i + 1])) - 1 for i in pairs for r in rows],
+                     E, np.tile(np.arange(S), 9)).reshape(9, S, samples)
+
     # a value beyond the float range is judged below (PoleInWindow), not warned about
     with np.errstate(all="ignore"):
-        grid = _on_grid([*rows, np.abs(rows[1])], [*spans, spans[0]], E)
         w_val, u_val, u1_val, u2_val = (grid[i] / grid[i + 1] for i in (0, 2, 4, 6))
-        w_rel = np.abs(grid[1]) / np.where(grid[8] > 0, grid[8], 1.0)
+        near_pole = (np.abs(grid[1]) / np.where(grid[8] > 0, grid[8], 1.0) < 1e-9) & keep
+        # term by term, cases with the same exponents together; an exponent
+        # stays a Python int, so that w ** 2 is a square
+        total = np.empty_like(w_val)
+        shapes: dict[tuple, list[int]] = {}
+        for s, terms in enumerate(reaction):
+            shapes.setdefault(tuple(e for e, _ in terms), []).append(s)
+        for exponents, at in shapes.items():
+            lams = np.array([[c for _, c in reaction[s]] for s in at]).T[:, :, None]
+            total[at] = sum((lam * w_val[at] ** e for lam, e in zip(lams, exponents)),
+                            np.zeros((len(at), samples)))
+        tvv, A, Bv, kappa = np.array(linear).T[:, :, None]
+        residual = tvv * u2_val + A * u_val * u1_val + Bv * u1_val - kappa * u2_val - total
+        bad = ~np.isfinite(residual) & keep
+        value = (np.max(np.abs(residual), axis=1, where=keep, initial=0.0)
+                 / (1.0 + np.max(np.abs(u_val), axis=1, where=keep, initial=0.0)))
 
-        near_pole = w_rel < 1e-9
-        if np.any(near_pole):
-            raise PoleInWindow(
-                f"denominator vanishes near xi = {xi[near_pole][0]:.6g} (undeclared pole)"
-            )
-
-        reaction = np.zeros_like(xi)
-        for e, lam in reaction_terms:
-            reaction += lam * w_val ** e
-
-        residual = (
-            tau * vel * vel * u2_val
-            + A * u_val * u1_val
-            + B * vel * u1_val
-            - kappa * u2_val
-            - reaction
-        )
-    bad = ~np.isfinite(residual)
-    if np.any(bad):
-        raise PoleInWindow(f"residual overflow near xi = {xi[bad][0]:.6g}")
-    return float(np.max(np.abs(residual)) / (1.0 + np.max(np.abs(u_val))))
+    for s, k in enumerate(live):
+        outcomes[k] = float(value[s])
+        # an error names its first point in the order of the case's own grid
+        for flags, text in ((near_pole[s], "denominator vanishes near xi = {:.6g} "
+                             "(undeclared pole)"), (bad[s], "residual overflow near xi = {:.6g}")):
+            hit = np.flatnonzero(flags)
+            if hit.size:
+                outcomes[k] = PoleInWindow(text.format(xi[s, hit[-1] if flip[s] else hit[0]]))
+                break
+    return outcomes
 
 
 def poles_of(den_coeffs, alpha) -> tuple[float, ...]:
@@ -934,7 +1013,7 @@ def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         E = np.exp(alpha * np.asarray(xi, dtype=float))
     span = max(map(len, rows)) - 1
-    num, den = _on_grid(rows, [span, span], E)
+    num, den = _on_grids(rows, [span, span], E[None, :], np.zeros(2, dtype=np.intp))
     with np.errstate(divide="ignore", invalid="ignore"):
         w_val = num / den
     out = w_val ** sol.power

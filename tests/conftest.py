@@ -3,12 +3,26 @@ from fractions import Fraction
 
 import pytest
 
+from twbench.reducer import residual_scan
 from twbench.symcore import ParamPoly
 
 
 @pytest.fixture
 def rng():
     return random.Random(20240811)
+
+
+def scan_one(pde, sol, window, samples):
+    """``residual_scan`` of a stack of one case: its float, or its error raised."""
+    [outcome] = residual_scan([(pde, sol, window)], samples)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def scan_outcome(x):
+    """A scan outcome to compare: a float's hex, an error's type and text."""
+    return float(x).hex() if isinstance(x, float) else (type(x), str(x))
 
 
 def rand_frac(rng, lo=-6, hi=6, den=3) -> Fraction:

@@ -26,10 +26,10 @@ from twbench.hydro import (
     second_root,
     turning_point,
 )
-from twbench.reducer import reduce, residual_scan, verify_assignment
+from twbench.reducer import reduce, verify_assignment
 from twbench.symcore import ParamPoly
 
-from conftest import rand_frac, rand_poly
+from conftest import rand_frac, rand_poly, scan_one
 from equiv import random_trial
 from test_symcore import _rand_exp_rational
 
@@ -52,7 +52,7 @@ def test_criterion_1_equivalence_theorem():
     for _ in range(trials):
         pde, ansatz, theta, sol, hint = random_trial(rng)
         exact = verify_assignment(reduce(pde, ansatz), theta).passed
-        scan = residual_scan(pde, sol, (-6.0, 6.0), 301)
+        scan = scan_one(pde, sol, (-6.0, 6.0), 301)
         if exact != (scan < 1e-10):
             counterexamples += 1
         if hint and not exact:
@@ -87,7 +87,7 @@ def test_criterion_2_core_families_pass():
         if i.assignment == assignment)
     if not verify_assignment(reduce(inst.pde, inst.ansatz), assignment).passed:
         problems.append("I-tanh instance fails exact annihilation")
-    if residual_scan(inst.pde, sol, (-10, 10), 1001) >= 1e-9:
+    if scan_one(inst.pde, sol, (-10, 10), 1001) >= 1e-9:
         problems.append("I-tanh instance scan above 1e-9")
     rep = verify_entry("I-tanh", trials=5, seed=1)
     if rep["expected"] != "PASS" or any(t["exact"] != "PASS" for t in rep["trials_detail"]):

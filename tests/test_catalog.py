@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -26,8 +27,10 @@ from twbench.catalog import (
 )
 from twbench.cli import main as cli_main
 from twbench.model import SchemaError
-from twbench.reducer import reduce, residual_scan, sample_solution, verify_assignment
-from twbench.symcore import exact_root
+from twbench.reducer import reduce, sample_solution, verify_assignment
+from twbench.symcore import DivisionByZero, exact_root
+
+from conftest import scan_one, scan_outcome
 
 EXPECTATIONS_PATH = Path(__file__).resolve().parent.parent / "expectations.json"
 
@@ -111,8 +114,50 @@ class TestInstantiate:
         with pytest.raises(KeyError):
             instantiate("IVz", {})
 
+    def test_first_verifying_branch_wins_and_later_errors_stay_unraised(self, monkeypatch):
+        # every branch is scanned in one stack, but a branch after the first
+        # that verifies is never judged, so its error is never raised
+        fam = FAMILIES["Burgers-shock"]
+        fv = fam.draw(random.Random(1))
+        [good] = fam.instances(fv)
+        broken = replace(good, assignment={**good.assignment, "b0": F(0), "b1": F(0)},
+                         branch="broken")  # its solution has a zero denominator
+        scans = []
+        monkeypatch.setattr(catalog, "residual_scan",
+                            lambda cases, samples: scans.append(len(cases))
+                            or reducer.residual_scan(cases, samples))
+        for branches in ([good, broken], [good, good, broken]):
+            monkeypatch.setitem(FAMILIES, "Burgers-shock",
+                                replace(fam, instances=lambda _, b=branches: list(b)))
+            assignment, sol = instantiate("Burgers-shock", fv)
+            assert assignment == good.assignment and sol is good.solution
+        monkeypatch.setitem(FAMILIES, "Burgers-shock",
+                            replace(fam, instances=lambda _: [broken, good]))
+        with pytest.raises(DivisionByZero, match="denominator is identically zero"):
+            instantiate("Burgers-shock", fv)
+        assert scans == [1, 2, 1]  # one stack a call, of the branches with a solution
+
 
 class TestVerifyEntry:
+    @pytest.mark.parametrize("family_id", list(FAMILIES))
+    def test_stack_matches_stacks_of_one(self, family_id, monkeypatch):
+        stacks = []
+
+        def recording(cases, samples):
+            stacks.append((cases, samples))
+            return reducer.residual_scan(cases, samples)
+
+        monkeypatch.setattr(catalog, "residual_scan", recording)
+        for seed in (1, 2, 3):
+            verify_entry(family_id, trials=5, seed=seed)
+        # one stack a report, and one more for IVe-b's printed-argument scan
+        assert len(stacks) == 3 * (1 + (family_id == "IVe-b"))
+        for cases, samples in stacks:
+            stacked = reducer.residual_scan(cases, samples)
+            assert list(map(scan_outcome, stacked)) == [
+                scan_outcome(reducer.residual_scan([case], samples)[0]) for case in cases]
+        assert sum(len(cases) for cases, _ in stacks) >= 15
+
     def test_ivd_passes(self):
         report = verify_entry("IVd", trials=5, seed=1)
         assert report["expected"] == "PASS"
@@ -217,7 +262,7 @@ class TestParabolicSubstitution:
             assert inst.pde.B == 1 and inst.pde.tau == 0
             system = reduce(inst.pde, inst.ansatz)
             assert verify_assignment(system, inst.assignment).passed
-            assert residual_scan(inst.pde, inst.solution, (-10, 10), 1001) < 1e-9
+            assert scan_one(inst.pde, inst.solution, (-10, 10), 1001) < 1e-9
             done += 1
 
 

@@ -5,6 +5,7 @@ import random
 import sys
 import types
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from twbench.reducer import (
     _compile,
     _newton_steps,
     _norms,
-    _on_grid,
+    _on_grids,
     _power,
     _product,
     _scan_rows,
@@ -49,7 +50,7 @@ from twbench.symcore import (
     reduced_pair,
 )
 
-from conftest import by_power, coeff_list
+from conftest import by_power, coeff_list, scan_one, scan_outcome
 from equiv import random_trial
 
 
@@ -810,31 +811,31 @@ class TestResidualScan:
         # u = sech(xi/sqrt(3)): H = 3, amplitude 1
         k = 1 / math.sqrt(3.0)
         sol = ClosedFormSolution((0, 2), (1, 0, 1), alpha=k, velocity=2.0)
-        assert residual_scan(pde, sol, (-10, 10), 1001) < 1e-10
+        assert scan_one(pde, sol, (-10, 10), 1001) < 1e-10
 
     def test_zero_solution(self):
         pde = parse_model('{"tau":1,"A":1,"B":1,"kappa":1,"reaction":{"1":3}}')
         sol = ClosedFormSolution((0,), (1,), alpha=1.0, velocity=1.0)
-        assert residual_scan(pde, sol, (-10, 10), 101) == 0.0
+        assert scan_one(pde, sol, (-10, 10), 101) == 0.0
 
     def test_family_I_tanh_instance(self):
         pde = parse_model('{"tau":0,"A":0,"B":1,"kappa":1,'
                           '"reaction":{"0":-1,"1":2,"2":1,"3":-2}}')
         # tanh(x - t) = (1 - E)/(1 + E) with E = exp(-2*(x - t))
         sol = ClosedFormSolution((1, -1), (1, 1), alpha=F(-2), velocity=F(-1))
-        assert residual_scan(pde, sol, (-10, 10), 1001) < 1e-10
+        assert scan_one(pde, sol, (-10, 10), 1001) < 1e-10
 
     def test_undeclared_pole_detected(self):
         pde = parse_model('{"tau":0,"A":0,"B":1,"kappa":1,"reaction":{}}')
         # pole at xi = 0, not declared
         sol = ClosedFormSolution((1,), (-1, 1), alpha=F(1), velocity=F(1))
         with pytest.raises(PoleInWindow):
-            residual_scan(pde, sol, (-1, 1), 101)
+            scan_one(pde, sol, (-1, 1), 101)
 
     def test_declared_pole_skipped(self):
         pde = parse_model('{"tau":0,"A":0,"B":1,"kappa":1,"reaction":{}}')
         sol = ClosedFormSolution((1,), (-1, 1), alpha=F(1), velocity=F(1), poles=(0.0,))
-        residual_scan(pde, sol, (-1, 1), 101)  # no exception
+        scan_one(pde, sol, (-1, 1), 101)  # no exception
 
 
 class TestEquivalence:
@@ -845,7 +846,7 @@ class TestEquivalence:
             pde, ansatz, theta, sol, hint = random_trial(rng)
             system = reduce(pde, ansatz)
             exact = verify_assignment(system, theta).passed
-            scan = residual_scan(pde, sol, (-6.0, 6.0), 301)
+            scan = scan_one(pde, sol, (-6.0, 6.0), 301)
             assert exact == (scan < 1e-10), (
                 f"equivalence broken: exact={exact} scan={scan} theta={theta}")
             if hint:
@@ -937,22 +938,47 @@ _GRID_COEFFICIENTS = (st.floats(-1e3, 1e3) | st.floats(allow_nan=False)
                       | st.sampled_from((0.0, 1e300, -1e-300)))
 
 
-@settings(max_examples=200, deadline=None, database=None)
-@given(st.lists(st.tuples(st.lists(_GRID_COEFFICIENTS, min_size=1, max_size=7), st.integers(0, 5)),
-                min_size=1, max_size=9),
-       st.lists(st.floats(-60, 60) | st.floats(-1e3, 1e3), max_size=30))
-def test_grid_matches_polyval_per_row(rows, exponents):
+@st.composite
+def _grid_cases(draw):
+    """Rows, their spans, one to three E grids of one length and the grid
+    of each row; now and then a row is given again, the same object, for
+    the same grid and span or not."""
+    n = draw(st.integers(0, 30))
     # exp(+-800) overflows to inf and underflows to 0; exp(0) is the boundary
-    spans = [len(row) - 1 + extra for row, extra in rows]
+    exponents = st.lists(st.floats(-60, 60) | st.floats(-1e3, 1e3), min_size=n, max_size=n)
+    grids = draw(st.lists(exponents.map(lambda x: [*x, -800.0, 800.0, 0.0, -1e-300])
+                          .flatmap(st.permutations), min_size=1, max_size=3))
+    rows, spans, owner = [], [], []
+    for _ in range(draw(st.integers(1, 9))):
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            row, span, k = rows[i], spans[i], owner[i]
+            if draw(st.booleans()):
+                span = len(row) - 1 + draw(st.integers(0, 5))
+                k = draw(st.integers(0, len(grids) - 1))
+        else:
+            row = np.array(draw(st.lists(_GRID_COEFFICIENTS, min_size=1, max_size=7)))
+            span = len(row) - 1 + draw(st.integers(0, 5))
+            k = draw(st.integers(0, len(grids) - 1))
+        rows.append(row)
+        spans.append(span)
+        owner.append(k)
     with np.errstate(all="ignore"):
-        E = np.exp(np.array([*exponents, -800.0, 800.0, 0.0, -1e-300]))
-        grid = _on_grid([np.array(row) for row, _ in rows], spans, E)
-        small = E <= 1.0
-        for (row, _), J, got in zip(rows, spans, grid):
+        return rows, spans, np.exp(np.array(grids)), np.array(owner)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_grid_cases())
+def test_grid_matches_polyval_per_row(case):
+    rows, spans, E, owner = case
+    with np.errstate(all="ignore"):
+        grid = _on_grids(rows, spans, E, owner)
+        for row, J, k, got in zip(rows, spans, owner, grid):
+            small = E[k] <= 1.0
             padded = np.zeros(J + 1)
             padded[:len(row)] = row
-            low = np.polynomial.polynomial.polyval(E[small], padded)
-            high = np.polynomial.polynomial.polyval(1.0 / E[~small], padded[::-1])
+            low = np.polynomial.polynomial.polyval(E[k][small], padded)
+            high = np.polynomial.polynomial.polyval(1.0 / E[k][~small], padded[::-1])
             assert got[small].tobytes() == low.tobytes()
             assert got[~small].tobytes() == high.tobytes()
 
@@ -963,12 +989,12 @@ class TestScanOverflow:
     def test_zero_second_derivative_takes_no_alpha_squared(self):
         # u = 1 has u' = u'' = 0, so alpha^2 (1e400) is never formed
         sol = ClosedFormSolution((1,), (1,), alpha=-1e200, velocity=1.0)
-        assert residual_scan(self.PDE, sol, (-1, 1), 11) == 0.0
+        assert scan_one(self.PDE, sol, (-1, 1), 11) == 0.0
 
     def test_alpha_squared_overflow_is_a_pole_in_window(self):
         sol = ClosedFormSolution((1, 1), (2, 1), alpha=1e155, velocity=1.0)
         with pytest.raises(PoleInWindow, match="coefficient is beyond the float range"):
-            residual_scan(self.PDE, sol, (-1, 1), 11)
+            scan_one(self.PDE, sol, (-1, 1), 11)
 
     def test_exp_overflow_is_silent(self):
         # far out, E = exp(alpha*xi) is inf or 0; the grid evaluates inf in t = 0
@@ -976,7 +1002,111 @@ class TestScanOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sample_solution(sol, np.array([-2000.0, 2000.0])).tolist() == [1.0, 0.0]
-            assert math.isfinite(residual_scan(self.PDE, sol, (-2000, 2000), 11))
+            assert math.isfinite(scan_one(self.PDE, sol, (-2000, 2000), 11))
+
+
+class TestScanRefusals:
+    """Every refusal of a case is an error of the case; only a stack-wide
+    argument raises."""
+
+    def test_half_integer_exponent_at_power_one(self):
+        # -u'' = u^(3/2) needs w^3 of the squared ansatz; at power 1 it is refused, as reduce does
+        pde = parse_model('{"tau":0,"A":0,"B":0,"kappa":1,"reaction":{"3/2":1}}')
+        flat = ClosedFormSolution((2,), (1,), alpha=1.0, velocity=1.0)
+        [outcome] = residual_scan([(pde, flat, (-1, 1))], 11)
+        assert type(outcome) is PowerMismatch
+        assert str(outcome) == "half-integer reaction exponents require power 2"
+        with pytest.raises(PowerMismatch, match=str(outcome)):
+            reduce(pde, ExpAnsatz(a=("a0",), b=(1,)))
+        # at power 2, u = 2^2 and u^(3/2) = w^3 = 8: max|residual| / (1 + max|u|)
+        squared = ClosedFormSolution((2,), (1,), alpha=1.0, velocity=1.0, power=2)
+        assert residual_scan([(pde, squared, (-1, 1))], 11) == [8.0 / 5.0]
+
+    def test_symbolic_model(self):
+        pde = parse_model('{"tau":0,"A":0,"B":0,"kappa":1,"reaction":{"1":"lam"}}')
+        sol = ClosedFormSolution((1,), (1,), alpha=1.0, velocity=1.0)
+        [outcome] = residual_scan([(pde, sol, (-1, 1))], 11)
+        assert type(outcome) is DomainError and isinstance(outcome, ValueError)
+        assert str(outcome) == "residual scan needs a fully numeric model"
+
+    def test_fewer_than_two_samples(self):
+        pde = parse_model('{"tau":0,"A":0,"B":0,"kappa":1,"reaction":{}}')
+        sol = ClosedFormSolution((1,), (1,), alpha=1.0, velocity=1.0)
+        for cases in ([], [(pde, sol, (-1, 1))]):
+            with pytest.raises(DomainError, match="need at least two samples"):
+                residual_scan(cases, 1)
+
+    def test_every_sample_excluded(self):
+        pde = parse_model('{"tau":0,"A":0,"B":1,"kappa":1,"reaction":{}}')
+        sol = ClosedFormSolution((1,), (-1, 1), alpha=1.0, velocity=1.0, poles=(0.0,))
+        [outcome] = residual_scan([(pde, sol, (-1e-4, 1e-4))], 11)
+        assert type(outcome) is DomainError and isinstance(outcome, ValueError)
+        assert str(outcome) == "every sample lies within the pole exclusion zones"
+
+
+def _stacks_of_one(cases, samples):
+    return [scan_outcome(residual_scan([case], samples)[0]) for case in cases]
+
+
+def test_mixed_stack_matches_stacks_of_one():
+    # powers 1 and 2, reaction exponent lists of every length, four windows,
+    # declared poles and errors mixed in one stack of several passes
+    rng = random.Random(29)
+    windows = ((-6.0, 6.0), (-1.0, 2.5), (-10.0, 10.0), (0.5, 3.0))
+    cases = [(pde, sol, rng.choice(windows))
+             for pde, _, _, sol, _ in (random_trial(rng) for _ in range(120))]
+    half = parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1/2":1}}')
+    cases[7:7] = [(half, ClosedFormSolution((1, 2), (1, 1), alpha=1.0, velocity=1.0),
+                   (-1.0, 1.0))]
+    cases[50:50] = [(cases[50][0], ClosedFormSolution((1,), (-1, 1), alpha=2.0, velocity=1.0),
+                     (-1.0, 1.0))]
+    samples = 301
+    assert len(cases) > 2 * (reducer.SCAN_PASS_POINTS // samples)
+    stacked = list(map(scan_outcome, residual_scan(cases, samples)))
+    assert stacked == _stacks_of_one(cases, samples)
+    assert {PowerMismatch, PoleInWindow} <= {x[0] for x in stacked if isinstance(x, tuple)}
+    assert {sol.power for _, sol, _ in cases} == {1, 2}
+    assert sum(bool(sol.poles) for _, sol, _ in cases) >= 5
+    assert len({len(pde.reaction) for pde, _, _ in cases}) >= 4
+
+
+def test_one_case_cannot_spoil_its_neighbours():
+    pde = TestScanOverflow.PDE
+    overflowing = ClosedFormSolution((1, 1), (2, 1), alpha=1e155, velocity=1.0)
+    undeclared = ClosedFormSolution((1,), (-1, 1), alpha=F(1), velocity=F(1))
+    cases = [(pde, ClosedFormSolution((1, 2), (1, 1), alpha=F(1, 2), velocity=1.0), (-10, 10)),
+             (pde, overflowing, (-1, 1)),
+             (pde, undeclared, (-1, 1)),
+             (pde, ClosedFormSolution((0, 2), (1, 0, 1), alpha=-0.75, velocity=2.0), (-10, 10))]
+    stacked = residual_scan(cases, 101)
+    assert list(map(scan_outcome, stacked)) == _stacks_of_one(cases, 101)
+    assert all(isinstance(stacked[k], float) for k in (0, 3))
+    assert scan_outcome(stacked[1]) == (PoleInWindow, reducer._BEYOND_FLOATS)
+    assert scan_outcome(stacked[2]) == (PoleInWindow,
+                                    "denominator vanishes near xi = 0 (undeclared pole)")
+
+
+def test_pole_named_in_the_grid_order():
+    # (E - 1)(E - 2) with alpha = -ln 2 vanishes at xi = -1 and at xi = 0;
+    # the first grid point to flag is -1, whatever order E is evaluated in
+    pde = TestScanOverflow.PDE
+    sol = ClosedFormSolution((1,), (2, -3, 1), alpha=-math.log(2.0), velocity=1.0)
+    [outcome] = residual_scan([(pde, sol, (-1, 1))], 201)
+    assert scan_outcome(outcome) == (PoleInWindow,
+                                 "denominator vanishes near xi = -1 (undeclared pole)")
+
+
+def test_declared_pole_skipped_where_E_descends():
+    # 1/(E - 2) with alpha = -ln 2 has its declared pole at xi = -1, the first
+    # point of the grid; it is skipped although E descends along the grid
+    pde = parse_model('{"tau":0,"A":0,"B":0,"kappa":1,"reaction":{}}')
+    sol = ClosedFormSolution((1,), (-2, 1), alpha=-math.log(2.0), velocity=1.0)
+    assert np.exp(-sol.alpha) == 2.0
+    declared = replace(sol, poles=(-1.0,))
+    assert scan_outcome(residual_scan([(pde, sol, (-1, 0.5))], 151)[0]) == (
+        PoleInWindow, "denominator vanishes near xi = -1 (undeclared pole)")
+    [scan] = residual_scan([(pde, declared, (-1, 0.5))], 151)
+    assert isinstance(scan, float) and math.isfinite(scan)
 
 
 # -- the closed-form solution builder -------------------------------------------
