@@ -480,17 +480,19 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
     """Compile polynomials in ``unknowns`` to one float evaluator of them all.
 
     The evaluator maps a point x (float64, in ``unknowns`` order) to the
-    array of ``float(p.evaluate(dict(zip(unknowns, x))))``, bit for bit, and
-    a stack of points, shape (S, n), to those S arrays as rows.  Each term is
-    float(c) times the powers x[i]**e, multiplied in the polynomial's own
-    variable order, and the terms are added left to right from 0.0 in dict
-    order.  A missing factor reads 1.0 and a padding term 0.0, both exact.
-    Every power is libm's ``pow`` of one element, taken as a Python float
-    (numpy's vectorised power rounds differently); when one overflows, which
-    a Python float refuses, the stack takes numpy's scalar power, the same
-    ``pow``, instead.  A large stack is evaluated in passes of a bounded
-    number of terms.  A coefficient beyond the float range raises
-    NumericFailure naming ``equation(k)`` for the k-th polynomial.
+    array of ``float(p.evaluate(dict(zip(unknowns, x))))``, bit for bit but
+    for which NaN comes out where two meet, and a stack of points, shape
+    (S, n), to those S arrays as rows.  Each term is float(c) times the
+    powers x[i]**e, multiplied in the polynomial's own variable order, and
+    the terms are added left to right from 0.0 in dict order.  A missing
+    factor reads 1.0 and a padding term 0.0, both exact.  Every power is
+    ``np.float_power``, whose only float64 loop is libm's ``pow`` of one
+    element, as numpy's scalar power and Python's ``x ** e`` are;
+    ``np.power`` is not used, because its vectorised loop rounds
+    differently.  A power that overflows is inf.  A large stack is evaluated
+    in passes of a bounded number of terms.  A coefficient beyond the float
+    range raises NumericFailure naming ``equation(k)`` for the k-th
+    polynomial.
     """
     import numpy as np
     column = {name: i for i, name in enumerate(unknowns)}
@@ -514,7 +516,7 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
                     index[d, t, k] = slots.setdefault((column[name], e), len(slots) + 1)
     powers = list(slots)
     bases = np.array([i for i, _ in powers], dtype=np.intp)
-    exponents = np.array([e for _, e in powers], dtype=object)[:, None]
+    exponents = np.array([e for _, e in powers], dtype=float)[:, None]
 
     # points per pass: one pass holds at most 2**20 terms (8 MiB), so that
     # memory does not grow with the size of the stack
@@ -522,10 +524,7 @@ def _compile(polys: list[ParamPoly], unknowns: list[str],
 
     def evaluate_pass(points: np.ndarray) -> np.ndarray:
         table = np.ones((len(powers) + 1, len(points)))  # one column per point
-        try:
-            table[1:] = points.T[bases].astype(object) ** exponents
-        except OverflowError:
-            table[1:] = [[p ** e for p in points[:, i]] for i, e in powers]
+        np.float_power(points.T[bases], exponents, out=table[1:])
         terms = coef * table[index[0]]
         for layer in index[1:]:
             terms *= table[layer]

@@ -688,6 +688,34 @@ def test_installed_numpy_takes_the_gufunc(monkeypatch):
         == (4, 2)
 
 
+def test_installed_numpy_takes_libm_pow():
+    # _compile's power table is np.float_power because its only float64
+    # loop is libm's pow of one element, which Python's ** also takes; a
+    # vectorised loop would round differently, as np.power's does on AVX-512
+    # (about 1 square in 1000 in [-3, 3], 3% of cubes), and Newton's roots
+    # would lose their bits
+    def python_pow(v: float, e: int) -> float:
+        try:
+            return v ** e
+        except OverflowError:  # numpy's scalar power is the same libm pow
+            return float(np.float64(v) ** e)
+
+    rng = np.random.default_rng(30)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e154, -1e154,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    wide = rng.choice((-1.0, 1.0), 10_000) * 10.0 ** rng.uniform(-320.0, 308.0, 10_000)
+    x = np.concatenate([special, rng.uniform(-3.0, 3.0, 20_000), wide])
+    with np.errstate(all="ignore"):
+        for e in range(1, 41):
+            expected = np.array([python_pow(v, e) for v in x.tolist()])
+            assert np.float_power(x, float(e)).tobytes() == expected.tobytes(), e
+            # Python returns a NaN base as it is; libm's pow, like numpy's
+            # scalar power, which ParamPoly.evaluate takes on np.float64,
+            # clears the sign of -nan at an odd e
+            assert np.float_power(-math.nan, float(e)).tobytes() \
+                == (np.float64(-math.nan) ** e).tobytes(), e
+
+
 def test_newton_steps_of_an_empty_stack(lstsq_calls):
     assert _newton_steps(np.empty((0, 3, 2)), np.empty((0, 3))).shape == (0, 2)
 
@@ -724,9 +752,15 @@ _NAMES = ("a", "b", "m", "q", "z")
 _COEFFICIENTS = st.builds(lambda sign, n, d, k: sign * F(n, d) * F(10) ** k,
                           st.sampled_from((1, -1)), st.integers(1, 999), st.integers(1, 999),
                           st.integers(-27, 27) | st.integers(-1, 1))
-# up to 1e40 in magnitude, so that powers up to 12 overflow to inf
+# up to 1e40 in magnitude, so that powers up to 12 overflow to inf; and the
+# overflowed and subnormal coordinates a line search can try
 _COORDINATES = (st.floats(-1e40, 1e40) | st.floats(-3, 3)
-                | st.sampled_from((0.0, -0.0, 1e40, -1e40, 1e-40)))
+                | st.sampled_from((0.0, -0.0, 1e40, -1e40, 1e-40, 5e-324, -5e-324, math.inf,
+                                   -math.inf)))
+# where two NaNs meet, which one an operation returns is the CPU's choice, so
+# a NaN coordinate is compared with ParamPoly.evaluate only in @examples
+# with one NaN; a stack is compared with its points
+_NAN_COORDINATES = _COORDINATES | st.sampled_from((math.nan, -math.nan))
 
 
 def _poly(names):
@@ -738,12 +772,12 @@ def _poly(names):
 
 
 @st.composite
-def _compiled_cases(draw):
+def _compiled_cases(draw, coordinates=_COORDINATES):
     """Polynomials in a shuffled list of unknowns, and a point."""
     unknowns = draw(st.permutations(_NAMES))[:draw(st.integers(1, len(_NAMES)))]
     names = st.lists(st.sampled_from(unknowns), unique=True)
     polys = draw(st.lists(names.flatmap(_poly), min_size=1, max_size=4))
-    point = draw(st.lists(_COORDINATES, min_size=len(unknowns), max_size=len(unknowns)))
+    point = draw(st.lists(coordinates, min_size=len(unknowns), max_size=len(unknowns)))
     return polys, unknowns, np.array(point)
 
 
@@ -752,6 +786,11 @@ def _compiled_cases(draw):
 # eight terms, whose pairwise sum (np.sum) differs in the last bit
 @example(([parse_poly_text("-1/3*x^7 + 2/3*x^6 - x^5 + 2/3*x^4 - 7/6*x^3 + 1/2*x^2 "
                            "+ 8/3*x - 6/5")], ("x",), np.array([0.7])))
+# libm's pow, as numpy's scalar power, clears the sign of -nan at odd powers
+@example(([parse_poly_text("x^3*y^2 - 2*y + 1/7")], ("x", "y"), np.array([-math.nan, 0.5])))
+@example(([parse_poly_text("y^2 - x^5*y + 3")], ("x", "y"), np.array([-math.nan, -2.0])))
+# a power that overflows, and a subnormal coordinate
+@example(([parse_poly_text("x^5 - 3*x^2*y + 1/7")], ("x", "y"), np.array([math.inf, 5e-324])))
 def test_compiled_matches_evaluate_bit_for_bit(case):
     polys, unknowns, x = case
     with np.errstate(all="ignore"):
@@ -762,11 +801,11 @@ def test_compiled_matches_evaluate_bit_for_bit(case):
 @st.composite
 def _stacked_cases(draw):
     """Polynomials as in _compiled_cases, one of them perhaps without
-    variables, and a stack of 1 to 4 points."""
-    polys, unknowns, point = draw(_compiled_cases())
+    variables, and a stack of 1 to 4 points, NaN coordinates among them."""
+    polys, unknowns, point = draw(_compiled_cases(_NAN_COORDINATES))
     if draw(st.booleans()):
         polys.insert(draw(st.integers(0, len(polys))), ParamPoly((), {(): draw(_COEFFICIENTS)}))
-    points = [point] + draw(st.lists(st.lists(_COORDINATES, min_size=len(unknowns),
+    points = [point] + draw(st.lists(st.lists(_NAN_COORDINATES, min_size=len(unknowns),
                                               max_size=len(unknowns)), max_size=3))
     return polys, unknowns, np.array(points)
 
@@ -777,6 +816,8 @@ def _stacked_cases(draw):
 @example(([parse_poly_text("x^12*y - 3*y^2 + 1/7"), parse_poly_text("5/3")], ("x", "y"),
           np.array([[1e40, -2.5], [0.5, 1e40], [-1e40, -1e40]])))
 @example(([parse_poly_text("2/3*x^2 - x")], ("x",), np.array([[0.7]])))
+@example(([parse_poly_text("x^3*y - y^2"), parse_poly_text("2*x - 1/3")], ("x", "y"),
+          np.array([[math.inf, -math.inf], [math.nan, 5e-324], [-math.nan, 2.0], [-5e-324, 0.5]])))
 @example(([parse_poly_text("5/3"), parse_poly_text("-2")], ("x",), np.array([[1.0], [-3.0]])))
 def test_compiled_stack_matches_single_points(case):
     polys, unknowns, points = case
