@@ -26,7 +26,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -251,12 +251,15 @@ class FloatKernel:
             raise NoSecondRoot("precondition D^2 > beta*R1^(nu+3) fails")
         lo = self.R1 * (1 + 1e-9)
         hi = max(2.0 * self.R1, 1.0)
-        for _ in range(200):
-            if self.P(hi) > 0:
-                break
-            hi *= 2.0
-        else:
-            raise NoSecondRoot("P does not change sign beyond R1")
+        try:
+            for _ in range(200):
+                if self.P(hi) > 0:
+                    break
+                hi *= 2.0
+            else:
+                raise NoSecondRoot("P does not change sign beyond R1")
+        except OverflowError:
+            raise NoSecondRoot(f"P overflowed at R = {hi} before changing sign") from None
         r2 = ode.brentq(self.P, lo, hi, xtol=1e-15, rtol=8.9e-16)
         return _polish(self.P, self.dP, r2)
 
@@ -264,15 +267,18 @@ class FloatKernel:
     def R3(self) -> float:
         """The turning point: the first zero of G beyond the center."""
         r2, g = self.R2, self.G
-        if g(r2) <= 0:
-            raise NoTurningPoint("G(R2) is not positive")
         hi = 2.0 * r2
-        for _ in range(200):
-            if g(hi) < 0:
-                break
-            hi *= 2.0
-        else:
-            raise NoTurningPoint("G does not change sign beyond R2")
+        try:
+            if g(r2) <= 0:
+                raise NoTurningPoint("G(R2) is not positive")
+            for _ in range(200):
+                if g(hi) < 0:
+                    break
+                hi *= 2.0
+            else:
+                raise NoTurningPoint("G does not change sign beyond R2")
+        except OverflowError:
+            raise NoTurningPoint(f"G overflowed on [R2, {hi}] before changing sign") from None
         r3 = ode.brentq(g, r2, hi, xtol=1e-15, rtol=8.9e-16)
         r3 = _polish(g, self.dG, r3)
         if not r3 > r2:
@@ -320,7 +326,7 @@ def turning_point(model: HydroModel) -> float:
 class CriticalPointReport:
     points: tuple  # (R, kind, eigenvalues) triples
     R2: float
-    Psi_positive: bool
+    Psi_positive: ClassVar[bool] = True  # proved in critical_points' docstring
 
 
 def critical_points(model: HydroModel) -> CriticalPointReport:
@@ -328,22 +334,24 @@ def critical_points(model: HydroModel) -> CriticalPointReport:
 
     The linearization at (R*, 0) has eigenvalues lam^2 = -P'(R*)/(sigma*R*^(nu+2)):
     a real pair (saddle) at R1, an imaginary pair (center) at R2.
+
+    Psi in P(R) = (R - R1)*(R - R2)*Psi(R) is positive on (0, inf), by Descartes'
+    rule of signs for real exponents (G. J. O. Jameson, Math. Gazette 90, 2006): the
+    exponents 0 < 1 < nu + 3 of P carry the signs +D^2, -E, +beta/(nu+2), so P has
+    at most two positive roots with multiplicity; R1 != R2 are both, simple, and alone.
+    As R -> 0+, Psi -> D^2/(R1*R2) > 0; D != 0 as D^2 > beta*R1^(nu+3) when R2 exists.
     """
     k = model.kernel
-    r1, r2 = k.R1, k.R2
     points = []
-    for r in (r1, r2):
-        lam_sq = -k.dP(r) / (k.sigma * r ** (k.nu + 2))
-        if lam_sq > 0:
-            kind, eig = "saddle", (math.sqrt(lam_sq), -math.sqrt(lam_sq))
-        else:
-            kind, eig = "center", complex(0.0, math.sqrt(-lam_sq))
-            eig = (eig, -eig)
-        points.append((r, kind, eig))
-    grid = np.geomspace(1e-6 * r1, 10.0 * k.R3, 400)
-    grid = grid[np.minimum(abs(grid - r1), abs(grid - r2)) > 1e-9]
-    psi_positive = bool(np.all(k.P(grid) / ((grid - r1) * (grid - r2)) > 0))
-    return CriticalPointReport(points=tuple(points), R2=r2, Psi_positive=psi_positive)
+    for r in (k.R1, k.R2):
+        try:
+            lam_sq = -k.dP(r) / (k.sigma * r ** (k.nu + 2))
+        except ZeroDivisionError:
+            raise NumericFailure(f"sigma*R^(nu+2) underflows to 0 at R = {r}") from None
+        lam = math.sqrt(abs(lam_sq))
+        kind, eig = ("saddle", lam) if lam_sq > 0 else ("center", complex(0.0, lam))
+        points.append((r, kind, (eig, -eig)))
+    return CriticalPointReport(points=tuple(points), R2=k.R2)
 
 
 def saddle_angle(model: HydroModel) -> float:
@@ -351,7 +359,10 @@ def saddle_angle(model: HydroModel) -> float:
     k = model.kernel
     r1, r2 = k.R1, k.R2
     # Psi(R1) = P'(R1)/(R1 - R2), the cofactor in P(R) = (R - R1)*(R - R2)*Psi(R)
-    s = (r2 - r1) * (k.dP(r1) / (r1 - r2)) / (k.sigma * r1 ** (k.nu + 2))
+    try:
+        s = (r2 - r1) * (k.dP(r1) / (r1 - r2)) / (k.sigma * r1 ** (k.nu + 2))
+    except ZeroDivisionError:
+        raise NumericFailure(f"sigma*R^(nu+2) underflows to 0 at R = {r1}") from None
     return math.atan(math.sqrt(s))
 
 
@@ -365,7 +376,10 @@ def separatrix(model: HydroModel, R: float) -> tuple[float, float]:
     scale = k.sigma * R ** (2 * (k.nu + 1))
     if g < -1e-12 * max(1.0, scale):
         raise OutOfDomain(f"G({R}) < 0")
-    y = math.sqrt(max(g, 0.0) / scale)
+    try:
+        y = math.sqrt(max(g, 0.0) / scale)
+    except ZeroDivisionError:
+        raise NumericFailure(f"sigma*R^(2(nu+1)) underflows to 0 at R = {R}") from None
     return y, -y
 
 
@@ -406,8 +420,9 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
         return state[0] - R_FLOOR
 
     k = model.kernel
-    sol = ode.dop853(k.rhs, omega_span, y0, rtol=rel_tol, atol=rel_tol * 1e-2,
-                     event=boundary)
+    with np.errstate(all="ignore"):  # an orbit that overflows ends in status -1, unwarned
+        sol = ode.dop853(k.rhs, omega_span, y0, rtol=rel_tol, atol=rel_tol * 1e-2,
+                         event=boundary)
     if sol.status == -1:
         raise StiffnessFailure(sol.message)
     R, Y = sol.y

@@ -13,7 +13,9 @@ that against scipy.
 
 ``dop853`` covers what ``hydro.flow`` needs: a forward or backward span,
 scalar ``rtol`` and ``atol``, dense output, and one terminal event that
-fires where it falls through zero.
+fires where it falls through zero.  Where scipy's loop never ends (a NaN
+step size) or its event location raises (an event that is NaN inside a
+step), ``dop853`` ends with status -1.
 """
 
 from __future__ import annotations
@@ -381,7 +383,8 @@ def _error_norm(K, h, scale):
 class OdeResult:
     """Accepted step times ``t`` (m,), states ``y`` (n, m), the dense output
     ``sol``, and ``status``: 0 at the end of the span, 1 at the terminal
-    event, -1 when a step failed (``message`` says why; empty otherwise)."""
+    event, -1 when a step failed or the event could not be located
+    (``message`` says why; empty otherwise)."""
 
     t: np.ndarray
     y: np.ndarray
@@ -425,7 +428,7 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
                 h_abs = min_step
             step_rejected = False
             while True:
-                if h_abs < min_step:
+                if not h_abs >= min_step:  # a NaN step size fails here too
                     status, message = -1, TOO_SMALL_STEP
                     break
                 h = h_abs * sign
@@ -467,10 +470,14 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
         t_out, y_out = t, y
         g_new = event(t, y)
         if g >= 0 and g_new <= 0:
-            root = brentq(lambda s: event(s, sol(s)), t_old, t, xtol=4 * EPS, rtol=4 * EPS)
-            status = 1
-            t_out = np.float64(root)
-            y_out = sol(t_out)
+            try:
+                root = brentq(lambda s: event(s, sol(s)), t_old, t, xtol=4 * EPS, rtol=4 * EPS)
+            except ValueError as exc:  # the event is NaN inside the step
+                status, message = -1, f"the terminal event cannot be located: {exc}"
+            else:
+                status = 1
+                t_out = np.float64(root)
+                y_out = sol(t_out)
         g = g_new
         if len(ts) > 1 and ts[-1] == t_out:
             interpolants.pop()

@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from twbench import catalog, cli, hydro, model, reducer, symcore
@@ -186,6 +190,13 @@ INPUT_DOCUMENTS = {
     "expectations_entry_not_object": '{"IVd": [1, 2]}',
     "huge_number": '{"tau":1e10000000,"A":0,"B":1,"kappa":1,"reaction":{}}',
     "hydro_huge_D": '{"nu":0,"beta":"1/2","sigma":1,"D":1e400,"R1":1}',
+    "hydro_P_overflow": '{"nu":1100,"beta":1,"sigma":1,"D":1,"R1":"1/2"}',
+    "hydro_G_overflow": '{"nu":700,"beta":1,"sigma":1,"D":1,"R1":"9/10"}',
+    "hydro_G_overflow_at_R2": '{"nu":1,"beta":1,"sigma":1,"D":1e80,"R1":1}',
+    "hydro_linearization_underflow": '{"nu":"2843/8","beta":"1/8","sigma":"1/8","D":"1/8",'
+                                     '"R1":"1/8"}',
+    "hydro_separatrix_underflow": '{"nu":"37/4","beta":7.375e-21,"sigma":250,"D":"23/8",'
+                                  '"R1":1.25e-16}',
     "model_symbolic_tau": '{"tau":"x","A":0,"B":1,"kappa":1,"reaction":{}}',
     "model_reaction_list": '{"tau":1,"A":0,"B":1,"kappa":1,"reaction":[1]}',
     # a "p/q" string past Python's default limit of 4300 digits for int()
@@ -370,6 +381,36 @@ EXIT_3_CASES = {
                              "lam1=1,lam3=-2,tau=1e401,kappa=1,v=2", "--range=-1:1:3"],
                             "beyond the float range"),
     "hydro-huge-D": (["hydro-analyze", "--model", "{hydro_huge_D}"], "beyond the float range"),
+    # P and G overflowed in the bracket doubling of the R2 and R3 searches
+    "hydro-analyze-P-overflow": (["hydro-analyze", "--model", "{hydro_P_overflow}"],
+                                 "P overflowed at R = 2.0"),
+    "hydro-analyze-G-overflow": (["hydro-analyze", "--model", "{hydro_G_overflow}"],
+                                 "G overflowed on [R2, "),
+    "hydro-separatrix-G-overflow": (["hydro-separatrix", "--model", "{hydro_G_overflow}"],
+                                    "G overflowed on [R2, "),
+    "hydro-homoclinic-G-overflow": (["hydro-homoclinic", "--model", "{hydro_G_overflow}"],
+                                    "G overflowed on [R2, "),
+    # G overflowed at R2 itself, before the doubling began
+    "hydro-analyze-G-overflow-at-R2": (["hydro-analyze", "--model", "{hydro_G_overflow_at_R2}"],
+                                       "G overflowed on [R2, "),
+    # sigma*R^(nu+2) and sigma*R^(2(nu+1)) underflowed to 0 and were divided by:
+    # a ZeroDivisionError traceback from the linearization and the separatrix
+    "hydro-analyze-linearization-underflow": (
+        ["hydro-analyze", "--model", "{hydro_linearization_underflow}"],
+        "sigma*R^(nu+2) underflows to 0"),
+    "hydro-separatrix-scale-underflow": (
+        ["hydro-separatrix", "--model", "{hydro_separatrix_underflow}"],
+        "sigma*R^(2(nu+1)) underflows to 0"),
+    # the right-hand side is NaN at the start, so is the first step size: it
+    # stepped forever
+    "hydro-orbit-nan-step": (["hydro-orbit", "--model", "{hydro}", "--start", "1e200,0",
+                              "--span", "1"], "Required step size"),
+    # the dense output is NaN inside a step that crosses the R floor: a
+    # ValueError traceback from the event location
+    "hydro-orbit-nan-event": (["hydro-orbit", "--model", "{hydro}", "--start", "1.7,0",
+                               "--rtol", "0.5"], "the terminal event cannot be located"),
+    "hydro-orbit-nan-event-rtol-1": (["hydro-orbit", "--model", "{hydro}", "--start", "1.7,0",
+                                      "--rtol", "1"], "the terminal event cannot be located"),
 }
 
 
@@ -504,6 +545,33 @@ def test_fuzz_documents(parse, documents):
        | st.lists(st.builds("x={}".format, _NUMBER_TOKEN), min_size=1, max_size=3).map(",".join))
 def test_fuzz_assignments(text):
     _parses_or_input_error(cli._parse_assignments, text)
+
+
+# valid hydro models far from the reference: nu from just above -2 to 2000,
+# the other parameters from 1e-40 to 8e40
+_NU = st.integers(-15, 16_000).filter(lambda n: n != -8).map(lambda n: Fraction(n, 8))
+_MAGNITUDE = st.builds(lambda m, e: Fraction(m, 8) * Fraction(10) ** e,
+                       st.integers(1, 64), st.integers(-40, 40))
+_VALID_HYDRO = st.fixed_dictionaries(
+    {"nu": _NU, "beta": _MAGNITUDE, "sigma": _MAGNITUDE, "D": _MAGNITUDE, "R1": _MAGNITUDE},
+).map(lambda fields: json.dumps({k: symcore.frac_str(v) for k, v in fields.items()}))
+
+
+@_FUZZ
+@given(_VALID_HYDRO)
+@example(INPUT_DOCUMENTS["hydro_P_overflow"])
+@example(INPUT_DOCUMENTS["hydro_G_overflow"])
+def test_fuzz_hydro_commands(text):
+    # each command ends in a report or a documented failure, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(text)
+        for command, *options in (["hydro-analyze"], ["hydro-separatrix", "--samples", "5"],
+                                  ["hydro-homoclinic", "--n", "8"]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                status = cli.main([command, "--model", str(path), *options])
+            assert status in (0, 2, 3), stderr.getvalue()
 
 
 class TestCatalogCommands:

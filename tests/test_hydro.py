@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from twbench.hydro import (
@@ -88,6 +90,11 @@ class TestCriticalPoints:
         assert kinds[1][1] == "center"
         assert abs(report.R2 - R2_EXACT) < 1e-12
         assert report.Psi_positive
+
+    def test_R3_not_searched(self):
+        m = reference_instance()  # a fresh kernel, with no root found yet
+        critical_points(m)
+        assert "R2" in m.kernel.__dict__ and "R3" not in m.kernel.__dict__
 
     def test_saddle_eigenvalues_real_pair(self, worked):
         (r1, kind, eig), _ = critical_points(worked).points
@@ -438,6 +445,33 @@ class TestExplicitHomoclinic:
         other = HydroModel(nu=F(1), beta=F(1), sigma=F(1), D=F(2), R1=F(1))
         with pytest.raises(OutOfDomain):
             explicit_homoclinic(1.5, model=other)
+
+
+def _sampled_psi_positive(k) -> bool:
+    """Psi > 0 on 400 points from 1e-6*R1 to 10*R3, as critical_points once decided it."""
+    r1, r2 = k.R1, k.R2
+    grid = np.geomspace(1e-6 * r1, 10.0 * k.R3, 400)
+    grid = grid[np.minimum(abs(grid - r1), abs(grid - r2)) > 1e-9]
+    return bool(np.all(k.P(grid) / ((grid - r1) * (grid - r2)) > 0))
+
+
+_EIGHTHS_TO_EIGHT = st.fractions(F(1, 8), F(8), max_denominator=64)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(nu=st.fractions(F(-2), F(6), max_denominator=16).filter(lambda nu: nu not in (-2, -1)),
+       beta=_EIGHTHS_TO_EIGHT, sigma=_EIGHTHS_TO_EIGHT, R1=_EIGHTHS_TO_EIGHT,
+       margin=st.integers(1, 64))
+def test_psi_positive_agrees_with_sampling(nu, beta, sigma, R1, margin):
+    # Descartes' rule proves Psi > 0; the sampling it replaced is the oracle.
+    # D is about 1 + margin/8 times the precondition's bound sqrt(beta*R1^(nu+3)).
+    bound = math.sqrt(float(beta) * float(R1) ** float(nu + 3))
+    D = F(math.ceil(8 * bound * (1 + margin / 8)), 8)
+    m = HydroModel(nu=nu, beta=beta, sigma=sigma, D=D, R1=R1)
+    assume(m.theorem_holds())
+    report = critical_points(m)
+    assert report.Psi_positive is True
+    assert _sampled_psi_positive(m.kernel) is report.Psi_positive
 
 
 class TestOtherInstances:

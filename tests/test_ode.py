@@ -156,3 +156,33 @@ def test_zero_span_matches_solve_ivp():
                        events=boundary)
     ours = ode.dop853(k.rhs, (2.0, 2.0), [1.2, 0.0], rtol=1e-3, atol=1e-6, event=boundary)
     _assert_same_solution(ours, theirs, (2.0, 2.0))
+
+
+def test_nan_first_step_fails_at_once():
+    # f(t0) is NaN, so is the first step size; no comparison with a NaN step
+    # is true, so a loop that only tests for a small step never ends
+    calls = 0
+
+    def fun(t, y):
+        nonlocal calls
+        calls += 1
+        assert calls < 100, "the step loop did not end"
+        return [0.0, math.nan]
+
+    result = ode.dop853(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-6, atol=1e-8,
+                        event=lambda t, y: 1.0)
+    assert result.status == -1 and result.message == ode.TOO_SMALL_STEP
+    assert _same(result.t, [0.0])
+
+
+def test_nan_event_inside_a_step_fails():
+    # the event changes sign over the step but is NaN near its zero: Brent
+    # cannot locate it, and the run ends with the step it took
+    def event(_, y):
+        return y[0] - 0.5 if abs(y[0] - 0.5) > 1e-3 else math.nan
+
+    result = ode.dop853(lambda t, y: [-1.0], (0.0, 2.0), [1.0], rtol=1e-6, atol=1e-8,
+                        event=event)
+    assert result.status == -1
+    assert result.message.startswith("the terminal event cannot be located: ")
+    assert result.t[-1] > 0.5 and len(result.t) == result.y.shape[1]
