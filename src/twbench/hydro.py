@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
@@ -179,9 +180,13 @@ class FloatKernel:
     performs, in the same order, the float operations that P_of_R,
     hamiltonian and G_of_R perform on a float argument, so the values are
     bit-identical to theirs; on an ndarray the same expressions run
-    vectorised (numpy's array power may differ from the scalar one in the
-    last bit).  R2 and R3 are found on first use and kept; a failed search
-    raises and caches nothing.
+    vectorised.  There H takes its powers by ``np.float_power``, whose only
+    float64 loop is libm's ``pow`` of one element, as Python's ``**`` is,
+    so a trajectory's H has the same bits on every host; the other
+    functions take numpy's array power, which is faster but may differ
+    from the scalar one in the last bit (its AVX-512 loop does).  R2 and R3
+    are found on first use and kept; a failed search raises and caches
+    nothing.
     """
 
     def __init__(self, model: HydroModel):
@@ -214,10 +219,11 @@ class FloatKernel:
 
     def H(self, R, Y):
         """H(R, Y), the conserved quantity."""
-        return (self._2D2 * R ** self._nu1 / self._nu1
-                + self.beta * R ** self._2nu2 / self._nu2_sq
-                + self.sigma * Y * Y * R ** self._2nu1
-                - self._2E * R ** self._nu2 / self._nu2)
+        pw = np.float_power if isinstance(R, np.ndarray) else operator.pow
+        return (self._2D2 * pw(R, self._nu1) / self._nu1
+                + self.beta * pw(R, self._2nu2) / self._nu2_sq
+                + self.sigma * Y * Y * pw(R, self._2nu1)
+                - self._2E * pw(R, self._nu2) / self._nu2)
 
     def G(self, R):
         """G(R) = H1 - H(R, 0)."""
@@ -367,7 +373,12 @@ def saddle_angle(model: HydroModel) -> float:
 
 
 def separatrix(model: HydroModel, R: float) -> tuple[float, float]:
-    """(Y+, Y-) of the saddle separatrix at abscissa R in [R1, R3]."""
+    """(Y+, Y-) of the saddle separatrix at abscissa R in [R1, R3].
+
+    An abscissa outside [R1, R3] raises OutOfDomain.  Inside, G >= 0 is a
+    theorem, so a float G below the tolerance has lost its digits to
+    rounding (G = H1 - H(R, 0) cancels) and raises NumericFailure.
+    """
     k = model.kernel
     r1, r3 = k.R1, k.R3
     if not (r1 - 1e-12 <= R <= r3 + 1e-12):
@@ -375,7 +386,7 @@ def separatrix(model: HydroModel, R: float) -> tuple[float, float]:
     g = k.G(R)
     scale = k.sigma * R ** (2 * (k.nu + 1))
     if g < -1e-12 * max(1.0, scale):
-        raise OutOfDomain(f"G({R}) < 0")
+        raise NumericFailure(f"G({R}) < 0 in [R1, R3], where G >= 0: it cancelled in rounding")
     try:
         y = math.sqrt(max(g, 0.0) / scale)
     except ZeroDivisionError:

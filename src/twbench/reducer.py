@@ -811,6 +811,46 @@ def _on_grids(rows: list[np.ndarray], spans: list[int], E: np.ndarray,
     return out
 
 
+def _exp_grid(x: np.ndarray) -> np.ndarray:
+    """E = exp(x) on a grid as ``np.float_power(math.e, x)``, libm's ``pow``
+    of one element (``float_power``'s only float64 loop), so the same bits
+    on every host; ``np.exp`` takes a vectorised loop that rounds
+    differently on AVX-512.  ln(math.e) = 1 - 5.3e-17, so this is exactly
+    exp at the grid scaled by 1 - 5.3e-17: the residual measured is that of
+    the same profile.  E overflows to inf (evaluated in t = 1/E = 0) and
+    underflows to 0 without a warning."""
+    import numpy as np
+    with np.errstate(over="ignore"):
+        return np.float_power(math.e, x)
+
+
+def _powers(w: np.ndarray, exponents) -> dict[int, np.ndarray]:
+    """w**e for each integer e >= 0 of ``exponents``, by multiplication,
+    which IEEE 754 rounds correctly, so the same bits on every host (numpy's
+    ``w ** 3`` takes a vectorised ``pow`` that rounds differently on
+    AVX-512).  w^0 is ones, as ``w ** 0`` is at NaN and inf too; w^1 is w;
+    a higher power multiplies the repeated squares w, w^2, w^4, ... of e's
+    set bits, lowest first, each square formed once: w^3 = w^2*w,
+    w^4 = w^2*w^2, w^6 = w^4*w^2."""
+    import numpy as np
+    squares = [w]
+    out: dict[int, np.ndarray] = {}
+    for e in exponents:
+        if e in out:
+            continue
+        if e == 0:
+            out[e] = np.ones_like(w)
+            continue
+        acc = None
+        for bit in range(e.bit_length()):
+            if bit == len(squares):
+                squares.append(squares[-1] * squares[-1])
+            if e >> bit & 1:
+                acc = squares[bit] if acc is None else squares[bit] * acc
+        out[e] = acc
+    return out
+
+
 #: ``residual_scan`` runs its stack in passes of at most this many grid
 #: points (and at least one case), so that memory does not grow with the stack
 SCAN_PASS_POINTS = 1 << 13
@@ -888,8 +928,7 @@ def _scan_pass(cases, samples: int) -> list:
     flip = [a < 0 for a in alpha]
     xi, keep = (np.array([x[::-1] if f else x for x, f in zip(arrays, flip)])
                 for arrays in (xi, keep))
-    with np.errstate(over="ignore"):  # E = inf is evaluated in t = 1/E = 0
-        E = np.exp(np.array(alpha)[:, None] * xi)
+    E = _exp_grid(np.array(alpha)[:, None] * xi)
     # nine rows a case, kind by kind: the numerators and denominators of w,
     # u, u' and u'', each pair scaled by one E^-J, and |den of w|
     pairs = (0, 0, 2, 2, 4, 4, 6, 6, 0)
@@ -901,15 +940,16 @@ def _scan_pass(cases, samples: int) -> list:
     with np.errstate(all="ignore"):
         w_val, u_val, u1_val, u2_val = (grid[i] / grid[i + 1] for i in (0, 2, 4, 6))
         near_pole = (np.abs(grid[1]) / np.where(grid[8] > 0, grid[8], 1.0) < 1e-9) & keep
-        # term by term, cases with the same exponents together; an exponent
-        # stays a Python int, so that w ** 2 is a square
+        # term by term, cases with the same exponents together, which share
+        # one power chain
         total = np.empty_like(w_val)
         shapes: dict[tuple, list[int]] = {}
         for s, terms in enumerate(reaction):
             shapes.setdefault(tuple(e for e, _ in terms), []).append(s)
         for exponents, at in shapes.items():
             lams = np.array([[c for _, c in reaction[s]] for s in at]).T[:, :, None]
-            total[at] = sum((lam * w_val[at] ** e for lam, e in zip(lams, exponents)),
+            power = _powers(w_val[at], exponents)
+            total[at] = sum((lam * power[e] for lam, e in zip(lams, exponents)),
                             np.zeros((len(at), samples)))
         tvv, A, Bv, kappa = np.array(linear).T[:, :, None]
         residual = tvv * u2_val + A * u_val * u1_val + Bv * u1_val - kappa * u2_val - total
@@ -1009,13 +1049,12 @@ def sample_solution(sol: ClosedFormSolution, xi: np.ndarray) -> np.ndarray:
     import numpy as np
     alpha = float(sol.alpha)
     rows = _float_rows([sol.num, sol.den], alpha, (0, 0))
-    with np.errstate(over="ignore"):
-        E = np.exp(alpha * np.asarray(xi, dtype=float))
+    E = _exp_grid(alpha * np.asarray(xi, dtype=float))
     span = max(map(len, rows)) - 1
     num, den = _on_grids(rows, [span, span], E[None, :], np.zeros(2, dtype=np.intp))
     with np.errstate(divide="ignore", invalid="ignore"):
         w_val = num / den
-    out = w_val ** sol.power
+    out = _powers(w_val, (sol.power,))[sol.power]
     for pole in sol.poles:
         out[np.abs(xi - pole) <= POLE_EXCLUSION] = np.nan
     return out

@@ -469,23 +469,24 @@ class TestExactSqrt:
 
 # SHA-256 of `catalog list` stdout and of each family's verify_entry report
 # (trials=5, seed=1, dumped as the CLI dumps it).  Verdict checks miss a
-# report that changes in any other byte; these pin every byte.
+# report that changes in any other byte; these pin every byte, at every SIMD
+# level numpy dispatches to (test_cli.test_pins_hold_at_every_simd_level).
 CATALOG_LIST_SHA256 = "765df3d0f5f350836c0c2114664d33ed2666b4c943f6eb5eed472a99996a2248"
 REPORT_SHA256 = {
-    "I": "d9cbf4daa9bc7102f35f1756f1fad7d5cb3bd4ab116bb89995d0b4e20f59d951",
-    "I-tanh": "916a5768d82c08221fac7f08948bcb474e106e25c56cdfb9442d407882658c84",
-    "I-kink2": "debf1ec669100872a9e017958e2dbfc74d091a1456842518ce6ed692071b5c4e",
-    "II": "03415bb94a286c1012749a6fd7445fbaca43cd746cbcdd4d532c11345a9bb366",
-    "III": "49bf478fa37d145330e7928859f01be855d45f84a91ebbfaff54ab0f665f775c",
-    "IVa": "906e0e2745cb43bfd9eef9f6cd0e0b77826cef9cc1b8d2cfdb1bb2731bb4d615",
-    "IVa-special": "641ed833f507eb3e888e02f6b3866540135184a61809454758f8a0ecf9f739d0",
-    "IVb": "85f629c4f3f20b9fb4e3788512e9b388645a53764d4f01949c8b201c01833517",
-    "IVc": "b9b34610181a7064ded057f13af69bd1351586f3af53fe0760efbc0c558afa11",
+    "I": "e83907404c54d874e9d37b86ed5fb1695692fffb53ccd7f4094e0b77b9bf0e91",
+    "I-tanh": "c504bf2d38a9feb9b5754fe83454d164ef710d29deb59914d8f3735d5dce8461",
+    "I-kink2": "3a986f360ef92ccf2777cbdfca6e470069533776e1767015d69c41432a539156",
+    "II": "2def1a763f7db27b24c2d40200f82d1e8e3a1c71ae79f57d015a65d5d6316057",
+    "III": "747aa837f4e5483d202a0bebe10236b51b163552d4ccd794c8f30ff79b517628",
+    "IVa": "af65c446ffb72ce3cf653e92d570bac35cb32710c0fa7ea42fb43754cc4cafac",
+    "IVa-special": "cd2ef1ed714f1d8f317c7bf81fedb1d1e42cbbf49801d5fde70125521df437f9",
+    "IVb": "23f65f793a30d30c05414c49ec5831c1b65cf57dc7ddba91d1e24239604ad0ff",
+    "IVc": "161015683e0f69d7c7641177a00cf7a837fe91dd42d1f6a6dd2310c0621c7701",
     "IVd": "d1dfad6396e6964fe5234ded8b8346964a715c7193aff37606ae31c3bf8cbd74",
-    "IVe-a": "cc47dbbe607fa68a10de258a0200873e649a60877769a0001b0e9eb62d6a29a5",
-    "IVe-b": "59b5d22b5691f818e044ae54b662f19993a7b3dd6460187b901fc0d0725d7fa9",
-    "IVe-c": "e23dd051da8605bff81087a5fe2997c601801f4d5acd746d60240edff19ae843",
-    "Burgers-shock": "860e5538df4fec1fd19ace54feb4ff92859f10afa8a19ced93776b279aad7bac",
+    "IVe-a": "a489dc933c2fa473b1504e29e03b67bfb1d5e6a519ce4376cf1c74e859316867",
+    "IVe-b": "7016bc0ac3612bc5de586b437af6c2d845cf869abb2560f2c393105d7edd9137",
+    "IVe-c": "fd85a177192fcab33477f57e5b5a94e6a419160bafa5fd887dd598bb39482a52",
+    "Burgers-shock": "6e991a8725b3e246b75dd192aa626c441af1e896646b18c7862edbc6d8598cbb",
 }
 
 

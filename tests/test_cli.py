@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -197,6 +198,8 @@ INPUT_DOCUMENTS = {
                                      '"R1":"1/8"}',
     "hydro_separatrix_underflow": '{"nu":"37/4","beta":7.375e-21,"sigma":250,"D":"23/8",'
                                   '"R1":1.25e-16}',
+    "hydro_separatrix_cancellation": '{"nu":"3/8","beta":"17/4000","sigma":"1125/2",'
+                                     '"D":"71250000000000000000000000000000000000","R1":"4"}',
     "model_symbolic_tau": '{"tau":"x","A":0,"B":1,"kappa":1,"reaction":{}}',
     "model_reaction_list": '{"tau":1,"A":0,"B":1,"kappa":1,"reaction":[1]}',
     # a "p/q" string past Python's default limit of 4300 digits for int()
@@ -401,6 +404,11 @@ EXIT_3_CASES = {
     "hydro-separatrix-scale-underflow": (
         ["hydro-separatrix", "--model", "{hydro_separatrix_underflow}"],
         "sigma*R^(2(nu+1)) underflows to 0"),
+    # G = H1 - H(R, 0) cancelled below zero at a sample in [R1, R3]: it exited
+    # 2, the input-error code, on a valid model
+    "hydro-separatrix-G-cancels": (
+        ["hydro-separatrix", "--model", "{hydro_separatrix_cancellation}", "--samples", "5"],
+        "G(8.05428747705877e+32) < 0 in [R1, R3]"),
     # the right-hand side is NaN at the start, so is the first step size: it
     # stepped forever
     "hydro-orbit-nan-step": (["hydro-orbit", "--model", "{hydro}", "--start", "1e200,0",
@@ -728,20 +736,20 @@ SOLVE_SYSTEM_SHA256 = {
 # whose w has a factor in E common to both sides.
 EVAL_SHA256 = {
     ("I-tanh", "lam0=-1,lam2=2,lam3=-1,A=1,B=1,kappa=1,tau=0"):
-        "b811451cfb8460a00721178e5476a4147e5b8275db678a12a048043b177c35de",
+        "f332752d7a6ec3df24024ebaabac03ddf2887483f4c0c4cedd50100d66d9388e",
     ("III", "lam1=1,lam3=2,A=1,kappa=1,tau=1,a1=1"):
-        "1785debe4b4c1fb4371ff8abfc2d7d2d280a8023330680d52fdfbdff62d8ebba",
+        "9ef6c60776303d59fd805f8ac7cd96e53fc37197c7aa0dca152c4ee5ee715d61",
     ("IVa-special", "lam0=0,lam1=-1,lam2=0,lam3=1,kappa=2,tau=1,alpha=1"):
-        "cf6e2b59de03f3a39a7b0816057101b4c352ee364f6f3fc52c917c175292bee1",
+        "5086ee2cbd27b9de56148af028949d2198092ccfb5a2989583679fba19e6564c",
     # w's sides share the factor 1 + E^2, and w = 1/2
     ("IVa-special", "lam0=1/16,lam1=-3/8,lam2=3/4,lam3=-1/2,kappa=1/16,tau=1/4,alpha=3/2"):
         "6e6315fae9718bf939d43f9a8a4d264b001343f981d41c4f736feb090527d9e9",
     ("IVe-a", "lam1=1,lam3=-2,tau=1,kappa=1,v=2"):
-        "067fca3d9b3dc3e4b20c16fe9a428aa8f0002d46126ef6450d68b8befb4016f9",
+        "16e92f6c400248a1554e226545a9a60cac57bf43c0a19f5c96f26841981c8002",
     ("IVe-b", "lam1=-1,lam3=1,tau=1,kappa=1,v=2"):
-        "9245891082f71596554d7b6fa3c630127f4688bfc7a342bb403296c3777077c6",
+        "f98ab0b087bf14552c61a8bb6a19882ae391ba8af39d8085fd723ca7f19a1347",
     ("IVe-c", "lam1=1,lam2=1,tau=1,kappa=1,v=2"):
-        "95d7a4615e6a817a902ac9156a64c7183157f2a82da5d7ecef16d3da2e29eafa",
+        "cdec17b5144a9b9d28521c317d29bf84c1e7c2adc4150f823b8e6b1edbaed782",
 }
 
 
@@ -750,7 +758,7 @@ EVAL_SHA256 = {
 HYDRO_SHA256 = {
     "hydro-analyze": "656006b6af9e082a45e94135dbfd85c7f25b0a02dd8bd8b46f67f3dc8a0d85c5",
     "hydro-orbit --start 1.7,0 --span 100":
-        "c858a493d4d2c12ee5569d4a01a66617cd0ac09441ac0ff1ad6581f3ae663a74",
+        "ab77c9bfd9f53ef55521b1e94067d6f8bb057c20b7345a11c85f24291739d38d",
     "hydro-separatrix": "dee43869121473015062ae4c02e03ec56b9191b173a6c3254608ab6d2c454072",
     "hydro-homoclinic --n 400": "45a2b84545b1e079e58602c4ccc32d32a7174b358bd5037431a54a7b2500f563",
     "hydro-orbit --start 1.7,0 --span -50":
@@ -832,3 +840,35 @@ class TestDeterminism:
         second = run_cli(*args)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
+
+
+def _dispatched_targets(level: str) -> list[str]:
+    """The SIMD targets numpy dispatches its loops to on this host and has
+    enabled: the AVX-512 ones, or all of them."""
+    from numpy._core import _multiarray_umath as umath
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return [t for t in enabled if "AVX512" in t or t == "X86_V4"] if level == "avx512" else enabled
+
+
+@pytest.mark.parametrize("level", ["avx512", "all"])
+def test_pins_hold_at_every_simd_level(level):
+    # the pinned digests with numpy's AVX-512 loops, or every dispatched loop,
+    # switched off for a child pytest (numpy reads the variable at import):
+    # the scan, eval and hydro-orbit must take no float operation whose
+    # rounding depends on the host's SIMD level
+    targets = _dispatched_targets(level)
+    if not targets:
+        pytest.skip(f"numpy dispatches to no {level} target on this host")
+    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+               PYTHONPATH=os.pathsep.join(path))
+    probe = subprocess.run(
+        [sys.executable, "-c", "from numpy._core._multiarray_umath import __cpu_features__ as f;"
+         f"print(sorted(t for t in {targets!r} if f[t]))"],
+        capture_output=True, text=True, env=env, cwd=REPO)
+    assert probe.stdout == "[]\n", probe.stderr
+    r = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                        "tests/test_catalog.py", "tests/test_cli.py",
+                        "-k", "ReportBytes or byte_identical"],
+                       capture_output=True, text=True, env=env, cwd=REPO, timeout=300)
+    assert r.returncode == 0, r.stdout[-4000:]

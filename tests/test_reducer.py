@@ -716,6 +716,47 @@ def test_installed_numpy_takes_libm_pow():
                 == (np.float64(-math.nan) ** e).tobytes(), e
 
 
+def test_scan_powers_are_python_multiplication():
+    # the scan's reaction terms w**e are products, correctly rounded as
+    # Python's float * is, so they keep their bits on every host; numpy's
+    # w ** 3 is a vectorised pow that rounds differently on AVX-512
+    def python_powers(v: float) -> dict[int, float]:
+        v2 = v * v
+        return {0: 1.0, 1: v, 2: v2, 3: v2 * v, 4: v2 * v2, 6: v2 * v2 * v2}
+
+    rng = np.random.default_rng(32)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-310, 1e-160, 1e51, -1e77, 1e103, -1e154,
+               1.7976931348623157e308, -1.7976931348623157e308]
+    x = np.concatenate([special, rng.uniform(-3.0, 3.0, 20_000)])
+    expected = [python_powers(v) for v in x.tolist()]
+    exponents = (0, 1, 2, 3, 4, 6)
+    with np.errstate(all="ignore"):
+        together = reducer._powers(x, exponents)
+        for e in exponents:
+            want = np.array([p[e] for p in expected]).tobytes()
+            assert together[e].tobytes() == want, e
+            assert reducer._powers(x, (e,))[e].tobytes() == want, e
+
+
+def test_exp_grid_is_python_pow_of_e():
+    # the scan's E grid is libm's pow(e, x) a point at a time, as Python's
+    # math.e ** x is, over the whole float range of E: it underflows to 0
+    # below about -745 and overflows to inf (t = 1/E = 0) above about 709.8
+    def python_pow(x: float) -> float:
+        try:
+            return math.e ** x
+        except OverflowError:
+            return math.inf
+
+    rng = np.random.default_rng(32)
+    x = np.concatenate([np.linspace(-750.0, 710.0, 146_001), rng.uniform(-750.0, 710.0, 20_000),
+                        [-745.2, -745.1, -708.4, 709.7, 709.8, -0.0, 0.0, 1e-300]])
+    got = reducer._exp_grid(x)
+    assert got.tobytes() == np.array([python_pow(v) for v in x.tolist()]).tobytes()
+    assert (got == 0.0).any() and np.isinf(got).any() and not (1.0 / got[np.isinf(got)]).any()
+
+
 def test_newton_steps_of_an_empty_stack(lstsq_calls):
     assert _newton_steps(np.empty((0, 3, 2)), np.empty((0, 3))).shape == (0, 2)
 
