@@ -201,7 +201,9 @@ def _cmd_eval(args) -> int:
 
 # The hydro handlers import hydro (and with it the float kernels and the
 # integrator) on first use, as the catalog and eval handlers import catalog,
-# so each command loads only the modules it runs.
+# so each command loads only the modules it runs.  hydro-analyze and
+# hydro-separatrix run on Python floats and never load numpy; hydro-orbit
+# and hydro-homoclinic load it in the array code they call.
 
 
 def _cmd_hydro_analyze(args) -> int:
@@ -240,18 +242,30 @@ def _cmd_hydro_orbit(args) -> int:
     return 0
 
 
-def _cmd_hydro_separatrix(args) -> int:
-    import numpy as np
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n) of two floats, in numpy's arithmetic and
+    without numpy: i*step + lo, the last point hi (for n >= 2)."""
+    delta = hi - lo
+    if n < 2:
+        return [0.0 * delta + lo][:n]
+    step = delta / (n - 1)
+    if step == 0:  # numpy's branch for a step that underflows
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
 
+
+def _cmd_hydro_separatrix(args) -> int:
     from . import hydro
     m = hydro.parse_hydro_model(_read(args.model))
     if args.samples < 0:
         raise model.DomainError(f"Number of samples, {args.samples}, must be non-negative.")
     _bounded(args.samples, "--samples")
-    r1, r3 = float(m.R1), hydro.turning_point(m)
     rows = []
-    for R in np.linspace(r1, r3, args.samples):
-        yp, ym = hydro.separatrix(m, float(R))
+    for R in _linspace(float(m.R1), hydro.turning_point(m), args.samples):
+        yp, ym = hydro.separatrix(m, R)
         rows.append((R, yp, ym))
     _csv("R,Y_plus,Y_minus", rows, args.out)
     return 0

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
-import numpy as np
-
 from . import ode
 from .model import DomainError, InputError, NumericFailure, read_document
 from .symcore import exact_root
@@ -179,14 +177,14 @@ class FloatKernel:
     The functions take a float or an ndarray R.  On a Python float each one
     performs, in the same order, the float operations that P_of_R,
     hamiltonian and G_of_R perform on a float argument, so the values are
-    bit-identical to theirs; on an ndarray the same expressions run
-    vectorised.  There H takes its powers by ``np.float_power``, whose only
-    float64 loop is libm's ``pow`` of one element, as Python's ``**`` is,
-    so a trajectory's H has the same bits on every host; the other
-    functions take numpy's array power, which is faster but may differ
-    from the scalar one in the last bit (its AVX-512 loop does).  R2 and R3
-    are found on first use and kept; a failed search raises and caches
-    nothing.
+    bit-identical to theirs, and no numpy is loaded; on an ndarray the same
+    expressions run vectorised.  There H takes its powers by
+    ``np.float_power``, whose only float64 loop is libm's ``pow`` of one
+    element, as Python's ``**`` is, so a trajectory's H has the same bits
+    on every host; the other functions take numpy's array power, which is
+    faster but may differ from the scalar one in the last bit (its AVX-512
+    loop does).  R2 and R3 are found on first use and kept; a failed search
+    raises and caches nothing.
     """
 
     def __init__(self, model: HydroModel):
@@ -219,7 +217,11 @@ class FloatKernel:
 
     def H(self, R, Y):
         """H(R, Y), the conserved quantity."""
-        pw = np.float_power if isinstance(R, np.ndarray) else operator.pow
+        if isinstance(R, float):
+            pw = operator.pow
+        else:
+            import numpy as np
+            pw = np.float_power
         return (self._2D2 * pw(R, self._nu1) / self._nu1
                 + self.beta * pw(R, self._2nu2) / self._nu2_sq
                 + self.sigma * Y * Y * pw(R, self._2nu1)
@@ -375,13 +377,14 @@ def saddle_angle(model: HydroModel) -> float:
 def separatrix(model: HydroModel, R: float) -> tuple[float, float]:
     """(Y+, Y-) of the saddle separatrix at abscissa R in [R1, R3].
 
-    An abscissa outside [R1, R3] raises OutOfDomain.  Inside, G >= 0 is a
+    An abscissa outside [R1*(1 - 1e-12), R3*(1 + 1e-12)] raises OutOfDomain;
+    the slack is relative, so a tiny R1 admits no R <= 0.  Inside, G >= 0 is a
     theorem, so a float G below the tolerance has lost its digits to
     rounding (G = H1 - H(R, 0) cancels) and raises NumericFailure.
     """
     k = model.kernel
     r1, r3 = k.R1, k.R3
-    if not (r1 - 1e-12 <= R <= r3 + 1e-12):
+    if not (r1 * (1 - 1e-12) <= R <= r3 * (1 + 1e-12)):
         raise OutOfDomain(f"separatrix abscissa must lie in [R1, R3] = [{r1}, {r3}]")
     g = k.G(R)
     scale = k.sigma * R ** (2 * (k.nu + 1))
@@ -421,6 +424,7 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     size collapses first (there at R about 1e-7), and that raises
     StiffnessFailure (exit 3), not a "boundary" status.
     """
+    import numpy as np
     if not rel_tol >= 1e-13:
         raise DomainError("rel_tol below 1e-13 is not resolvable in double precision")
     y0 = [float(start[0]), float(start[1])]
@@ -454,14 +458,42 @@ def quadrature_integrand(model: HydroModel, R: float) -> float:
     return math.sqrt(k.sigma) * R ** (1 + k.nu) / math.sqrt(g)
 
 
+# Gauss-Legendre nodes and weights on [0, 1]: numpy.polynomial.legendre.leggauss(n)
+# mapped by x -> (x + 1)/2, w -> w/2, written out so that importing this
+# module loads no numpy; the tests check them against leggauss bit for bit.
+_GAUSS8 = (  # inner rule of the cancellation-free cofactors
+    (0.019855071751231912, 0.10166676129318664, 0.2372337950418355, 0.4082826787521751,
+     0.5917173212478248, 0.7627662049581645, 0.8983332387068134, 0.9801449282487681),
+    (0.05061426814518853, 0.11119051722668721, 0.15685332293894344, 0.18134189168918083,
+     0.18134189168918083, 0.15685332293894344, 0.11119051722668721, 0.05061426814518853))
+_GAUSS10 = (
+    (0.013046735741414128, 0.06746831665550773, 0.16029521585048778, 0.2833023029353764,
+     0.4255628305091844, 0.5744371694908156, 0.7166976970646236, 0.8397047841495122,
+     0.9325316833444923, 0.9869532642585859),
+    (0.03333567215434407, 0.0747256745752902, 0.109543181257991, 0.13463335965499826,
+     0.1477621123573764, 0.1477621123573764, 0.13463335965499826, 0.109543181257991,
+     0.0747256745752902, 0.03333567215434407))
+_GAUSS20 = (
+    (0.003435700407452502, 0.018014036361043095, 0.04388278587433703, 0.08044151408889061,
+     0.1268340467699246, 0.1819731596367425, 0.24456649902458644, 0.3131469556422902,
+     0.38610707442917747, 0.46173673943325133, 0.5382632605667487, 0.6138929255708225,
+     0.6868530443577098, 0.7554335009754136, 0.8180268403632576, 0.8731659532300754,
+     0.9195584859111094, 0.956117214125663, 0.981985963638957, 0.9965642995925474),
+    (0.008807003569575447, 0.020300714900193223, 0.031336024167054395, 0.04163837078835236,
+     0.05096505990862035, 0.0590972659807593, 0.06584431922458844, 0.0710480546591912,
+     0.07458649323630212, 0.07637669356536314, 0.07637669356536314, 0.07458649323630212,
+     0.0710480546591912, 0.06584431922458844, 0.0590972659807593, 0.05096505990862035,
+     0.04163837078835236, 0.031336024167054395, 0.020300714900193223, 0.008807003569575447))
+
+
+@functools.cache
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """The n-point rule (n = 8, 10 or 20) as arrays of nodes and weights,
+    made on first use and then kept."""
+    import numpy as np
+    nodes, weights = {8: _GAUSS8, 10: _GAUSS10, 20: _GAUSS20}[n]
+    return np.array(nodes), np.array(weights)
 
-
-_GAUSS8 = _gauss01(8)  # inner rule of the cancellation-free cofactors
-_GAUSS10, _GAUSS20 = _gauss01(10), _gauss01(20)
 
 #: Fewest rule applications per half of the homoclinic (s and t).
 MIN_PANELS = 64
@@ -480,14 +512,16 @@ def panel_quadrature(fun, grid: np.ndarray, parts: int = 1) -> np.ndarray:
     QuadratureFailure for the first piece whose integral or estimate is not
     finite, or whose estimate exceeds 1e-8*max(1, |integral|).
     """
+    import numpy as np
+    (x20, w20), (x10, w10) = _gauss01(20), _gauss01(10)
     edges = grid[:-1, None] + np.diff(grid)[:, None] * (np.arange(parts + 1) / parts)
     edges[:, -1] = grid[1:]
     lo, width = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
-    nodes = np.concatenate([_GAUSS20[0], _GAUSS10[0]])
+    nodes = np.concatenate([x20, x10])
     with np.errstate(all="ignore"):
         values = fun(lo[:, None] + width[:, None] * nodes)
-        q20 = values[:, :20] @ _GAUSS20[1] * width
-        q10 = values[:, 20:] @ _GAUSS10[1] * width
+        q20 = values[:, :20] @ w20 * width
+        q10 = values[:, 20:] @ w10 * width
         err = np.abs(q20 - q10)
         bad = ~np.isfinite(q20) | ~(err <= 1e-8 * np.maximum(1.0, np.abs(q20)))
     if bad.any():
@@ -516,13 +550,14 @@ def homoclinic_profile(model: HydroModel, n: int = 400) -> tuple[np.ndarray, np.
     The returned branch has omega >= 0 increasing while R falls from R3 to
     R1 + HOMOCLINIC_DELTA; the orbit is even in omega, so the other side is the mirror.
     """
+    import numpy as np
     if n < 2:
         raise DomainError("need at least two sample points")
     k = model.kernel
     r1, r3 = k.R1, k.R3
     root_sigma = math.sqrt(k.sigma)
     r_mid = 0.5 * (r1 + r3)
-    x8, w8 = _GAUSS8
+    x8, w8 = _gauss01(8)
 
     def integrand_s(s: np.ndarray) -> np.ndarray:
         s2 = s * s

@@ -16,18 +16,24 @@ scalar ``rtol`` and ``atol``, dense output, and one terminal event that
 fires where it falls through zero.  Where scipy's loop never ends (a NaN
 step size) or its event location raises (an event that is NaN inside a
 step), ``dop853`` ends with status -1.
+
+Importing this module loads no numpy.  ``brentq`` runs on Python floats,
+and the DOP853 tables are Python floats here; ``tables()`` makes them
+arrays on the first ``dop853`` call and keeps them, and the integrator and
+its dense output import numpy where they run.  So ``hydro-analyze`` and
+``hydro-separatrix``, which find their roots with ``brentq`` alone, start
+without numpy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 
-import numpy as np
-
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 #: The failure message of a step that cannot shrink any further.
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -99,29 +105,24 @@ def brentq(f, a: float, b: float, *, xtol: float, rtol: float) -> float:
 
 
 # -- the Dormand-Prince 8(5,3) tables ---------------------------------------------
-
-
-def _table(shape, rows: dict) -> np.ndarray:
-    """An array of zeros with the given {row: {column: value}} entries."""
-    table = np.zeros(shape)
-    for i, row in rows.items():
-        for j, value in row.items():
-            table[i, j] = value
-    return table
-
+#
+# Python floats, so that importing this module loads no numpy; ``tables()``
+# makes them arrays on the first integration.
 
 N_STAGES = 12
 N_STAGES_EXTENDED = 16  # three more stages feed the dense output
 INTERPOLATOR_POWER = 7
 
-C = np.array([
+#: The nodes.
+_C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
     0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
     0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
-    0.1, 0.2, 0.777777777777777777777777777778])
+    0.1, 0.2, 0.777777777777777777777777777778)
 
-A = _table((N_STAGES_EXTENDED, N_STAGES_EXTENDED), {
+#: The Runge-Kutta matrix as {row: {column: value}}, its zeros left out.
+_A = {
     1: {0: 5.26001519587677318785587544488e-2},
     2: {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
     3: {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
@@ -166,28 +167,23 @@ A = _table((N_STAGES_EXTENDED, N_STAGES_EXTENDED), {
          6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
          8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
          13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
-})
+}
 
-#: The order-8 weights: the row of A that would make the 13th stage.
-B = A[N_STAGES, :N_STAGES]
-
-#: The order-3 error estimator: B less the order-3 weights.
-E3 = np.zeros(N_STAGES + 1)
-E3[:-1] = B
-E3[0] -= 0.244094488188976377952755905512
-E3[8] -= 0.733846688281611857341361741547
-E3[11] -= 0.220588235294117647058823529412e-1
+#: The order-3 weights, {column: value}; the order-3 error estimator is the
+#: order-8 weights less these.
+_B3 = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+       11: 0.220588235294117647058823529412e-1}
 
 #: The order-5 error estimator.
-E5 = np.array([
+_E5 = (
     0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e+1,
     -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0])
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0.0)
 
 #: Dense-output coefficients of the powers 4..7 (powers 1..3 come from the
-#: step's end points).
-D = _table((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED), {
+#: step's end points), as {row: {column: value}}.
+_D = {
     0: {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
         6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
         8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
@@ -212,16 +208,58 @@ D = _table((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED), {
         10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
         12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
         14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
-})
-
-# Each stage as (its index, its row of A cut to the stages before it, its node).
-_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES)]
-_EXTRA_STAGES = [(s, A[s, :s], float(C[s])) for s in range(N_STAGES + 1, N_STAGES_EXTENDED)]
+}
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
+
+
+@dataclass(frozen=True)
+class Dop853Tables:
+    """The tables as float64 arrays, scipy's ``dop853_coefficients``: the
+    nodes ``C``, the matrix ``A``, the order-8 weights ``B``, the error
+    estimators ``E3`` and ``E5`` and the dense-output coefficients ``D``.
+    ``stages`` and ``extra_stages`` hold each stage as (its index, its row
+    of A cut to the stages before it, its node), for the 11 stages of a step
+    after the first and the three of the dense output."""
+
+    C: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    E3: np.ndarray
+    E5: np.ndarray
+    D: np.ndarray
+    stages: list
+    extra_stages: list
+
+
+@functools.cache
+def tables() -> Dop853Tables:
+    """The tables as arrays, built on the first integration and then kept."""
+    import numpy as np
+
+    def table(shape, rows: dict) -> np.ndarray:
+        out = np.zeros(shape)
+        for i, row in rows.items():
+            for j, value in row.items():
+                out[i, j] = value
+        return out
+
+    C = np.array(_C)
+    A = table((N_STAGES_EXTENDED, N_STAGES_EXTENDED), _A)
+    B = A[N_STAGES, :N_STAGES]  # the row of A that would make the 13th stage
+    E3 = np.zeros(N_STAGES + 1)
+    E3[:-1] = B
+    for j, weight in _B3.items():
+        E3[j] -= weight
+    return Dop853Tables(
+        C=C, A=A, B=B, E3=E3, E5=np.array(_E5),
+        D=table((INTERPOLATOR_POWER - 3, N_STAGES_EXTENDED), _D),
+        stages=[(s, A[s, :s], float(C[s])) for s in range(1, N_STAGES)],
+        extra_stages=[(s, A[s, :s], float(C[s]))
+                      for s in range(N_STAGES + 1, N_STAGES_EXTENDED)])
 
 
 # -- dense output -----------------------------------------------------------------
@@ -242,8 +280,10 @@ class Dop853DenseOutput:
 
     @functools.cached_property
     def _F(self) -> np.ndarray:
+        import numpy as np
         fun, y, f, K, h = self._step
-        for s, a, c in _EXTRA_STAGES:
+        arrays = tables()
+        for s, a, c in arrays.extra_stages:
             dy = np.dot(K[:s].T, a) * h
             K[s] = fun(self.t_old + c * h, self.y_old + dy)
         F = np.empty((INTERPOLATOR_POWER, len(y)))
@@ -252,11 +292,12 @@ class Dop853DenseOutput:
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f + f_old)
-        F[3:] = h * np.dot(D, K)
+        F[3:] = h * np.dot(arrays.D, K)
         del self._step
         return F
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t)
         x = (t - self.t_old) / self.h
         if t.ndim == 0:
@@ -281,6 +322,7 @@ class ConstantDenseOutput:
         self.value = value
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t)
         if t.ndim == 0:
             return self.value
@@ -306,6 +348,7 @@ class OdeSolution:
             self.side, self.ts_sorted = "right", ts[::-1]
 
     def _call_single(self, t):
+        import numpy as np
         ind = np.searchsorted(self.ts_sorted, t, side=self.side)
         segment = min(max(ind - 1, 0), self.n_segments - 1)
         if not self.ascending:
@@ -313,6 +356,7 @@ class OdeSolution:
         return self.interpolants[segment](t)
 
     def __call__(self, t):
+        import numpy as np
         t = np.asarray(t)
         if t.ndim == 0:
             return self._call_single(t)
@@ -340,12 +384,14 @@ class OdeSolution:
 
 def _norm(x: np.ndarray):
     """The root-mean-square norm."""
+    import numpy as np
     return np.linalg.norm(x) / x.size ** 0.5
 
 
 def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     """A first step size from the local behaviour of the solution (Hairer,
     Norsett & Wanner, section II.4)."""
+    import numpy as np
     interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
@@ -367,18 +413,6 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _error_norm(K, h, scale):
-    """The scaled error of a step, from both estimators."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5) ** 2
-    err3_norm_2 = np.linalg.norm(err3) ** 2
-    if err5_norm_2 == 0 and err3_norm_2 == 0:
-        return 0.0
-    denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
-
-
 @dataclass(frozen=True)
 class OdeResult:
     """Accepted step times ``t`` (m,), states ``y`` (n, m), the dense output
@@ -397,8 +431,12 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
 
     ``event(t, y)`` is terminal: the integration stops where it first falls
-    through zero, located on the dense output by ``brentq``.
+    through zero, located on the dense output by ``brentq``.  The tables
+    and numpy are looked up once here, none of them in the step loop.
     """
+    import numpy as np
+    arrays = tables()
+    B, E3, E5 = arrays.B, arrays.E3, arrays.E5
 
     def rhs(t, y):
         return np.asarray(fun(t, y), dtype=float)
@@ -411,7 +449,7 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
     h_abs = select_initial_step(rhs, t, y, tf, f, sign, rtol, atol)
     K = np.empty((N_STAGES + 1, y.size))
     # the transposed views of the stages each stage reads, made once
-    stage_views = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+    stage_views = [(s, K[:s].T, a, c) for s, a, c in arrays.stages]
     K_B = K[:-1].T
     ts, ys, interpolants = [t0], [y0], []
     g = event(t0, y0)
@@ -446,7 +484,16 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
                 f_new = rhs(t + h, y_new)
                 K[-1] = f_new
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error_norm = _error_norm(K, h, scale)
+                # the scaled error of the step, from both estimators
+                err5 = np.dot(K.T, E5) / scale
+                err3 = np.dot(K.T, E3) / scale
+                err5_norm_2 = np.linalg.norm(err5) ** 2
+                err3_norm_2 = np.linalg.norm(err3) ** 2
+                if err5_norm_2 == 0 and err3_norm_2 == 0:
+                    error_norm = 0.0
+                else:
+                    denom = err5_norm_2 + 0.01 * err3_norm_2
+                    error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = MAX_FACTOR

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -169,6 +170,51 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
     assert loaded_after(str(tmp_path / "system.json")) == (
         f"{exact}\n{floats}\n{sorted([*floats, 'twbench.hydro', 'twbench.ode'])}\n")
     assert loaded_after("catalog") == f"{sorted([*exact, 'twbench.catalog'])}\n"
+
+
+HYDRO_CHILD = textwrap.dedent("""
+    import contextlib, hashlib, io, sys
+    if sys.argv[1] == "blocked":
+        sys.modules["numpy"] = None  # an import of numpy now raises ImportError
+    from twbench import cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*sys.argv[2].split(), "--model", "models/hydro_reference.json"])
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+          [m for m in ("numpy", "numpy.polynomial") if sys.modules.get(m)])
+""")
+
+
+def hydro_child(numpy: str, command: str) -> str:
+    """The exit code, stdout digest and loaded numpy modules of one hydro
+    command in a fresh interpreter; numpy is "blocked" or "free"."""
+    r = subprocess.run([sys.executable, "-c", HYDRO_CHILD, numpy, command],
+                       capture_output=True, text=True, cwd=REPO)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.strip()
+
+
+@pytest.mark.parametrize("command", ["hydro-analyze", "hydro-separatrix"])
+def test_scalar_hydro_commands_never_load_numpy(command):
+    want = f"0 {HYDRO_SHA256[command]} []"
+    assert hydro_child("free", command) == want
+    assert hydro_child("blocked", command) == want
+
+
+def test_hydro_orbit_loads_no_numpy_polynomial():
+    command = "hydro-orbit --start 1.7,0 --span 100"
+    assert hydro_child("free", command) == f"0 {HYDRO_SHA256[command]} ['numpy']"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 201, 1000])
+def test_separatrix_grid_is_linspace(n):
+    rng = np.random.default_rng(n)
+    ends = [(1.0, 2.0 * math.sqrt(2.0) - 1.0), (1e-14, 1e6), (0.0, 1.5e-323), (-0.0, 1.0),
+            *(sorted(rng.uniform(-1e3, 1e3, 2) * 10.0 ** rng.integers(-300, 300, 2))
+              for _ in range(20))]
+    for lo, hi in ends:
+        grid = np.array(cli._linspace(float(lo), float(hi), n), dtype=float)
+        assert grid.tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi)
 
 
 # A system with unknowns x and y whose one equation has no real root.

@@ -18,6 +18,7 @@ from twbench.hydro import (
     OutOfDomain,
     P_of_R,
     QuadratureFailure,
+    _gauss01,
     critical_points,
     explicit_homoclinic,
     flow,
@@ -245,6 +246,15 @@ class TestSeparatrix:
         with pytest.raises(OutOfDomain):
             separatrix(worked, 5.0)
 
+    @pytest.mark.parametrize("R", [-5e-13, 0.0])
+    def test_slack_is_relative_to_the_ends(self, R):
+        # R1 = 1e-14: an absolute 1e-12 slack let both through, to a complex
+        # G (a TypeError) and to a divisor underflowing to 0 (exit 3)
+        m = HydroModel(nu=F(1, 2), beta=F(1, 2), sigma=F(1), D=F(1), R1=F(1, 10**14))
+        with pytest.raises(OutOfDomain) as excinfo:
+            separatrix(m, R)
+        assert excinfo.value.exit_code == 2
+
 
 class TestTurningPoint:
     def test_value(self, worked):
@@ -372,6 +382,14 @@ class TestHomoclinic:
         for i in range(1, len(R) - 1, 9):
             # profile omega >= 0 is the mirror of the closed form's branch
             assert abs(omega[i] + explicit_homoclinic(float(R[i])).corrected) < 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 10, 20])
+def test_gauss_tables_are_leggauss(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _gauss01(n)
+    assert nodes.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert weights.tobytes() == (0.5 * w).tobytes()
 
 
 class TestPanelQuadrature:

@@ -65,8 +65,12 @@ def test_brentq_non_convergence_matches_scipy():
 
 def test_tables_are_scipys():
     for name in ("A", "B", "C", "E3", "E5", "D"):
-        ours, theirs = getattr(ode, name), getattr(dop853_coefficients, name)
+        ours, theirs = getattr(ode.tables(), name), getattr(dop853_coefficients, name)
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
+
+
+def test_eps_is_numpys():
+    assert ode.EPS == np.finfo(float).eps
 
 
 def _same(ours, theirs) -> bool:
