@@ -84,7 +84,7 @@ def _rpow(base: Number, exp: Fraction) -> Number:
 
 @dataclass(frozen=True)
 class HydroModel:
-    """Parameters nu, beta, sigma, D, R1 with derived C1 and E.
+    """Parameters nu, beta, sigma, D, R1 with derived C1, E and H1.
 
     The asymptotic state R -> R1, U -> 0 fixes C1 = D/R1 and
     E = D^2/R1 + beta*R1^(nu+2)/(nu+2).
@@ -112,9 +112,16 @@ class HydroModel:
     def C1(self) -> Fraction:
         return self.D / self.R1
 
-    @property
+    @functools.cached_property
     def E(self) -> Number:
         return self.D**2 / self.R1 + self.beta * _rpow(self.R1, self.nu + 2) / (self.nu + 2)
+
+    @functools.cached_property
+    def H1(self) -> Number:
+        """H(R1, 0), the saddle level, exact when the powers are rational.
+        Computed on first use and then kept, as E is: at nu = 2000 its exact
+        powers of R1 take about 0.15 s."""
+        return hamiltonian(self, (self.R1, Fraction(0)))
 
     def theorem_holds(self) -> bool:
         """Precondition for the saddle/center pair: D^2 > beta*R1^(nu+3)."""
@@ -162,7 +169,7 @@ def hamiltonian(model: HydroModel, state) -> Number:
 
 def saddle_level(model: HydroModel) -> Number:
     """H1 = H(R1, 0), the level of the saddle separatrices."""
-    return hamiltonian(model, (model.R1, Fraction(0)))
+    return model.H1
 
 
 def G_of_R(model: HydroModel, R: Number) -> Number:
@@ -185,6 +192,12 @@ class FloatKernel:
     faster but may differ from the scalar one in the last bit (its AVX-512
     loop does).  R2 and R3 are found on first use and kept; a failed search
     raises and caches nothing.
+
+    ``rhs(omega, (R, Y))``, the vector field, runs on Python floats, as
+    ``ode.dop853`` passes them.  Where Python raises, on a power that
+    overflows or a divisor that underflows to 0, it re-runs the same
+    expression on float64, which gives the inf or NaN that an array state
+    gives; so it returns the same bits on floats and on an array.
     """
 
     def __init__(self, model: HydroModel):
@@ -193,7 +206,7 @@ class FloatKernel:
             self.R1 = float(model.R1)
             self.nu, self.beta, self.sigma = float(nu), float(model.beta), float(model.sigma)
             self.E = float(model.E)
-            self.H1 = float(saddle_level(model))
+            self.H1 = float(model.H1)
             self.theorem_holds = model.theorem_holds()
             # exponents, divisors and coefficients rounded once from their
             # exact values, as P_of_R and hamiltonian round them
@@ -244,11 +257,18 @@ class FloatKernel:
         nu, beta, sigma, E = self.nu, self.beta, self.sigma, self.E
         e1, e2, e3, s1 = nu + 1, nu + 2, nu + 3, sigma * (nu + 1)
 
+        def field(R, Y):
+            bracket = E * R - (D2 + beta * R ** e3 / e2 + s1 * R ** e1 * Y * Y)
+            return [Y, bracket / (sigma * R ** e2)]
+
         def rhs(_, state):
             R, Y = state
             R = max(R, R_FLOOR)
-            bracket = E * R - (D2 + beta * R ** e3 / e2 + s1 * R ** e1 * Y * Y)
-            return [Y, bracket / (sigma * R ** e2)]
+            try:
+                return field(R, Y)
+            except (OverflowError, ZeroDivisionError):  # where float64 gives inf or NaN
+                import numpy as np
+                return field(np.float64(R), np.float64(Y))
 
         return rhs
 

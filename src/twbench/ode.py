@@ -7,9 +7,13 @@ error estimators of orders 5 and 3 and a dense output of order 7 (Hairer,
 Norsett & Wanner, *Solving Ordinary Differential Equations I*, 2nd ed.,
 sections II.5 and II.10), stepped as scipy's ``solve_ivp(method="DOP853",
 dense_output=True, events=...)`` steps it.  Both perform the float
-operations of those scipy routines in the same order, with the same numpy
-calls on the same array shapes, so they return the same bits; the tests pin
-that against scipy.
+operations of those scipy routines in the same order, so they return the
+same bits; the tests pin that against scipy.  ``dop853`` steps on Python
+floats, whose elementwise ``+``, ``*``, ``/`` and ``sqrt`` round as numpy's
+do, and takes every dot product from numpy, on scipy's array shapes: a BLAS
+dot may fuse its multiply-adds (numpy's does on this project's hosts), so a
+Python sum of products would round differently.  Its error norm squared is ``math.sqrt(err.dot(err)) ** 2``,
+which is what ``np.linalg.norm(err) ** 2`` computes.
 
 ``dop853`` covers what ``hydro.flow`` needs: a forward or backward span,
 scalar ``rtol`` and ``atol``, dense output, and one terminal event that
@@ -272,46 +276,48 @@ class Dop853DenseOutput:
     trajectory whose dense output is never read does not pay for them.
     """
 
-    def __init__(self, fun, t_old, t, y_old, y, f, K, h):
+    def __init__(self, fun, t_old, t, y_old, y, K, h):
         self.t_old = t_old
         self.h = t - t_old
-        self.y_old = y_old
-        self._step = (fun, y, f, K, h)  # K: the step's 13 stages, room for 3 more
+        self._step = (fun, y_old, y, K, h)  # K: the step's 12 stages and f(t), room for 3 more
 
     @functools.cached_property
-    def _F(self) -> np.ndarray:
+    def _F(self) -> tuple[np.ndarray, np.ndarray]:
+        """y_old as an array and the interpolant's coefficients."""
         import numpy as np
-        fun, y, f, K, h = self._step
+        fun, y_old, y, K, h = self._step
         arrays = tables()
         for s, a, c in arrays.extra_stages:
-            dy = np.dot(K[:s].T, a) * h
-            K[s] = fun(self.t_old + c * h, self.y_old + dy)
+            K[s] = fun(self.t_old + c * h,
+                       [yi + di * h for yi, di in zip(y_old, np.dot(K[:s].T, a).tolist())])
+        y_old = np.array(y_old)
         F = np.empty((INTERPOLATOR_POWER, len(y)))
-        f_old = K[0]
-        delta_y = y - self.y_old
+        f_old, f = K[0], K[N_STAGES]
+        delta_y = np.array(y) - y_old
         F[0] = delta_y
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f + f_old)
         F[3:] = h * np.dot(arrays.D, K)
         del self._step
-        return F
+        return y_old, F
 
     def __call__(self, t):
         import numpy as np
+        y_old, F = self._F
         t = np.asarray(t)
         x = (t - self.t_old) / self.h
         if t.ndim == 0:
-            y = np.zeros_like(self.y_old)
+            y = np.zeros_like(y_old)
         else:
             x = x[:, None]
-            y = np.zeros((len(x), len(self.y_old)))
-        for i, f in enumerate(reversed(self._F)):
+            y = np.zeros((len(x), len(y_old)))
+        for i, f in enumerate(reversed(F)):
             y += f
             if i % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += self.y_old
+        y += y_old
         return y.T
 
 
@@ -404,7 +410,7 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = np.asarray(fun(t0 + h0 * direction, y1.tolist()), dtype=float)
     d2 = _norm((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -430,38 +436,42 @@ class OdeResult:
 def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
 
-    ``event(t, y)`` is terminal: the integration stops where it first falls
-    through zero, located on the dense output by ``brentq``.  The tables
-    and numpy are looked up once here, none of them in the step loop.
+    ``fun(t, y)`` returns a sequence of n floats.  It receives every state
+    as a list of n Python floats, where scipy's ``solve_ivp`` passes a
+    float64 array, so the two return the same bits for a ``fun`` that gives
+    the same bits on both.  ``event(t, y)`` is terminal: the integration
+    stops where it first falls through zero, located on the dense output by
+    ``brentq``; it receives a list at the steps and an array on the dense
+    output.  The tables and numpy are looked up once here, none of them in
+    the step loop.
     """
     import numpy as np
     arrays = tables()
     B, E3, E5 = arrays.B, arrays.E3, arrays.E5
 
-    def rhs(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
     t0, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
-    sign = np.sign(tf - t0) if tf != t0 else 1
+    n = y.size
+    sign = float(np.sign(tf - t0)) if tf != t0 else 1.0
     t = t0
-    f = rhs(t, y)
-    h_abs = select_initial_step(rhs, t, y, tf, f, sign, rtol, atol)
-    K = np.empty((N_STAGES + 1, y.size))
+    f = np.asarray(fun(t, y.tolist()), dtype=float)
+    h_abs = float(select_initial_step(fun, t, y, tf, f, sign, rtol, atol))
+    y = y.tolist()
+    K = np.empty((N_STAGES + 1, n))
     # the transposed views of the stages each stage reads, made once
     stage_views = [(s, K[:s].T, a, c) for s, a, c in arrays.stages]
-    K_B = K[:-1].T
+    K_B, K_T = K[:-1].T, K.T
     ts, ys, interpolants = [t0], [y0], []
-    g = event(t0, y0)
+    g = event(t0, y)
     status = None
     message = ""
     while status is None:
         t_old = t
         if t == tf:  # a span of length zero
             status = 0
-            sol = ConstantDenseOutput(y)
+            sol = ConstantDenseOutput(np.array(y))
         else:
-            min_step = 10 * np.abs(np.nextafter(t, sign * np.inf) - t)
+            min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
             if h_abs < min_step:
                 h_abs = min_step
             step_rejected = False
@@ -473,27 +483,30 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
                 t_new = t + h
                 if sign * (t_new - tf) > 0:
                     t_new = tf
-                h = float(t_new - t)
+                h = t_new - t
                 h_abs = abs(h)
-                # one Runge-Kutta step: K holds the 12 stages and f(t_new)
+                # one Runge-Kutta step: K holds the 12 stages and f(t_new);
+                # the sums of products are numpy's, the rest is float arithmetic
                 K[0] = f
                 for s, K_s, a, c in stage_views:
-                    dy = np.dot(K_s, a) * h
-                    K[s] = rhs(t + c * h, y + dy)
-                y_new = y + h * np.dot(K_B, B)
-                f_new = rhs(t + h, y_new)
-                K[-1] = f_new
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                # the scaled error of the step, from both estimators
-                err5 = np.dot(K.T, E5) / scale
-                err3 = np.dot(K.T, E3) / scale
-                err5_norm_2 = np.linalg.norm(err5) ** 2
-                err3_norm_2 = np.linalg.norm(err3) ** 2
+                    K[s] = fun(t + c * h,
+                               [yi + di * h for yi, di in zip(y, np.dot(K_s, a).tolist())])
+                y_new = [yi + h * bi for yi, bi in zip(y, np.dot(K_B, B).tolist())]
+                K[-1] = fun(t + h, y_new)
+                # np.maximum of the magnitudes, NaN where either is NaN
+                scale = np.array([atol + (p if p >= q or p != p else q) * rtol
+                                  for p, q in zip(map(abs, y), map(abs, y_new))])
+                # the scaled errors of both estimators, each norm squared as
+                # np.linalg.norm(err) ** 2 computes it
+                err5 = np.dot(K_T, E5) / scale
+                err3 = np.dot(K_T, E3) / scale
+                err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+                err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
                 if err5_norm_2 == 0 and err3_norm_2 == 0:
                     error_norm = 0.0
                 else:
                     denom = err5_norm_2 + 0.01 * err3_norm_2
-                    error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+                    error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n)
                 if error_norm < 1:
                     if error_norm == 0:
                         factor = MAX_FACTOR
@@ -507,10 +520,10 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
                 step_rejected = True
             if status == -1:
                 break
-            stages = np.empty((N_STAGES_EXTENDED, y.size))
+            stages = np.empty((N_STAGES_EXTENDED, n))
             stages[:N_STAGES + 1] = K
-            sol = Dop853DenseOutput(rhs, t, t_new, y, y_new, f_new, stages, h)
-            t, y, f = t_new, y_new, f_new
+            sol = Dop853DenseOutput(fun, t, t_new, y, y_new, stages, h)
+            t, y, f = t_new, y_new, stages[N_STAGES]
             if sign * (t - tf) >= 0:
                 status = 0
         interpolants.append(sol)

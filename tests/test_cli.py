@@ -719,6 +719,20 @@ class TestHydroCommands:
         assert "/" not in E and len(E.replace(".", "").lstrip("0")) == 17
         assert math.isclose(float(E), 4.5 + 2**2.5 / 5, rel_tol=1e-15)
 
+    def test_analyze_computes_the_exact_H1_once(self, hydro_model, monkeypatch, capsys):
+        # the kernel's float H1 and the report's exact one are the same value:
+        # at nu = 2000 each exact H(R1, 0) takes about 0.15 s
+        hamiltonian, calls = hydro.hamiltonian, []
+
+        def counted(*args):
+            calls.append(args)
+            return hamiltonian(*args)
+
+        monkeypatch.setattr(hydro, "hamiltonian", counted)
+        assert cli.main(["hydro-analyze", "--model", str(hydro_model)]) == 0
+        assert json.loads(capsys.readouterr().out)["H1"] == "7/8"
+        assert len(calls) == 1
+
     def test_orbit_csv(self, hydro_model, tmp_path):
         out = tmp_path / "orbit.csv"
         r = run_cli("hydro-orbit", "--model", str(hydro_model), "--start", "1.7,0",

@@ -207,6 +207,34 @@ class TestFloatKernel:
             scalar = np.array([fn(float(r)) for r in R])
             assert np.allclose(fn(R), scalar, rtol=1e-14, atol=1e-15)
 
+    # nu = 40 puts sigma*R^(nu+2) below the smallest subnormal near R = 1e-8,
+    # and nu = -3/2 has a negative power of R
+    RHS_KERNELS = {nu: HydroModel(nu=F(nu), beta=F(1, 2), sigma=F(1), D=F(1), R1=F(1)).kernel
+                   for nu in ("0", "1/2", "-3/2", "40")}
+
+    @settings(max_examples=600, deadline=None, database=None)
+    @given(nu=st.sampled_from(sorted(RHS_KERNELS)),
+           R=st.one_of(st.floats(), st.sampled_from(
+               [1e200, 1e-9, 2e-9, 1e-8, 5e-324, -5e-324, 0.0, -0.0, -1.0])),
+           Y=st.one_of(st.floats(), st.sampled_from([0.0, 1e200, 1e155, -1e-310])))
+    def test_rhs_same_bits_on_floats_and_arrays(self, nu, R, Y):
+        # dop853 passes lists of floats and scipy passes arrays; Python's ** and
+        # / raise where float64's give inf or NaN, and rhs then re-runs on float64
+        rhs = self.RHS_KERNELS[nu].rhs
+        with np.errstate(all="ignore"):
+            ours = np.array(rhs(0.0, [R, Y]), dtype=float)
+            theirs = np.array(rhs(0.0, np.array([R, Y])), dtype=float)
+        assert ours.tobytes() == theirs.tobytes()
+
+    def test_rhs_runs_on_float64_only_where_floats_raise(self):
+        with np.errstate(all="ignore"):
+            plain = self.RHS_KERNELS["0"].rhs(0.0, [1e-8, 1.0])
+            overflow = self.RHS_KERNELS["0"].rhs(0.0, [1e200, 0.0])  # R^3: -inf/inf
+            underflow = self.RHS_KERNELS["40"].rhs(0.0, [1e-8, 0.0])  # sigma*R^42 is 0
+        assert [type(v) for v in plain] == [float, float]
+        assert [type(v) for v in overflow + underflow] == [np.float64] * 4
+        assert math.isnan(overflow[1]) and underflow[1] == -math.inf
+
     def test_built_once_roots_kept(self, worked):
         assert worked.kernel is worked.kernel
         assert second_root(worked) is worked.kernel.R2

@@ -190,3 +190,83 @@ def test_nan_event_inside_a_step_fails():
     assert result.status == -1
     assert result.message.startswith("the terminal event cannot be located: ")
     assert result.t[-1] > 0.5 and len(result.t) == result.y.shape[1]
+
+
+def _compare_with_solve_ivp(fun, span, y0, rtol, atol, event):
+    theirs = solve_ivp(fun, span, y0, method="DOP853", rtol=rtol, atol=atol,
+                       dense_output=True, events=event)
+    ours = ode.dop853(fun, span, y0, rtol=rtol, atol=atol, event=event)
+    _assert_same_solution(ours, theirs, span)
+    return ours
+
+
+def _never(_, y):
+    return 1.0
+
+
+_never.terminal = True
+_never.direction = -1
+
+
+@pytest.mark.parametrize("span", [(0.0, 12.0), (0.0, -1.5)])
+def test_one_dimensional_system_matches_solve_ivp(span):
+    # a forced logistic equation: a state of one float
+    def fun(t, y):
+        return [y[0] * (1.0 - y[0]) + 0.3 * math.cos(2.0 * t)]
+
+    ours = _compare_with_solve_ivp(fun, span, [0.1], 1e-9, 1e-11, _never)
+    assert ours.status == 0 and ours.y.shape[0] == 1
+
+
+@pytest.mark.parametrize("z_level, fires", [(30.0, True), (60.0, False)])
+def test_three_dimensional_system_matches_solve_ivp(z_level, fires):
+    # the Lorenz system, stopped where z first falls through z_level
+    def fun(t, y):
+        return [10.0 * (y[1] - y[0]), y[0] * (28.0 - y[2]) - y[1],
+                y[0] * y[1] - 8.0 / 3.0 * y[2]]
+
+    def event(_, y):
+        return y[2] - z_level
+
+    event.terminal = True
+    event.direction = -1
+    ours = _compare_with_solve_ivp(fun, (0.0, 4.0), [1.0, 1.0, 1.0], 1e-9, 1e-11, event)
+    assert ours.status == (1 if fires else 0) and ours.y.shape[0] == 3
+
+
+def test_orbit_that_overflows_mid_run_matches_solve_ivp():
+    # at nu = 100 the stages of a late step reach states where R^(nu+3)
+    # overflows or sigma*R^(nu+2) underflows to 0 on floats; rhs re-runs
+    # those on float64, whose inf and NaN scipy's run sees too
+    k = _model("100").kernel
+    on_float64 = []
+
+    def fun(t, y):
+        out = k.rhs(t, y)
+        if isinstance(y, list) and type(out[1]) is np.float64:
+            on_float64.append(t)
+        return out
+
+    span = (0.0, 0.1)
+    with np.errstate(all="ignore"):
+        ours = _compare_with_solve_ivp(fun, span, [2.0, -5e4], 1e-8, 1e-10, boundary)
+    assert ours.status == -1 and len(ours.t) > 100
+    assert on_float64 and min(on_float64) > ours.t[1]
+
+
+def test_installed_numpy_norm_squared_is_the_dot_root_squared():
+    # dop853 squares its error norms as math.sqrt(err.dot(err)) ** 2, where
+    # scipy takes np.linalg.norm(err) ** 2; the dot stays numpy's, whose BLAS
+    # may fuse multiply-adds, so a Python sum of squares could differ
+    rng = np.random.default_rng(34)
+    special = [0.0, -0.0, 5e-324, 1e-160, 1e154, 1.3e154, -1e155, math.inf, -math.inf]
+    for n in (1, 2, 3, 5):
+        rows = (rng.choice((-1.0, 1.0), (20_000, n))
+                * 10.0 ** rng.uniform(-170.0, 154.0, (20_000, n)))
+        rows[:len(special), 0] = special
+        rows[-1, -1] = math.nan
+        with np.errstate(all="ignore"):
+            for row in rows:
+                theirs = np.linalg.norm(row) ** 2
+                ours = math.sqrt(row.dot(row)) ** 2
+                assert ours == theirs or (math.isnan(ours) and math.isnan(theirs)), row
