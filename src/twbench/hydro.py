@@ -177,6 +177,10 @@ def G_of_R(model: HydroModel, R: Number) -> Number:
     return saddle_level(model) - hamiltonian(model, (R, Fraction(0)))
 
 
+#: The failure message of a model coefficient that no float holds.
+BEYOND_FLOAT_RANGE = "a model coefficient is beyond the float range"
+
+
 class FloatKernel:
     """A model compiled to floats once: its coefficients, the saddle level
     H1, the functions P, P', G, G', G'' and H(R, Y), and the roots R2 and R3.
@@ -190,8 +194,8 @@ class FloatKernel:
     element, as Python's ``**`` is, so a trajectory's H has the same bits
     on every host; the other functions take numpy's array power, which is
     faster but may differ from the scalar one in the last bit (its AVX-512
-    loop does).  R2 and R3 are found on first use and kept; a failed search
-    raises and caches nothing.
+    loop does).  H1 is rounded, and R2 and R3 are found, on first use and
+    kept; a failed search raises and caches nothing.
 
     ``rhs(omega, (R, Y))``, the vector field, runs on Python floats, as
     ``ode.dop853`` passes them.  Where Python raises, on a power that
@@ -206,7 +210,6 @@ class FloatKernel:
             self.R1 = float(model.R1)
             self.nu, self.beta, self.sigma = float(nu), float(model.beta), float(model.sigma)
             self.E = float(model.E)
-            self.H1 = float(model.H1)
             self.theorem_holds = model.theorem_holds()
             # exponents, divisors and coefficients rounded once from their
             # exact values, as P_of_R and hamiltonian round them
@@ -218,7 +221,17 @@ class FloatKernel:
             self._dP_coef = self.beta * (self.nu + 3) / (self.nu + 2)
             self.rhs = self._build_rhs(float(model.D) ** 2)
         except OverflowError:
-            raise NumericFailure("a model coefficient is beyond the float range") from None
+            raise NumericFailure(BEYOND_FLOAT_RANGE) from None
+        self._model = model
+
+    @functools.cached_property
+    def H1(self) -> float:
+        """The saddle level, rounded when first read: a command that fails
+        before it needs H1 never computes the exact H(R1, 0)."""
+        try:
+            return float(self._model.H1)
+        except OverflowError:
+            raise NumericFailure(BEYOND_FLOAT_RANGE) from None
 
     def P(self, R):
         """P(R) = beta*R^(nu+3)/(nu+2) - E*R + D^2."""
@@ -437,12 +450,13 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     pair (omega0, omega1), with an adaptive embedded Runge-Kutta pair.
 
     Samples are the accepted solver steps; H is evaluated at all of them in
-    one array expression.
-    Integration halts with status "boundary" if R reaches the floor 1e-9.
-    Only a model with nu below about -3/4 (nu = -3/2, say) reaches that
-    floor.  For larger nu, the reference model's nu = 0 among them, the step
-    size collapses first (there at R about 1e-7), and that raises
-    StiffnessFailure (exit 3), not a "boundary" status.
+    one array expression, where an H that overflows is inf or NaN, unwarned.
+    Integration halts with status "boundary" if R falls to the floor 1e-9,
+    so a start at or below the floor, where that event cannot fire, raises
+    OutOfDomain.  Only a model with nu below about -3/4 (nu = -3/2, say)
+    reaches the floor.  For larger nu, the reference model's nu = 0 among
+    them, the step size collapses first (there at R about 1e-7), and that
+    raises StiffnessFailure (exit 3), not a "boundary" status.
     """
     import numpy as np
     if not rel_tol >= 1e-13:
@@ -450,18 +464,21 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     y0 = [float(start[0]), float(start[1])]
     if not all(map(math.isfinite, [*y0, *omega_span])):
         raise DomainError("the start and the span must be finite")
+    if not y0[0] > R_FLOOR:
+        raise OutOfDomain(f"the start's R must lie above the floor R = {R_FLOOR}")
 
     def boundary(_, state):
         return state[0] - R_FLOOR
 
     k = model.kernel
-    with np.errstate(all="ignore"):  # an orbit that overflows ends in status -1, unwarned
+    with np.errstate(all="ignore"):  # an orbit or an H that overflows stays unwarned
         sol = ode.dop853(k.rhs, omega_span, y0, rtol=rel_tol, atol=rel_tol * 1e-2,
                          event=boundary)
-    if sol.status == -1:
-        raise StiffnessFailure(sol.message)
-    R, Y = sol.y
-    return Trajectory(omega=sol.t, R=R, Y=Y, H=k.H(R, Y),
+        if sol.status == -1:
+            raise StiffnessFailure(sol.message)
+        R, Y = sol.y
+        H = k.H(R, Y)
+    return Trajectory(omega=sol.t, R=R, Y=Y, H=H,
                       status="boundary" if sol.status == 1 else "completed",
                       dense=sol.sol)
 

@@ -19,7 +19,9 @@ which is what ``np.linalg.norm(err) ** 2`` computes.
 scalar ``rtol`` and ``atol``, dense output, and one terminal event that
 fires where it falls through zero.  Where scipy's loop never ends (a NaN
 step size) or its event location raises (an event that is NaN inside a
-step), ``dop853`` ends with status -1.
+step), ``dop853`` ends with status -1.  The dense output has one call
+form: a float time gives a state of shape (n,), a 1-D array of m times, in
+any order, gives (n, m), and an empty array gives (n, 0).
 
 Importing this module loads no numpy.  ``brentq`` runs on Python floats,
 and the DOP853 tables are Python floats here; ``tables()`` makes them
@@ -35,7 +37,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import groupby
 
 EPS = sys.float_info.epsilon
 
@@ -272,8 +273,11 @@ def tables() -> Dop853Tables:
 class Dop853DenseOutput:
     """The order-7 interpolant of one step from t_old to t.
 
-    The three extra stages it needs are evaluated on the first call, so a
-    trajectory whose dense output is never read does not pay for them.
+    A float time gives a state of shape (n,) and an array of m times gives
+    (n, m), by one Horner scheme broadcast over the times; each element
+    takes scipy's operations in scipy's order.  The three extra stages it
+    needs are evaluated on the first call, so a trajectory whose dense
+    output is never read does not pay for them.
     """
 
     def __init__(self, fun, t_old, t, y_old, y, K, h):
@@ -304,19 +308,12 @@ class Dop853DenseOutput:
     def __call__(self, t):
         import numpy as np
         y_old, F = self._F
-        t = np.asarray(t)
-        x = (t - self.t_old) / self.h
-        if t.ndim == 0:
-            y = np.zeros_like(y_old)
-        else:
-            x = x[:, None]
-            y = np.zeros((len(x), len(y_old)))
+        x = np.asarray((t - self.t_old) / self.h)[..., None]  # (1,) or (m, 1)
+        factors = (x, 1 - x)
+        y = np.zeros(x.shape[:-1] + y_old.shape)
         for i, f in enumerate(reversed(F)):
             y += f
-            if i % 2 == 0:
-                y *= x
-            else:
-                y *= 1 - x
+            y *= factors[i % 2]
         y += y_old
         return y.T
 
@@ -329,60 +326,47 @@ class ConstantDenseOutput:
 
     def __call__(self, t):
         import numpy as np
-        t = np.asarray(t)
-        if t.ndim == 0:
-            return self.value
-        ret = np.empty((self.value.shape[0], t.shape[0]))
-        ret[:] = self.value[:, None]
-        return ret
+        return np.broadcast_to(self.value, np.shape(t) + self.value.shape).T.copy()
 
 
 class OdeSolution:
     """The piecewise dense output over all steps, for ascending or
-    descending step times ``ts``: a float gives a state of shape (n,), a 1-D
-    array of m times gives shape (n, m).  Outside the span the end segments
-    extrapolate."""
+    descending step times ``ts`` of an n-dimensional system.
 
-    def __init__(self, ts: np.ndarray, interpolants: list):
+    It has one call form: a float gives a state of shape (n,), and a 1-D
+    array of m times, in any order, gives shape (n, m); an empty array gives
+    (n, 0).  Outside the span the end segments extrapolate.  An array query
+    is grouped by segment once, and each segment's interpolant evaluates its
+    times in one call.
+    """
+
+    def __init__(self, ts: np.ndarray, interpolants: list, n: int):
+        self.n = n
         self.n_segments = len(interpolants)
         self.ts = ts
         self.interpolants = interpolants
         self.ascending = bool(ts[-1] >= ts[0])
+        # the interior step times, ascending: a search among them gives the
+        # segment, the end segments taking every time beyond the span
         if self.ascending:
-            self.side, self.ts_sorted = "left", ts
+            self.side, self.knots = "left", ts[1:-1]
         else:
-            self.side, self.ts_sorted = "right", ts[::-1]
-
-    def _call_single(self, t):
-        import numpy as np
-        ind = np.searchsorted(self.ts_sorted, t, side=self.side)
-        segment = min(max(ind - 1, 0), self.n_segments - 1)
-        if not self.ascending:
-            segment = self.n_segments - 1 - segment
-        return self.interpolants[segment](t)
+            self.side, self.knots = "right", ts[-2:0:-1]
 
     def __call__(self, t):
         import numpy as np
         t = np.asarray(t)
-        if t.ndim == 0:
-            return self._call_single(t)
-        order = np.argsort(t)
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        t_sorted = t[order]
-        segments = np.searchsorted(self.ts_sorted, t_sorted, side=self.side)
-        segments -= 1
-        segments[segments < 0] = 0
-        segments[segments > self.n_segments - 1] = self.n_segments - 1
+        segments = np.searchsorted(self.knots, t, side=self.side)
         if not self.ascending:
             segments = self.n_segments - 1 - segments
-        ys = []
-        group_start = 0
-        for segment, group in groupby(segments):
-            group_end = group_start + len(list(group))
-            ys.append(self.interpolants[segment](t_sorted[group_start:group_end]))
-            group_start = group_end
-        return np.hstack(ys)[:, reverse]
+        if t.ndim == 0:
+            return self.interpolants[int(segments)](t)
+        y = np.empty((self.n, len(t)))
+        order = np.argsort(segments, kind="stable")
+        cuts = np.flatnonzero(np.diff(segments[order])) + 1
+        for group in np.split(order, cuts) if len(t) else ():
+            y[:, group] = self.interpolants[segments[group[0]]](t[group])
+        return y
 
 
 # -- the integrator ---------------------------------------------------------------
@@ -545,5 +529,5 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
             ts.append(t_out)
             ys.append(y_out)
     ts = np.array(ts)
-    return OdeResult(t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, interpolants),
+    return OdeResult(t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, interpolants, n),
                      status=status, message=message)

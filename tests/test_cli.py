@@ -252,6 +252,8 @@ INPUT_DOCUMENTS = {
     "model_long_rational": json.dumps({"tau": "1/" + "7" * 5000, "A": 0, "B": 1,
                                        "kappa": 1, "reaction": {}}),
     "system_undeclared_symbol": json.dumps(dict(SYSTEM, equations=["x^2 + z"])),
+    "hydro_tiny_R1": '{"nu": "57/100", "beta": "2/3", "sigma": 8e+40, "D": 1e-40, '
+                     '"R1": 7.831e-21}',
 }
 
 EXIT_2_CASES = {
@@ -330,6 +332,11 @@ EXIT_2_CASES = {
                                  "--assign", "x=1,y=1"],
     "eval-range-one-point": ["eval", "--family", "IVe-a",
                              "--free", "lam1=1,lam3=-2,tau=1,kappa=1,v=2", "--range=0:1:1"],
+    # a start below the R = 1e-9 floor, whose event then never fired: the
+    # orbit ran past R = 0 and printed a NaN row (exit 0)
+    "orbit-start-below-floor": ["hydro-orbit", "--model", "{hydro_tiny_R1}",
+                                "--start", "7.831025229591054e-21,6.71378904860025e-22",
+                                "--span", "-50", "--rtol", "1e-6"],
 }
 
 
@@ -732,6 +739,37 @@ class TestHydroCommands:
         assert cli.main(["hydro-analyze", "--model", str(hydro_model)]) == 0
         assert json.loads(capsys.readouterr().out)["H1"] == "7/8"
         assert len(calls) == 1
+
+    def test_a_failed_R2_search_computes_no_exact_H1(self, tmp_path, monkeypatch, capsys):
+        # P overflows in the R2 search before anything reads H1, whose exact
+        # powers of R1 take about 0.15 s at nu = 2000
+        hamiltonian, calls = hydro.hamiltonian, []
+
+        def counted(*args):
+            calls.append(args)
+            return hamiltonian(*args)
+
+        monkeypatch.setattr(hydro, "hamiltonian", counted)
+        path = tmp_path / "model.json"
+        path.write_text('{"nu": 2000, "beta": 1, "sigma": 1, "D": 1, "R1": 3e-24}')
+        for command, *options in (["hydro-analyze"], ["hydro-separatrix", "--samples", "5"],
+                                  ["hydro-homoclinic", "--n", "8"]):
+            assert cli.main([command, "--model", str(path), *options]) == 3
+            assert capsys.readouterr() == (
+                "", "error: P overflowed at R = 2.0 before changing sign\n")
+        assert calls == []
+
+    def test_orbit_whose_H_overflows_is_silent(self, tmp_path):
+        # H overflows along this orbit; numpy must not say so on stderr
+        path = tmp_path / "model.json"
+        path.write_text('{"nu": "-19/10", "beta": 1e-40, "sigma": 1e-40, "D": 0.008872, '
+                        '"R1": "2/3"}')
+        r = run_cli("hydro-orbit", "--model", str(path), "--start",
+                    "0.666743620473469,-0.020887495789587207", "--span", "1e-06",
+                    "--rtol", "1e-8")
+        assert (r.returncode, r.stderr) == (0, "")
+        assert "nan" in r.stdout and hashlib.sha256(r.stdout.encode()).hexdigest() == (
+            "4e8f0fcb7cfc7db26c646e0fa30db86c64a66fab70a48a90c2c9caca975c54bd")
 
     def test_orbit_csv(self, hydro_model, tmp_path):
         out = tmp_path / "orbit.csv"

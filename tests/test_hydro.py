@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -34,7 +35,7 @@ from twbench.hydro import (
     separatrix,
     turning_point,
 )
-from twbench.model import SchemaError
+from twbench.model import NumericFailure, SchemaError
 from twbench.symcore import ParamPoly, exact_root
 
 R2_EXACT = (-1 + math.sqrt(17.0)) / 2
@@ -240,6 +241,14 @@ class TestFloatKernel:
         assert second_root(worked) is worked.kernel.R2
         assert turning_point(worked) is worked.kernel.R3
 
+    def test_H1_rounded_when_first_read(self):
+        # H(R1, 0) is about 2e450: the kernel builds, and H1 fails when read
+        m = HydroModel(nu=F(0), beta=F(1, 10**200), sigma=F(1), D=F(10**150), R1=F(10**150))
+        k = m.kernel
+        for _ in range(2):
+            with pytest.raises(NumericFailure, match="beyond the float range"):
+                k.H1
+
     def test_failed_root_search_not_cached(self):
         bad = HydroModel(nu=F(0), beta=F(8), sigma=F(1), D=F(1), R1=F(1))
         for _ in range(2):
@@ -296,6 +305,15 @@ class TestTurningPoint:
         assert turning_point(worked) > second_root(worked)
 
 
+#: A forward, a backward and a zero span, for the dense-output tests.
+DENSE_SPANS = [(0.0, 6.0), (0.0, -6.0), (2.0, 2.0)]
+
+
+@functools.cache
+def _dense_trajectory(span):
+    return flow(reference_instance(), (1.7, 0.0), span)
+
+
 class TestFlow:
     def test_center_is_stationary(self, worked):
         r2 = second_root(worked)
@@ -330,6 +348,35 @@ class TestFlow:
         m = HydroModel(nu=F(-1, 2), beta=F(1), sigma=F(1), D=F(1), R1=F(1))
         with pytest.raises(StiffnessFailure):
             flow(m, (1.0, -1.0), (0.0, 50.0), rel_tol=1e-8)
+
+    def test_start_at_or_below_the_floor_is_refused(self):
+        # the floor event fires where R falls through 1e-9, so it cannot fire
+        # for such a start, and the orbit ran on into R < 0
+        m = HydroModel(nu=F(57, 100), beta=F(2, 3), sigma=F(8 * 10**40), D=F(1, 10**40),
+                       R1=F(7831, 10**24))
+        for r0 in (7.831025229591054e-21, 1e-9, 0.0, -1.0):
+            with pytest.raises(OutOfDomain, match="above the floor"):
+                flow(m, (r0, 6.71378904860025e-22), (0.0, -50.0), rel_tol=1e-6)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_dense_array_query_is_its_scalar_queries(self, data):
+        # any order, duplicates and times outside the span: each column of
+        # the array call has the bits of the call at that one time
+        traj = _dense_trajectory(data.draw(st.sampled_from(DENSE_SPANS)))
+        step_times = st.sampled_from(traj.omega.tolist())
+        times = data.draw(st.lists(st.floats(-9.0, 9.0) | step_times, max_size=16))
+        if times:
+            times += data.draw(st.lists(st.sampled_from(times), max_size=4))
+        array = traj.dense(np.array(times))
+        assert array.shape == (2, len(times)) and array.dtype == np.float64
+        for j, t in enumerate(times):
+            point = traj.dense(t)
+            assert point.shape == (2,) and point.tobytes() == array[:, j].tobytes(), t
+
+    @pytest.mark.parametrize("span", DENSE_SPANS)
+    def test_dense_empty_query(self, span):
+        assert _dense_trajectory(span).dense(np.array([])).shape == (2, 0)
 
     def test_separatrix_launch_tracks_curve(self, worked):
         eps = 1e-6
