@@ -41,7 +41,15 @@ from functools import cache, cached_property
 from itertools import accumulate, islice
 from typing import Callable, ClassVar, Iterator, Mapping
 
-from .model import DomainError, HyperbolicPDE, InputError, NumericFailure, SchemaError
+from .model import (
+    DomainError,
+    HyperbolicPDE,
+    InputError,
+    NumericFailure,
+    SchemaError,
+    exact_root,
+    frac_str,
+)
 from .reducer import (
     AlgebraicSystem,
     ClosedFormSolution,
@@ -53,7 +61,7 @@ from .reducer import (
     solution_from_assignment,
     verify_assignment,
 )
-from .symcore import ParamPoly, exact_root, frac_str
+from .symcore import ParamPoly
 
 SCAN_WINDOW = (-10.0, 10.0)
 SCAN_SAMPLES = 1001

@@ -17,8 +17,8 @@ import math
 import sys
 from fractions import Fraction
 
-from . import model, reducer
-from .symcore import frac_str, int_digit_limit
+from . import model
+from .model import frac_str, int_digit_limit
 
 # The largest count that sizes an array or a run: eval's n, hydro-separatrix
 # --samples, hydro-homoclinic --n, solve --starts and catalog verify --trials.
@@ -90,6 +90,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_reduce(args) -> int:
+    from . import reducer
     pde = model.parse_model(_read(args.model))
     m_deg, n_deg = model.parse_fields(
         args.ansatz, "/", (int, int), "--ansatz must look like M/N (numerator/denominator degree)")
@@ -109,8 +110,9 @@ def _digits(n: int) -> int:
     return int(abs(n).bit_length() * math.log10(2)) + 1
 
 
-def _bound_exact_work(system: reducer.AlgebraicSystem, assignment: dict[str, Fraction]):
-    """Refuse an assignment whose exact powers would be too long to build.
+def _bound_exact_work(system, assignment: dict[str, Fraction]):
+    """Refuse an assignment whose exact powers in ``system``, a
+    ``reducer.AlgebraicSystem``, would be too long to build.
 
     A term costs about its exponents times the digits (numerator plus
     denominator) of the values they raise; the sum over all terms may be at
@@ -128,6 +130,7 @@ def _bound_exact_work(system: reducer.AlgebraicSystem, assignment: dict[str, Fra
 
 
 def _cmd_verify(args) -> int:
+    from . import reducer
     system = reducer.AlgebraicSystem.from_json(_read(args.system))
     assignment = _parse_assignments(args.assign)
     _bound_exact_work(system, assignment)
@@ -141,6 +144,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import reducer
     _bounded(args.starts, "--starts")
     system = reducer.AlgebraicSystem.from_json(_read(args.system))
     fixed = _parse_assignments(args.fix)
@@ -183,7 +187,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_eval(args) -> int:
     import numpy as np
 
-    from . import catalog
+    from . import catalog, reducer
     lo, hi, n = model.parse_fields(args.range, ":", (float, float, int),
                                    "--range must look like lo:hi:n")
     if not math.isfinite(hi - lo):  # nan or inf in a bound, or a width over the float range
@@ -200,10 +204,11 @@ def _cmd_eval(args) -> int:
 
 
 # The hydro handlers import hydro (and with it the float kernels and the
-# integrator) on first use, as the catalog and eval handlers import catalog,
-# so each command loads only the modules it runs.  hydro-analyze and
-# hydro-separatrix run on Python floats and never load numpy; hydro-orbit
-# and hydro-homoclinic load it in the array code they call.
+# integrator) on first use, as the exact handlers import reducer and the
+# catalog and eval handlers catalog, so each command loads only the modules
+# it runs: a hydro command loads neither reducer nor symcore.  hydro-analyze
+# and hydro-separatrix run on Python floats and never load numpy;
+# hydro-orbit and hydro-homoclinic load it in the array code they call.
 
 
 def _cmd_hydro_analyze(args) -> int:

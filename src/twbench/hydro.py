@@ -30,8 +30,7 @@ from fractions import Fraction
 from typing import ClassVar, Union
 
 from . import ode
-from .model import DomainError, InputError, NumericFailure, read_document
-from .symcore import exact_root
+from .model import DomainError, InputError, NumericFailure, exact_root, read_document
 
 Number = Union[Fraction, int, float]
 
@@ -61,7 +60,7 @@ class OutOfDomain(InputError):
 
 
 class StiffnessFailure(RuntimeError, NumericFailure):
-    """Adaptive integrator step underflow."""
+    """Adaptive integrator step underflow, or its step budget spent."""
 
 
 class QuadratureFailure(RuntimeError, NumericFailure):
@@ -456,7 +455,8 @@ def flow(model: HydroModel, start, omega_span, rel_tol: float = 1e-10) -> Trajec
     OutOfDomain.  Only a model with nu below about -3/4 (nu = -3/2, say)
     reaches the floor.  For larger nu, the reference model's nu = 0 among
     them, the step size collapses first (there at R about 1e-7), and that
-    raises StiffnessFailure (exit 3), not a "boundary" status.
+    raises StiffnessFailure (exit 3), not a "boundary" status.  So does a
+    run over the integrator's step budget, ``ode.MAX_STEPS``.
     """
     import numpy as np
     if not rel_tol >= 1e-13:

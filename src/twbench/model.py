@@ -7,17 +7,22 @@ The equation under study is
 with non-negative constants tau, A, B, kappa and reaction exponents nu drawn
 from {0, 1/2, 1, 3/2, 2, 3}.  Reaction coefficients may be exact rationals or
 named symbols; the linear coefficients are always numeric.
+
+The module also holds the plain rational helpers that every layer reads:
+``frac_str``, ``int_digit_limit`` and ``exact_root``.  It imports no other
+twbench module, so a command that reads only these helpers and the schema
+(the hydro commands) loads neither ``symcore`` nor ``reducer``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Union
-
-from .symcore import frac_str, int_digit_limit
 
 ReactionValue = Union[Fraction, str]
 
@@ -117,6 +122,49 @@ class QuarticReduction:
     c3: Fraction
     c4: Fraction
     H: Fraction
+
+
+# -- rational helpers ---------------------------------------------------------
+
+
+def int_digit_limit() -> int:
+    """Python's limit on the digits of an int read from or written to a string
+    (``sys.get_int_max_str_digits()``, 0 for none); 4300, the default, on
+    releases before 3.10.7, which have no limit to query."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+
+
+def frac_str(q: Fraction) -> str:
+    """Render a rational as ``p`` or ``p/q``."""
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def exact_root(q: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of a non-negative rational, or None.
+
+    Roots of the numerator and denominator are taken in integers only
+    (``isqrt``, integer Newton), so huge rationals cannot overflow a float.
+    """
+    if q < 0:
+        return None
+
+    def iroot(n: int) -> int | None:
+        if k == 2 or n < 2:
+            r = math.isqrt(n)
+        else:
+            r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+            while True:  # Newton from above decreases monotonically to the floor
+                y = ((k - 1) * r + n // r ** (k - 1)) // k
+                if y >= r:
+                    break
+                r = y
+        return r if r**k == n else None
+
+    a, b = iroot(q.numerator), iroot(q.denominator)
+    if a is None or b is None:
+        return None
+    return Fraction(a, b)
 
 
 def _read_value(raw, where: str, symbolic: bool = True) -> ReactionValue:

@@ -18,10 +18,11 @@ which is what ``np.linalg.norm(err) ** 2`` computes.
 ``dop853`` covers what ``hydro.flow`` needs: a forward or backward span,
 scalar ``rtol`` and ``atol``, dense output, and one terminal event that
 fires where it falls through zero.  Where scipy's loop never ends (a NaN
-step size) or its event location raises (an event that is NaN inside a
-step), ``dop853`` ends with status -1.  The dense output has one call
-form: a float time gives a state of shape (n,), a 1-D array of m times, in
-any order, gives (n, m), and an empty array gives (n, 0).
+step size, or a stiff problem that takes more than ``MAX_STEPS`` steps) or
+its event location raises (an event that is NaN inside a step), ``dop853``
+ends with status -1.  The dense output has one call form: a float time
+gives a state of shape (n,), a 1-D array of m times, in any order, gives
+(n, m), and an empty array gives (n, 0).
 
 Importing this module loads no numpy.  ``brentq`` runs on Python floats,
 and the DOP853 tables are Python floats here; ``tables()`` makes them
@@ -45,6 +46,12 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 #: brentq's iteration limit, scipy's default.
 MAXITER = 100
+
+#: dop853's step budget: the accepted steps of one integration.  scipy's
+#: loop has none, and on a stiff model it steps for minutes.  Drawn models
+#: over the hydro fuzz ranges complete in up to 155 719 steps; the budget
+#: is ten times that, rounded up.
+MAX_STEPS = 1_600_000
 
 
 # -- Brent's method -------------------------------------------------------------
@@ -454,6 +461,9 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
         if t == tf:  # a span of length zero
             status = 0
             sol = ConstantDenseOutput(np.array(y))
+        elif len(ts) > MAX_STEPS:
+            status, message = -1, f"the step budget of {MAX_STEPS} steps is spent at t = {t!r}"
+            break
         else:
             min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
             if h_abs < min_step:

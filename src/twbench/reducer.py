@@ -33,6 +33,8 @@ from .model import (
     InputError,
     NumericFailure,
     SchemaError,
+    frac_str,
+    int_digit_limit,
 )
 from .symcore import (
     E_NAME,
@@ -42,8 +44,6 @@ from .symcore import (
     ParamPoly,
     _coeff,
     _merge,
-    frac_str,
-    int_digit_limit,
     lowest_terms,
     parse_poly_text,
     reduced_pair,

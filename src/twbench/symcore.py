@@ -17,6 +17,10 @@ outside input; every computed result is built canonical by ``ParamPoly._make``,
 with ``_merge`` the one place where like terms are added and zeros dropped.
 Term order is insertion order; the float loop of ``evaluate`` sums in it, so
 floats depend on it (an exact value does not).
+
+The plain rational helpers ``frac_str``, ``int_digit_limit`` and
+``exact_root`` live in ``model``, which imports nothing from this module;
+this module reads the first two from there.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .model import frac_str, int_digit_limit
 
 Rational = Fraction
 
@@ -54,46 +59,6 @@ class MissingParameter(KeyError):
 
 class DivisionByZero(ArithmeticError):
     """Denominator vanishes (at a point, or identically)."""
-
-
-def int_digit_limit() -> int:
-    """Python's limit on the digits of an int read from or written to a string
-    (``sys.get_int_max_str_digits()``, 0 for none); 4300, the default, on
-    releases before 3.10.7, which have no limit to query."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-
-
-def frac_str(q: Fraction) -> str:
-    """Render a rational as ``p`` or ``p/q``."""
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def exact_root(q: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of a non-negative rational, or None.
-
-    Roots of the numerator and denominator are taken in integers only
-    (``isqrt``, integer Newton), so huge rationals cannot overflow a float.
-    """
-    if q < 0:
-        return None
-
-    def iroot(n: int) -> int | None:
-        if k == 2 or n < 2:
-            r = math.isqrt(n)
-        else:
-            r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
-            while True:  # Newton from above decreases monotonically to the floor
-                y = ((k - 1) * r + n // r ** (k - 1)) // k
-                if y >= r:
-                    break
-                r = y
-        return r if r**k == n else None
-
-    a, b = iroot(q.numerator), iroot(q.denominator)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
 
 
 def _coeff(value: Number) -> Fraction:

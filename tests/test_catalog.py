@@ -26,9 +26,9 @@ from twbench.catalog import (
     verify_entry,
 )
 from twbench.cli import main as cli_main
-from twbench.model import SchemaError
+from twbench.model import SchemaError, exact_root
 from twbench.reducer import reduce, sample_solution, verify_assignment
-from twbench.symcore import DivisionByZero, exact_root
+from twbench.symcore import DivisionByZero
 
 from conftest import scan_one, scan_outcome
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from twbench import catalog, cli, hydro, model, reducer, symcore
+from twbench import catalog, cli, hydro, model, ode, reducer, symcore
 
 REPO = Path(__file__).resolve().parent.parent
 EXPECTATIONS = REPO / "expectations.json"
@@ -173,37 +173,39 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
 
 
 HYDRO_CHILD = textwrap.dedent("""
-    import contextlib, hashlib, io, sys
+    import contextlib, hashlib, io, json, sys
     if sys.argv[1] == "blocked":
         sys.modules["numpy"] = None  # an import of numpy now raises ImportError
     from twbench import cli
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main([*sys.argv[2].split(), "--model", "models/hydro_reference.json"])
-    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-          [m for m in ("numpy", "numpy.polynomial") if sys.modules.get(m)])
+    print(json.dumps([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                      [m for m in ("numpy", "numpy.polynomial") if sys.modules.get(m)],
+                      sorted(m for m in sys.modules if m.split(".")[0] == "twbench")]))
 """)
 
 
-def hydro_child(numpy: str, command: str) -> str:
-    """The exit code, stdout digest and loaded numpy modules of one hydro
-    command in a fresh interpreter; numpy is "blocked" or "free"."""
+def hydro_child(numpy: str, command: str) -> list:
+    """The exit code, stdout digest, loaded numpy modules and loaded twbench
+    modules of one hydro command in a fresh interpreter; numpy is "blocked"
+    or "free"."""
     r = subprocess.run([sys.executable, "-c", HYDRO_CHILD, numpy, command],
                        capture_output=True, text=True, cwd=REPO)
     assert r.returncode == 0, r.stderr
-    return r.stdout.strip()
+    return json.loads(r.stdout)
 
 
 @pytest.mark.parametrize("command", ["hydro-analyze", "hydro-separatrix"])
 def test_scalar_hydro_commands_never_load_numpy(command):
-    want = f"0 {HYDRO_SHA256[command]} []"
-    assert hydro_child("free", command) == want
-    assert hydro_child("blocked", command) == want
+    want = [0, HYDRO_SHA256[command], []]
+    assert hydro_child("free", command)[:3] == want
+    assert hydro_child("blocked", command)[:3] == want
 
 
 def test_hydro_orbit_loads_no_numpy_polynomial():
     command = "hydro-orbit --start 1.7,0 --span 100"
-    assert hydro_child("free", command) == f"0 {HYDRO_SHA256[command]} ['numpy']"
+    assert hydro_child("free", command)[:3] == [0, HYDRO_SHA256[command], ["numpy"]]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 201, 1000])
@@ -615,7 +617,7 @@ _MAGNITUDE = st.builds(lambda m, e: Fraction(m, 8) * Fraction(10) ** e,
                        st.integers(1, 64), st.integers(-40, 40))
 _VALID_HYDRO = st.fixed_dictionaries(
     {"nu": _NU, "beta": _MAGNITUDE, "sigma": _MAGNITUDE, "D": _MAGNITUDE, "R1": _MAGNITUDE},
-).map(lambda fields: json.dumps({k: symcore.frac_str(v) for k, v in fields.items()}))
+).map(lambda fields: json.dumps({k: model.frac_str(v) for k, v in fields.items()}))
 
 
 @_FUZZ
@@ -771,6 +773,19 @@ class TestHydroCommands:
         assert "nan" in r.stdout and hashlib.sha256(r.stdout.encode()).hexdigest() == (
             "4e8f0fcb7cfc7db26c646e0fa30db86c64a66fab70a48a90c2c9caca975c54bd")
 
+    def test_orbit_over_the_step_budget_exits_3(self, tmp_path, monkeypatch, capsys):
+        # the steps of this stiff orbit shrink without end: it stepped for
+        # minutes before the integrator had a step budget
+        path = tmp_path / "stiff.json"
+        path.write_text('{"nu": "1285/8", "beta": "3000000000000000000000000000", '
+                        '"sigma": "1/16", "D": "6", "R1": "7/4"}')
+        monkeypatch.setattr(ode, "MAX_STEPS", 300)
+        argv = ["hydro-orbit", "--model", str(path), "--start", "1.7,0.01", "--span", "3"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: the step budget of 300 steps is spent at t = ")
+
     def test_orbit_csv(self, hydro_model, tmp_path):
         out = tmp_path / "orbit.csv"
         r = run_cli("hydro-orbit", "--model", str(hydro_model), "--start", "1.7,0",
@@ -862,6 +877,16 @@ HYDRO_SHA256 = {
     "hydro-orbit --start 1.7,0 --span -50":
         "5e0805902f827d9491347f2777f5c45c6162cb6924165b758b04ec5327d4b999",
 }
+
+
+#: the package's modules that a hydro command loads: no reducer, symcore or catalog
+HYDRO_MODULES = ["twbench", "twbench.cli", "twbench.hydro", "twbench.model", "twbench.ode"]
+
+
+@pytest.mark.parametrize("command", list(HYDRO_SHA256))
+def test_hydro_commands_load_only_the_hydro_modules(command):
+    code, _, _, modules = hydro_child("free", command)
+    assert (code, modules) == (0, HYDRO_MODULES)
 
 
 # perfbench's committed SHA-256 of `reduce` stdout, keyed <model>.<d>-<d>.p<power>

@@ -35,8 +35,8 @@ from twbench.hydro import (
     separatrix,
     turning_point,
 )
-from twbench.model import NumericFailure, SchemaError
-from twbench.symcore import ParamPoly, exact_root
+from twbench.model import NumericFailure, SchemaError, exact_root
+from twbench.symcore import ParamPoly
 
 R2_EXACT = (-1 + math.sqrt(17.0)) / 2
 R3_EXACT = 2 * math.sqrt(2.0) - 1

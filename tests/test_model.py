@@ -1,4 +1,8 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,27 @@ class TestQuarticReduction:
 def test_package_exports_resolve():
     missing = [name for name in twbench.__all__ if not hasattr(twbench, name)]
     assert missing == []
+
+
+def test_package_loads_its_modules_on_first_use():
+    # a fresh interpreter: `import twbench` loads no submodule, and each
+    # exported name is its home module's object
+    code = textwrap.dedent("""
+        import sys
+        import twbench
+        print(sorted(m for m in sys.modules if m.startswith("twbench.")))
+        print(sorted(set(twbench.__all__) - set(dir(twbench))))
+        from twbench import ParamPoly, parse_model, reduce
+        from twbench import model, reducer, symcore
+        print(reduce is reducer.reduce, ParamPoly is symcore.ParamPoly,
+              parse_model is model.parse_model)
+        try:
+            twbench.nope
+        except AttributeError as exc:
+            print(exc)
+    """)
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=Path(__file__).resolve().parent.parent)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]", "[]", "True True True",
+                                     "module 'twbench' has no attribute 'nope'"]

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twbench import catalog, reducer, symcore
-from twbench.model import DomainError, HyperbolicPDE, parse_model
+from twbench.model import DomainError, HyperbolicPDE, frac_str, parse_model
 from twbench.reducer import (
     _compile,
     _newton_steps,
@@ -43,7 +43,6 @@ from twbench.symcore import (
     E_NAME,
     ExpRational,
     ParamPoly,
-    frac_str,
     lowest_terms,
     parse_poly_text,
     poly_dxi,

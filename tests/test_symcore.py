@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twbench.model import int_digit_limit
 from twbench.symcore import (
     _FACTOR_RE,
     DivisionByZero,
     ExpRational,
     MissingParameter,
     ParamPoly,
-    int_digit_limit,
     parse_poly_text,
     poly_dxi,
     primitive_gcd,
