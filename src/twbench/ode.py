@@ -12,17 +12,18 @@ same bits; the tests pin that against scipy.  ``dop853`` steps on Python
 floats, whose elementwise ``+``, ``*``, ``/`` and ``sqrt`` round as numpy's
 do, and takes every dot product from numpy, on scipy's array shapes: a BLAS
 dot may fuse its multiply-adds (numpy's does on this project's hosts), so a
-Python sum of products would round differently.  Its error norm squared is ``math.sqrt(err.dot(err)) ** 2``,
-which is what ``np.linalg.norm(err) ** 2`` computes.
+Python sum of products would round differently.  Its error norm squared
+is ``math.sqrt(err.dot(err)) ** 2``, which is what ``np.linalg.norm(err)
+** 2`` computes.
 
 ``dop853`` covers what ``hydro.flow`` needs: a forward or backward span,
 scalar ``rtol`` and ``atol``, dense output, and one terminal event that
 fires where it falls through zero.  Where scipy's loop never ends (a NaN
 step size, or a stiff problem that takes more than ``MAX_STEPS`` steps) or
 its event location raises (an event that is NaN inside a step), ``dop853``
-ends with status -1.  The dense output has one call form: a float time
-gives a state of shape (n,), a 1-D array of m times, in any order, gives
-(n, m), and an empty array gives (n, 0).
+ends with status -1.  Its dense output is one ``OdeSolution``, which keeps
+every accepted step in arrays and builds a step's interpolant when a query
+first falls in it.
 
 Importing this module loads no numpy.  ``brentq`` runs on Python floats,
 and the DOP853 tables are Python floats here; ``tables()`` makes them
@@ -277,103 +278,103 @@ def tables() -> Dop853Tables:
 # -- dense output -----------------------------------------------------------------
 
 
-class Dop853DenseOutput:
-    """The order-7 interpolant of one step from t_old to t.
+class OdeSolution:
+    """The dense output of one ``dop853`` run: the order-7 interpolant of
+    every accepted step of an n-dimensional system, forward or backward.
 
-    A float time gives a state of shape (n,) and an array of m times gives
-    (n, m), by one Horner scheme broadcast over the times; each element
-    takes scipy's operations in scipy's order.  The three extra stages it
-    needs are evaluated on the first call, so a trajectory whose dense
-    output is never read does not pay for them.
+    A float time gives a state of shape (n,), and a 1-D array of m times, in
+    any order, gives (n, m); an empty array gives (n, 0).  Outside the span
+    the end steps extrapolate; a run of no step (a span of length zero)
+    answers the start state.  Each step is kept once, in arrays that grow by
+    doubling.  Its three extra stages and seven coefficient rows are made
+    when a query first falls in it, the rows taking the place of its first
+    seven stages, so a run whose dense output is never read does not pay
+    for them.  A query evaluates all its times by one Horner scheme on the
+    gathered rows, each element in scipy's operations and order.
     """
 
-    def __init__(self, fun, t_old, t, y_old, y, K, h):
-        self.t_old = t_old
-        self.h = t - t_old
-        self._step = (fun, y_old, y, K, h)  # K: the step's 12 stages and f(t), room for 3 more
-
-    @functools.cached_property
-    def _F(self) -> tuple[np.ndarray, np.ndarray]:
-        """y_old as an array and the interpolant's coefficients."""
+    def __init__(self, fun, y0: np.ndarray):
         import numpy as np
-        fun, y_old, y, K, h = self._step
+        self.fun = fun
+        self.y0 = y0
+        self.n_segments = 0
+        capacity, n = 16, y0.size
+        self.t_old = np.zeros(capacity)  # each step's start time
+        self.h = np.zeros(capacity)  # and its length
+        self.states = np.zeros((capacity, 2, n))  # its start and end states
+        self.stages = np.zeros((capacity, N_STAGES_EXTENDED, n))
+        self.read = np.zeros(capacity, dtype=bool)  # its rows are made
+
+    def append(self, t_old: float, h: float, y_old: list, y: list, K: np.ndarray) -> int:
+        """Keep an accepted step, whose 12 stages and f(t_old + h) are K,
+        and return its index."""
+        import numpy as np
+        i = self.n_segments
+        if i == len(self.h):
+            for name in ("t_old", "h", "states", "stages", "read"):
+                old = getattr(self, name)
+                new = np.zeros((2 * i, *old.shape[1:]), dtype=old.dtype)
+                new[:i] = old
+                setattr(self, name, new)
+        self.t_old[i], self.h[i] = t_old, h
+        self.states[i] = y_old, y
+        self.stages[i, :N_STAGES + 1] = K
+        self.n_segments = i + 1
+        return i
+
+    def _make_rows(self, i: int) -> None:
+        """Step i's extra stages and its interpolant's coefficient rows."""
+        import numpy as np
         arrays = tables()
+        K = self.stages[i]
+        t_old, h = float(self.t_old[i]), float(self.h[i])
+        y_old, y = self.states[i]
+        start = y_old.tolist()
         for s, a, c in arrays.extra_stages:
-            K[s] = fun(self.t_old + c * h,
-                       [yi + di * h for yi, di in zip(y_old, np.dot(K[:s].T, a).tolist())])
-        y_old = np.array(y_old)
+            K[s] = self.fun(t_old + c * h,
+                            [yi + di * h for yi, di in zip(start, np.dot(K[:s].T, a).tolist())])
         F = np.empty((INTERPOLATOR_POWER, len(y)))
-        f_old, f = K[0], K[N_STAGES]
-        delta_y = np.array(y) - y_old
+        delta_y = y - y_old
         F[0] = delta_y
-        F[1] = h * f_old - delta_y
-        F[2] = 2 * delta_y - h * (f + f_old)
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (K[N_STAGES] + K[0])
         F[3:] = h * np.dot(arrays.D, K)
-        del self._step
-        return y_old, F
+        K[:INTERPOLATOR_POWER] = F
+        self.read[i] = True
 
-    def __call__(self, t):
+    def evaluate(self, steps, t):
+        """The states at times t, each on its step's interpolant: steps is a
+        step index, or an array of them of t's shape."""
         import numpy as np
-        y_old, F = self._F
-        x = np.asarray((t - self.t_old) / self.h)[..., None]  # (1,) or (m, 1)
+        read = self.read[steps]
+        if not (read.all() if read.ndim else read):  # a numpy bool's all() is slow
+            for i in np.unique(np.asarray(steps)[~read]).tolist():
+                self._make_rows(i)
+        x = (t - self.t_old[steps]) / self.h[steps]
+        if x.ndim:  # a time for each row of states
+            x = x[:, None]
         factors = (x, 1 - x)
-        y = np.zeros(x.shape[:-1] + y_old.shape)
-        for i, f in enumerate(reversed(F)):
-            y += f
-            y *= factors[i % 2]
+        y_old = self.states[steps, 0]
+        y = np.zeros(y_old.shape)
+        # the coefficient rows from the highest power down, each (n,) or (m, n)
+        for j, row in enumerate(self.stages[steps, INTERPOLATOR_POWER - 1::-1].swapaxes(0, -2)):
+            y += row
+            y *= factors[j % 2]
         y += y_old
         return y.T
-
-
-class ConstantDenseOutput:
-    """The interpolant of a span of length zero: the start state."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self, t):
-        import numpy as np
-        return np.broadcast_to(self.value, np.shape(t) + self.value.shape).T.copy()
-
-
-class OdeSolution:
-    """The piecewise dense output over all steps, for ascending or
-    descending step times ``ts`` of an n-dimensional system.
-
-    It has one call form: a float gives a state of shape (n,), and a 1-D
-    array of m times, in any order, gives shape (n, m); an empty array gives
-    (n, 0).  Outside the span the end segments extrapolate.  An array query
-    is grouped by segment once, and each segment's interpolant evaluates its
-    times in one call.
-    """
-
-    def __init__(self, ts: np.ndarray, interpolants: list, n: int):
-        self.n = n
-        self.n_segments = len(interpolants)
-        self.ts = ts
-        self.interpolants = interpolants
-        self.ascending = bool(ts[-1] >= ts[0])
-        # the interior step times, ascending: a search among them gives the
-        # segment, the end segments taking every time beyond the span
-        if self.ascending:
-            self.side, self.knots = "left", ts[1:-1]
-        else:
-            self.side, self.knots = "right", ts[-2:0:-1]
 
     def __call__(self, t):
         import numpy as np
         t = np.asarray(t)
-        segments = np.searchsorted(self.knots, t, side=self.side)
-        if not self.ascending:
-            segments = self.n_segments - 1 - segments
-        if t.ndim == 0:
-            return self.interpolants[int(segments)](t)
-        y = np.empty((self.n, len(t)))
-        order = np.argsort(segments, kind="stable")
-        cuts = np.flatnonzero(np.diff(segments[order])) + 1
-        for group in np.split(order, cuts) if len(t) else ():
-            y[:, group] = self.interpolants[segments[group[0]]](t[group])
-        return y
+        m = self.n_segments
+        if not m:
+            return np.broadcast_to(self.y0, t.shape + self.y0.shape).T.copy()
+        # search the interior step times; the end steps take all beyond the span
+        if self.h[0] > 0:
+            steps = self.t_old[1:m].searchsorted(t, "left")
+        else:
+            steps = m - 1 - self.t_old[m - 1:0:-1].searchsorted(t, "right")
+        return self.evaluate(steps, t)
 
 
 # -- the integrator ---------------------------------------------------------------
@@ -431,113 +432,112 @@ def dop853(fun, t_span, y0, rtol: float, atol: float, event) -> OdeResult:
     as a list of n Python floats, where scipy's ``solve_ivp`` passes a
     float64 array, so the two return the same bits for a ``fun`` that gives
     the same bits on both.  ``event(t, y)`` is terminal: the integration
-    stops where it first falls through zero, located on the dense output by
-    ``brentq``; it receives a list at the steps and an array on the dense
-    output.  The tables and numpy are looked up once here, none of them in
-    the step loop.
+    stops where it first falls through zero, located by ``brentq`` on the
+    step's interpolant in the dense output; it receives a list at the steps
+    and an array on the dense output.  Each accepted step is kept once, in
+    the ``OdeSolution`` it returns.  The tables and numpy are looked up once
+    here, none of them in the step loop.
     """
     import numpy as np
     arrays = tables()
     B, E3, E5 = arrays.B, arrays.E3, arrays.E5
 
     t0, tf = map(float, t_span)
-    y = np.asarray(y0, dtype=float)
+    y = np.array(y0, dtype=float)
     n = y.size
     sign = float(np.sign(tf - t0)) if tf != t0 else 1.0
     t = t0
     f = np.asarray(fun(t, y.tolist()), dtype=float)
     h_abs = float(select_initial_step(fun, t, y, tf, f, sign, rtol, atol))
+    sol = OdeSolution(fun, y)
     y = y.tolist()
+    g = event(t0, y)
+    if t0 == tf:  # a span of length zero: no step, and the event fires if it is 0 at t0
+        return OdeResult(t=np.array([t0, t0]), y=np.array([y, y]).T, sol=sol,
+                         status=1 if g == 0 else 0, message="")
     K = np.empty((N_STAGES + 1, n))
+    K[0] = f
     # the transposed views of the stages each stage reads, made once
     stage_views = [(s, K[:s].T, a, c) for s, a, c in arrays.stages]
     K_B, K_T = K[:-1].T, K.T
-    ts, ys, interpolants = [t0], [y0], []
-    g = event(t0, y)
-    status = None
-    message = ""
+    t_end, y_end = t0, y  # the last step time and state of the result
+    status, message = None, ""
     while status is None:
-        t_old = t
-        if t == tf:  # a span of length zero
-            status = 0
-            sol = ConstantDenseOutput(np.array(y))
-        elif len(ts) > MAX_STEPS:
+        if sol.n_segments >= MAX_STEPS:
             status, message = -1, f"the step budget of {MAX_STEPS} steps is spent at t = {t!r}"
             break
-        else:
-            min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
-            if h_abs < min_step:
-                h_abs = min_step
-            step_rejected = False
-            while True:
-                if not h_abs >= min_step:  # a NaN step size fails here too
-                    status, message = -1, TOO_SMALL_STEP
-                    break
-                h = h_abs * sign
-                t_new = t + h
-                if sign * (t_new - tf) > 0:
-                    t_new = tf
-                h = t_new - t
-                h_abs = abs(h)
-                # one Runge-Kutta step: K holds the 12 stages and f(t_new);
-                # the sums of products are numpy's, the rest is float arithmetic
-                K[0] = f
-                for s, K_s, a, c in stage_views:
-                    K[s] = fun(t + c * h,
-                               [yi + di * h for yi, di in zip(y, np.dot(K_s, a).tolist())])
-                y_new = [yi + h * bi for yi, bi in zip(y, np.dot(K_B, B).tolist())]
-                K[-1] = fun(t + h, y_new)
-                # np.maximum of the magnitudes, NaN where either is NaN
-                scale = np.array([atol + (p if p >= q or p != p else q) * rtol
-                                  for p, q in zip(map(abs, y), map(abs, y_new))])
-                # the scaled errors of both estimators, each norm squared as
-                # np.linalg.norm(err) ** 2 computes it
-                err5 = np.dot(K_T, E5) / scale
-                err3 = np.dot(K_T, E3) / scale
-                err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
-                err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
-                if err5_norm_2 == 0 and err3_norm_2 == 0:
-                    error_norm = 0.0
-                else:
-                    denom = err5_norm_2 + 0.01 * err3_norm_2
-                    error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n)
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = MAX_FACTOR
-                    else:
-                        factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                    if step_rejected:
-                        factor = min(1, factor)
-                    h_abs *= factor
-                    break
-                h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                step_rejected = True
-            if status == -1:
+        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if not h_abs >= min_step:  # a NaN step size fails here too
+                status, message = -1, TOO_SMALL_STEP
                 break
-            stages = np.empty((N_STAGES_EXTENDED, n))
-            stages[:N_STAGES + 1] = K
-            sol = Dop853DenseOutput(fun, t, t_new, y, y_new, stages, h)
-            t, y, f = t_new, y_new, stages[N_STAGES]
-            if sign * (t - tf) >= 0:
-                status = 0
-        interpolants.append(sol)
+            h = h_abs * sign
+            t_new = t + h
+            if sign * (t_new - tf) > 0:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
+            # one Runge-Kutta step: K holds f(t), the 11 stages after it and
+            # f(t_new); the sums of products are numpy's, the rest is float
+            # arithmetic
+            for s, K_s, a, c in stage_views:
+                K[s] = fun(t + c * h,
+                           [yi + di * h for yi, di in zip(y, np.dot(K_s, a).tolist())])
+            y_new = [yi + h * bi for yi, bi in zip(y, np.dot(K_B, B).tolist())]
+            K[-1] = fun(t + h, y_new)
+            # np.maximum of the magnitudes, NaN where either is NaN
+            scale = np.array([atol + (p if p >= q or p != p else q) * rtol
+                              for p, q in zip(map(abs, y), map(abs, y_new))])
+            # the scaled errors of both estimators, each norm squared as
+            # np.linalg.norm(err) ** 2 computes it
+            err5 = np.dot(K_T, E5) / scale
+            err3 = np.dot(K_T, E3) / scale
+            err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+            err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = h_abs * err5_norm_2 / math.sqrt(denom * n)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
+                else:
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            step_rejected = True
+        if status == -1:
+            break
+        step = sol.append(t, h, y, y_new, K)
+        t_old, t, y = t, t_new, y_new
+        K[0] = K[-1]
+        if sign * (t - tf) >= 0:
+            status = 0
         t_out, y_out = t, y
         g_new = event(t, y)
         if g >= 0 and g_new <= 0:
             try:
-                root = brentq(lambda s: event(s, sol(s)), t_old, t, xtol=4 * EPS, rtol=4 * EPS)
+                root = brentq(lambda s: event(s, sol.evaluate(step, s)), t_old, t,
+                              xtol=4 * EPS, rtol=4 * EPS)
             except ValueError as exc:  # the event is NaN inside the step
                 status, message = -1, f"the terminal event cannot be located: {exc}"
             else:
                 status = 1
                 t_out = np.float64(root)
-                y_out = sol(t_out)
+                y_out = sol.evaluate(step, t_out)
         g = g_new
-        if len(ts) > 1 and ts[-1] == t_out:
-            interpolants.pop()
+        if step and t_out == t_end:  # the event is at the step's start: it adds nothing
+            sol.n_segments -= 1
         else:
-            ts.append(t_out)
-            ys.append(y_out)
-    ts = np.array(ts)
-    return OdeResult(t=ts, y=np.vstack(ys).T, sol=OdeSolution(ts, interpolants, n),
+            t_end, y_end = t_out, y_out
+    m = sol.n_segments
+    return OdeResult(t=np.append(sol.t_old[:m], t_end),
+                     y=np.vstack((sol.states[:m, 0], y_end)).T, sol=sol,
                      status=status, message=message)

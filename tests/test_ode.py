@@ -2,6 +2,7 @@
 reference here: every float must be the same bit pattern."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -252,6 +253,50 @@ def test_orbit_that_overflows_mid_run_matches_solve_ivp():
         ours = _compare_with_solve_ivp(fun, span, [2.0, -5e4], 1e-8, 1e-10, boundary)
     assert ours.status == -1 and len(ours.t) > 100
     assert on_float64 and min(on_float64) > ours.t[1]
+
+
+def test_extra_stages_are_made_when_a_step_is_first_read():
+    # scipy makes a step's three extra stages whenever it keeps a dense
+    # output; dop853 makes them when a query first falls in the step
+    def oscillator(t, y):
+        return [y[1], -y[0]]
+
+    calls = 0
+
+    def fun(t, y):
+        nonlocal calls
+        calls += 1
+        return oscillator(t, y)
+
+    span, y0 = (0.0, 10.0), [1.0, 0.0]
+    ours = ode.dop853(fun, span, y0, rtol=1e-9, atol=1e-11, event=_never)
+    assert calls == solve_ivp(oscillator, span, y0, method="DOP853", rtol=1e-9,
+                              atol=1e-11).nfev
+    t = ours.t
+    mid = [0.5 * (t[i] + t[i + 1]) for i in range(len(t) - 1)]
+    queries = [(mid[2], 3), (mid[2], 0), (np.array([mid[2], 0.5 * (mid[2] + t[3])]), 0),
+               (np.array([mid[5], mid[2], mid[4], mid[5]]), 6), (mid[4], 0),
+               (np.array([]), 0)]
+    for query, added in queries:
+        before = calls
+        ours.sol(query)
+        assert calls - before == added, query
+
+
+def test_dense_output_memory_per_step():
+    # each accepted step is kept once, in arrays: its times, its states and
+    # its stages, where a step once kept its own array and interpolant
+    model = hydro.reference_instance()
+    hydro.flow(model, (1.7, 0.0), (0.0, 10.0))  # the tables, made once a process
+    tracemalloc.start()
+    try:
+        traj = hydro.flow(model, (1.7, 0.0), (0.0, 5000.0))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = len(traj.omega) - 1
+    assert steps > 7000
+    assert kept / steps < 400 and peak / steps < 800, (kept / steps, peak / steps)
 
 
 def test_installed_numpy_norm_squared_is_the_dot_root_squared():
