@@ -299,7 +299,7 @@ def _square_branches(ansatz: ExpAnsatz) -> list[tuple[ExpAnsatz, str | None]]:
     if ansatz.power == 1:
         return [(ansatz, None)]
     flipped = tuple(-ParamPoly.var(c) if isinstance(c, str) else -c for c in ansatz.a)
-    return [(ansatz, "w+"), (replace(ansatz, a=flipped), "w-")]
+    return [(ansatz, "w+"), (ExpAnsatz(flipped, ansatz.b, ansatz.power), "w-")]
 
 
 def _readings(readings: Mapping[str, Mapping[str, str]]):

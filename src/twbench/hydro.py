@@ -25,9 +25,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Union
+from typing import NamedTuple, Union
 
 from . import ode
 from .model import DomainError, InputError, NumericFailure, exact_root, read_document
@@ -81,31 +80,35 @@ def _rpow(base: Number, exp: Fraction) -> Number:
     return float(base) ** float(exp)
 
 
-@dataclass(frozen=True)
-class HydroModel:
-    """Parameters nu, beta, sigma, D, R1 with derived C1, E and H1.
-
-    The asymptotic state R -> R1, U -> 0 fixes C1 = D/R1 and
-    E = D^2/R1 + beta*R1^(nu+2)/(nu+2).
-    """
-
+class _HydroFields(NamedTuple):
     nu: Fraction
     beta: Fraction
     sigma: Fraction
     D: Fraction
     R1: Fraction
 
-    def __post_init__(self):
-        for name in ("nu", "beta", "sigma", "D", "R1"):
-            value = getattr(self, name)
+
+class HydroModel(_HydroFields):
+    """Parameters nu, beta, sigma, D, R1 with derived C1, E and H1.
+
+    The asymptotic state R -> R1, U -> 0 fixes C1 = D/R1 and
+    E = D^2/R1 + beta*R1^(nu+2)/(nu+2).
+    """
+
+    # no __slots__: the cached properties below are kept in the instance's __dict__
+    def __new__(cls, nu, beta, sigma, D, R1):
+        values = []
+        for name, value in zip(cls._fields, (nu, beta, sigma, D, R1)):
             if not isinstance(value, (Fraction, int)):
                 raise TypeError(f"{name} must be rational (got {type(value).__name__})")
-            object.__setattr__(self, name, Fraction(value))
-        if self.nu <= -2 or self.nu == -1:
+            values.append(Fraction(value))
+        nu, beta, sigma, D, R1 = values
+        if nu <= -2 or nu == -1:
             raise OutOfDomain("nu must satisfy nu > -2, nu != -1 "
                               "(nu+1 and nu+2 appear in denominators)")
-        if self.beta <= 0 or self.sigma <= 0 or self.R1 <= 0:
+        if beta <= 0 or sigma <= 0 or R1 <= 0:
             raise OutOfDomain("beta, sigma and R1 must be positive")
+        return super().__new__(cls, *values)
 
     @property
     def C1(self) -> Fraction:
@@ -362,11 +365,10 @@ def turning_point(model: HydroModel) -> float:
     return model.kernel.R3
 
 
-@dataclass(frozen=True)
-class CriticalPointReport:
+class CriticalPointReport(NamedTuple):
     points: tuple  # (R, kind, eigenvalues) triples
     R2: float
-    Psi_positive: ClassVar[bool] = True  # proved in critical_points' docstring
+    Psi_positive = True  # proved in critical_points' docstring; not a field
 
 
 def critical_points(model: HydroModel) -> CriticalPointReport:
@@ -432,8 +434,7 @@ def separatrix(model: HydroModel, R: float) -> tuple[float, float]:
 # -- direct integration -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """A sampled flow trajectory with its conserved quantity at every step."""
 
     omega: np.ndarray
@@ -636,8 +637,7 @@ PRINTED_OMEGA0 = _SQRT2 * math.pi - math.log(2.0)
 CORRECTED_OMEGA0 = _SQRT2 * math.pi + 0.5 * _SQRT2 * math.log(2.0)
 
 
-@dataclass(frozen=True)
-class ExplicitHomoclinic:
+class ExplicitHomoclinic(NamedTuple):
     """Printed and corrected closed forms, both normalized to omega(R3) = 0."""
 
     corrected: float

@@ -20,9 +20,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 ReactionValue = Union[Fraction, str]
 
@@ -64,26 +63,28 @@ class DegenerateFrame(InputError):
     """Travelling frame with tau*v^2 - kappa = 0."""
 
 
-@dataclass(frozen=True)
-class HyperbolicPDE:
-    """Coefficients of the PDE and its reaction map."""
-
+class _PDEFields(NamedTuple):
     tau: Fraction
     A: Fraction
     B: Fraction
     kappa: Fraction
     reaction: Mapping[Fraction, ReactionValue]
 
-    def __post_init__(self):
-        for name in ("tau", "A", "B", "kappa"):
-            value = Fraction(getattr(self, name))
+
+class HyperbolicPDE(_PDEFields):
+    """Coefficients of the PDE and its reaction map."""
+
+    def __new__(cls, tau, A, B, kappa, reaction):
+        linear = []
+        for name, value in zip(cls._fields, (tau, A, B, kappa)):
+            value = Fraction(value)
             if value < 0:
                 raise DomainError(f"{name} must be non-negative")
-            object.__setattr__(self, name, value)
-        if not (self.tau or self.A or self.B or self.kappa):
+            linear.append(value)
+        if not any(linear):
             raise DomainError("at least one of tau, A, B, kappa must be nonzero")
         cleaned = {}
-        for nu, lam in dict(self.reaction).items():
+        for nu, lam in dict(reaction).items():
             nu = Fraction(nu)
             if nu not in ALLOWED_EXPONENTS:
                 raise DomainError(f"reaction exponent {nu} outside the allowed set")
@@ -93,10 +94,11 @@ class HyperbolicPDE:
             else:
                 lam = Fraction(lam)
             cleaned[nu] = lam
-        object.__setattr__(self, "reaction", cleaned)
-        # frozen, so hashed once: a PDE keys the catalog's per-instance lookups
-        object.__setattr__(self, "_hash", hash((self.tau, self.A, self.B, self.kappa,
-                                                tuple(sorted(cleaned.items())))))
+        self = super().__new__(cls, *linear, cleaned)
+        # immutable, so hashed once, into the instance's __dict__ (no __slots__
+        # here): a PDE keys the catalog's per-instance lookups
+        self._hash = hash((*linear, tuple(sorted(cleaned.items()))))
+        return self
 
     def __hash__(self):
         return self._hash
@@ -112,8 +114,7 @@ class HyperbolicPDE:
         return tuple(sorted({v for v in self.reaction.values() if isinstance(v, str)}))
 
 
-@dataclass(frozen=True)
-class QuarticReduction:
+class QuarticReduction(NamedTuple):
     """First integral of the nonlinear d'Alembert case: (du/dxi)^2 = quartic(u)."""
 
     c0: Fraction

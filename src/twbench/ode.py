@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 EPS = sys.float_info.epsilon
 
@@ -229,8 +229,7 @@ MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 
 
-@dataclass(frozen=True)
-class Dop853Tables:
+class Dop853Tables(NamedTuple):
     """The tables as float64 arrays, scipy's ``dop853_coefficients``: the
     nodes ``C``, the matrix ``A``, the order-8 weights ``B``, the error
     estimators ``E3`` and ``E5`` and the dense-output coefficients ``D``.
@@ -411,8 +410,7 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-@dataclass(frozen=True)
-class OdeResult:
+class OdeResult(NamedTuple):
     """Accepted step times ``t`` (m,), states ``y`` (n, m), the dense output
     ``sol``, and ``status``: 0 at the end of the span, 1 at the terminal
     event, -1 when a step failed or the event could not be located

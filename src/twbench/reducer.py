@@ -22,9 +22,8 @@ import json
 import math
 import operator
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .model import (
     ALLOWED_EXPONENTS,
@@ -68,8 +67,13 @@ class PoleInWindow(ValueError, NumericFailure):
     """Residual scan hit an undeclared pole of the solution."""
 
 
-@dataclass(frozen=True)
-class ExpAnsatz:
+class _AnsatzFields(NamedTuple):
+    a: tuple[Coefficient, ...]
+    b: tuple[Coefficient, ...]
+    power: int
+
+
+class ExpAnsatz(_AnsatzFields):
     """u = [ (a_0 + ... + a_m E^m) / (b_0 + ... + b_n E^n) ]^power.
 
     Coefficient slots may be symbol names, exact rationals, or small
@@ -79,19 +83,18 @@ class ExpAnsatz:
     always the unknowns alpha and v.
     """
 
-    a: tuple[Coefficient, ...]
-    b: tuple[Coefficient, ...]
-    power: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.power not in (1, 2):
+    def __new__(cls, a, b, power=1):
+        if power not in (1, 2):
             raise DomainError("ansatz power must be 1 or 2")
-        if not self.a or not self.b:
+        if not a or not b:
             raise EmptyAnsatz("coefficient lists must be non-empty")
-        if all(_is_zero_number(c) for c in self.a):
+        if all(_is_zero_number(c) for c in a):
             raise EmptyAnsatz("numerator is identically zero")
-        if all(_is_zero_number(c) for c in self.b):
+        if all(_is_zero_number(c) for c in b):
             raise EmptyAnsatz("denominator is identically zero")
+        return super().__new__(cls, a, b, power)
 
     @property
     def m(self) -> int:
@@ -117,8 +120,7 @@ def _is_zero_number(c: Coefficient) -> bool:
     return not isinstance(c, (str, ParamPoly)) and Fraction(c) == 0
 
 
-@dataclass(frozen=True)
-class AlgebraicSystem:
+class AlgebraicSystem(NamedTuple):
     """Polynomial equations produced by equating E-power coefficients to zero."""
 
     unknowns: tuple[str, ...]
@@ -169,8 +171,7 @@ class AlgebraicSystem:
         return AlgebraicSystem(unknowns, equations, provenance, parameters)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an exact or numeric verification."""
 
     status: str  # "PASS" | "FAIL"
@@ -182,8 +183,16 @@ class Verdict:
         return self.status == "PASS"
 
 
-@dataclass(frozen=True)
-class ClosedFormSolution:
+class _SolutionFields(NamedTuple):
+    num: tuple[int, ...]
+    den: tuple[int, ...]
+    alpha: float | Fraction
+    velocity: float | Fraction
+    power: int
+    poles: tuple[float, ...]  # xi locations where the denominator vanishes
+
+
+class ClosedFormSolution(_SolutionFields):
     """A fully numeric travelling-wave solution u = w(E)^power, E = exp(alpha*xi).
 
     w = (sum num[k] E^k) / (sum den[k] E^k): integer coefficients, lowest
@@ -192,21 +201,15 @@ class ClosedFormSolution:
     holds (3, 1) over (-1, 1).  The residual scan reads the pair as it is.
     """
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
-    alpha: float | Fraction
-    velocity: float | Fraction
-    power: int = 1
-    poles: tuple[float, ...] = ()  # xi locations where the denominator vanishes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(c, int) for c in (*self.num, *self.den)):
+    def __new__(cls, num, den, alpha, velocity, power=1, poles=()):
+        if not all(isinstance(c, int) for c in (*num, *den)):
             raise ValueError("closed-form solution coefficients must be integers")
-        if not any(self.den):
+        if not any(den):
             raise ValueError("closed-form solution denominator is identically zero")
-        num, den = reduced_pair(self.num, self.den)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", tuple(den))
+        num, den = reduced_pair(num, den)
+        return super().__new__(cls, tuple(num), tuple(den), alpha, velocity, power, poles)
 
 
 #: ``reduce`` refuses an ansatz whose largest product could have more terms
@@ -1032,10 +1035,8 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     w_num, w_den = (tuple(c.numerator * (lcm // c.denominator) for c in side)
                     for side in (num_q, den_q))
     sol = ClosedFormSolution(w_num, w_den, alpha, velocity, ansatz.power)
-    # the poles depend on the canonical pair, so they are set once it is known
-    object.__setattr__(sol, "poles", poles_of(
-        sol.den if _span(sol.den) < _span(w_den) else den, alpha))
-    return sol
+    # the poles depend on the canonical pair; _replace skips __new__, so keeps it as it is
+    return sol._replace(poles=poles_of(sol.den if _span(sol.den) < _span(w_den) else den, alpha))
 
 
 def _span(coeffs) -> int:

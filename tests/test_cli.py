@@ -130,9 +130,10 @@ def test_exit_3_classes_are_numeric_failures(cls, old_base):
 
 def test_exact_commands_do_not_import_scipy(tmp_path):
     # each interpreter loads only what its commands run: reduce and verify
-    # neither numpy, catalog, hydro nor scipy; solve numpy but neither
-    # catalog, hydro nor scipy; the hydro commands hydro but neither catalog
-    # nor any scipy module; catalog list neither numpy, hydro nor scipy
+    # neither numpy, catalog, hydro, scipy, dataclasses nor inspect; solve
+    # numpy but neither catalog, hydro nor scipy; the hydro commands hydro
+    # but neither catalog nor any scipy module; catalog list neither numpy,
+    # hydro nor scipy, but dataclasses and inspect for catalog's dataclasses
     code = textwrap.dedent("""
         import contextlib, io, sys
         from twbench import cli
@@ -140,9 +141,10 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
             for argv in argvs:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.main(argv) == 0, argv
-        def loaded():
+        def loaded():  # inspect only where numpy, which imports it, has not loaded
             print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-                         or m == "numpy" or m.startswith("twbench.")))
+                         or m in ("numpy", "dataclasses") or m.startswith("twbench.")
+                         or m == "inspect" and "numpy" not in sys.modules))
         if sys.argv[1] == "catalog":
             run(["catalog", "list"])
             loaded()
@@ -169,7 +171,8 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
     floats = sorted([*exact, "numpy"])
     assert loaded_after(str(tmp_path / "system.json")) == (
         f"{exact}\n{floats}\n{sorted([*floats, 'twbench.hydro', 'twbench.ode'])}\n")
-    assert loaded_after("catalog") == f"{sorted([*exact, 'twbench.catalog'])}\n"
+    catalog = sorted([*exact, "twbench.catalog", "dataclasses", "inspect"])
+    assert loaded_after("catalog") == f"{catalog}\n"
 
 
 HYDRO_CHILD = textwrap.dedent("""
@@ -182,14 +185,15 @@ HYDRO_CHILD = textwrap.dedent("""
         code = cli.main([*sys.argv[2].split(), "--model", "models/hydro_reference.json"])
     print(json.dumps([code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
                       [m for m in ("numpy", "numpy.polynomial") if sys.modules.get(m)],
-                      sorted(m for m in sys.modules if m.split(".")[0] == "twbench")]))
+                      sorted(m for m in sys.modules if m.split(".")[0] == "twbench"),
+                      [m for m in ("dataclasses", "inspect") if m in sys.modules]]))
 """)
 
 
 def hydro_child(numpy: str, command: str) -> list:
-    """The exit code, stdout digest, loaded numpy modules and loaded twbench
-    modules of one hydro command in a fresh interpreter; numpy is "blocked"
-    or "free"."""
+    """The exit code, stdout digest, loaded numpy modules, loaded twbench
+    modules and whether dataclasses and inspect loaded, of one hydro command
+    in a fresh interpreter; numpy is "blocked" or "free"."""
     r = subprocess.run([sys.executable, "-c", HYDRO_CHILD, numpy, command],
                        capture_output=True, text=True, cwd=REPO)
     assert r.returncode == 0, r.stderr
@@ -885,8 +889,11 @@ HYDRO_MODULES = ["twbench", "twbench.cli", "twbench.hydro", "twbench.model", "tw
 
 @pytest.mark.parametrize("command", list(HYDRO_SHA256))
 def test_hydro_commands_load_only_the_hydro_modules(command):
-    code, _, _, modules = hydro_child("free", command)
+    # no record is a dataclass: dataclasses never loads, and inspect only
+    # with numpy, which imports it
+    code, _, numpy, modules, machinery = hydro_child("free", command)
     assert (code, modules) == (0, HYDRO_MODULES)
+    assert "dataclasses" not in machinery and ("inspect" not in machinery or numpy)
 
 
 # perfbench's committed SHA-256 of `reduce` stdout, keyed <model>.<d>-<d>.p<power>

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from twbench import hydro
 from twbench.hydro import (
     CORRECTED_OMEGA0,
+    FloatKernel,
     PRINTED_OMEGA0,
     G_of_R,
     G_prime,
@@ -62,6 +64,31 @@ class TestModelConstruction:
         with pytest.raises(OutOfDomain):
             HydroModel(nu=F(0), beta=F(-1), sigma=F(1), D=F(1), R1=F(1))
 
+    @pytest.mark.parametrize("args, error", [
+        ((F(-1), F(1), F(1), F(1), F(1)), OutOfDomain),
+        ((F(0), F(1), F(0), F(1), F(1)), OutOfDomain),
+        ((F(0), 0.5, F(1), F(1), F(1)), TypeError),
+        ((F(0), F(1), F(1), F(1), "1"), TypeError)])
+    def test_refused_by_position_or_keyword(self, args, error):
+        with pytest.raises(error):
+            HydroModel(*args)
+        with pytest.raises(error):
+            HydroModel(**dict(zip(HydroModel._fields, args)))
+
+    def test_fields_cannot_be_assigned_and_equal_models_hash_equal(self, worked):
+        for name in HydroModel._fields:
+            with pytest.raises(AttributeError):
+                setattr(worked, name, F(2))
+        same = HydroModel(0, F(1, 2), 1, 1, 1)
+        assert same == worked and hash(same) == hash(worked) and same.beta == F(1, 2)
+
+    def test_kernel_built_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(hydro, "FloatKernel",
+                            lambda model: built.append(model) or FloatKernel(model))
+        m = reference_instance()
+        assert m.kernel is m.kernel and built == [m]
+
     def test_json_round_trip(self, worked):
         text = '{"nu":0,"beta":0.5,"sigma":1,"D":1,"R1":1}'
         assert parse_hydro_model(text) == worked
@@ -92,6 +119,13 @@ class TestCriticalPoints:
         assert kinds[1][1] == "center"
         assert abs(report.R2 - R2_EXACT) < 1e-12
         assert report.Psi_positive
+
+    def test_report_fields(self, worked):
+        # Psi_positive is a class constant, not a field
+        report = critical_points(worked)
+        assert report._fields == ("points", "R2") and report == (report.points, report.R2)
+        with pytest.raises(AttributeError):
+            report.R2 = 0.0
 
     def test_R3_not_searched(self):
         m = reference_instance()  # a fresh kernel, with no root found yet
@@ -326,6 +360,8 @@ class TestFlow:
         drift = np.max(np.abs(traj.H - traj.H[0])) / max(1.0, abs(float(traj.H[0])))
         assert drift < 1e-8
         assert traj.status == "completed"
+        with pytest.raises(AttributeError):
+            traj.status = "boundary"
 
     def test_level_set_equivalence(self, worked):
         # every accepted step of any trajectory lies on one level set of H
@@ -529,6 +565,12 @@ class TestExplicitHomoclinic:
         # antiderivative by (1 - sqrt(2)/2)*log(2)
         gap = CORRECTED_OMEGA0 - PRINTED_OMEGA0
         assert abs(gap - (0.5 * math.sqrt(2.0) + 1.0) * math.log(2.0)) < 1e-12
+
+    def test_fields_cannot_be_assigned(self):
+        closed = explicit_homoclinic(1.5)
+        with pytest.raises(AttributeError):
+            closed.printed = 0.0
+        assert closed._fields == ("corrected", "printed")
 
     def test_domain(self):
         with pytest.raises(OutOfDomain):

@@ -11,6 +11,7 @@ from twbench.model import (
     DegenerateFrame,
     DomainError,
     HyperbolicPDE,
+    QuarticReduction,
     SchemaError,
     parse_model,
     quartic_reduction,
@@ -73,6 +74,21 @@ class TestParseModel:
         b = HyperbolicPDE(tau=F(1), A=0, B=1, kappa=1, reaction={F(3, 2): F(2, 7), 1: "l1"})
         assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
 
+    def test_fields_cannot_be_assigned(self):
+        pde = HyperbolicPDE(1, 0, 1, 1, {1: "l1"})
+        for name in HyperbolicPDE._fields:
+            with pytest.raises(AttributeError):
+                setattr(pde, name, F(2))
+        assert pde == HyperbolicPDE(tau=1, A=0, B=1, kappa=1, reaction={F(1): "l1"})
+
+    @pytest.mark.parametrize("args", [(-1, 0, 1, 1, {}), (0, 0, 0, 0, {1: 1}),
+                                      (1, 0, 1, 1, {F(5, 2): 1}), (1, 0, 1, 1, {1: "2x"})])
+    def test_refused_by_position_or_keyword(self, args):
+        with pytest.raises(DomainError):
+            HyperbolicPDE(*args)
+        with pytest.raises(DomainError):
+            HyperbolicPDE(**dict(zip(HyperbolicPDE._fields, args)))
+
 
 class TestQuarticReduction:
     def test_reference_coefficients(self):
@@ -87,6 +103,12 @@ class TestQuarticReduction:
         q = quartic_reduction(pde, v=F(3), c0=F(5))
         assert (q.c1, q.c2, q.c3, q.c4) == (0, 0, 0, 0)
         assert q.c0 == 5
+
+    def test_fields_cannot_be_assigned(self):
+        q = QuarticReduction(*map(F, range(6)))
+        with pytest.raises(AttributeError):
+            q.H = F(7)
+        assert q == QuarticReduction(c0=0, c1=1, c2=2, c3=3, c4=4, H=5) and q.H == 5
 
     def test_degenerate_frame(self):
         pde = parse_model('{"tau":1,"A":0,"B":0,"kappa":1,"reaction":{"1":3}}')
@@ -144,3 +166,14 @@ def test_package_loads_its_modules_on_first_use():
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["[]", "[]", "True True True",
                                      "module 'twbench' has no attribute 'nope'"]
+
+
+def test_records_load_neither_dataclasses_nor_inspect():
+    # every record of these modules is a NamedTuple, so a fresh interpreter
+    # that imports them loads neither dataclasses nor inspect, its import
+    code = ("import sys, twbench.model, twbench.reducer, twbench.ode, twbench.hydro\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       cwd=Path(__file__).resolve().parent.parent)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"

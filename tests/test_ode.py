@@ -70,6 +70,16 @@ def test_tables_are_scipys():
         assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), name
 
 
+def test_records_fields_cannot_be_assigned():
+    k = hydro.reference_instance().kernel
+    result = ode.dop853(k.rhs, (0.0, 1.0), [1.2, 0.0], rtol=1e-6, atol=1e-8, event=boundary)
+    for record in (ode.tables(), result):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    assert result.status == 0 and result.message == ""
+
+
 def test_eps_is_numpys():
     assert ode.EPS == np.finfo(float).eps
 

@@ -5,7 +5,6 @@ import random
 import sys
 import types
 import warnings
-from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from twbench.reducer import (
     PoleInWindow,
     PowerMismatch,
     AlgebraicSystem,
+    Verdict,
     poles_of,
     reduce,
     residual_scan,
@@ -1183,7 +1183,7 @@ def test_declared_pole_skipped_where_E_descends():
     pde = parse_model('{"tau":0,"A":0,"B":0,"kappa":1,"reaction":{}}')
     sol = ClosedFormSolution((1,), (-2, 1), alpha=-math.log(2.0), velocity=1.0)
     assert np.exp(-sol.alpha) == 2.0
-    declared = replace(sol, poles=(-1.0,))
+    declared = sol._replace(poles=(-1.0,))
     assert scan_outcome(residual_scan([(pde, sol, (-1, 0.5))], 151)[0]) == (
         PoleInWindow, "denominator vanishes near xi = -1 (undeclared pole)")
     [scan] = residual_scan([(pde, declared, (-1, 0.5))], 151)
@@ -1337,6 +1337,71 @@ def test_solution_holds_the_canonical_pair():
     sol = ClosedFormSolution((6, 2), (-2, 2), alpha=1.0, velocity=1.0)
     assert (sol.num, sol.den) == ((3, 1), (-1, 1))
     assert ClosedFormSolution((0, 0), (0, -4), alpha=1.0, velocity=1.0).den == (1,)
+
+
+def test_solution_built_by_keyword_holds_the_canonical_pair():
+    sol = ClosedFormSolution(num=(6, 2), den=(-2, 2), alpha=1.0, velocity=1.0)
+    assert sol == ClosedFormSolution((3, 1), (-1, 1), 1.0, 1.0, 1, ())
+    with pytest.raises(ValueError, match="closed-form solution"):
+        ClosedFormSolution(num=(1,), den=(0, 0), alpha=1.0, velocity=1.0)
+
+
+# -- the records: immutable, compared and hashed by value ---------------------
+
+
+def test_record_fields_cannot_be_assigned():
+    records = [_PAIR, AlgebraicSystem(("x",), (parse_poly_text("x"),), (0,)),
+               Verdict("PASS", ()), ClosedFormSolution((1,), (1,), alpha=1.0, velocity=1.0)]
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
+def test_equal_records_compare_and_hash_equal():
+    pairs = [(_PAIR, ExpAnsatz(("a0", "a1"), ("b0", "b1"), 1)),
+             (AlgebraicSystem(("x",), (parse_poly_text("x"),), (0,)),
+              AlgebraicSystem(unknowns=("x",), equations=(parse_poly_text("x"),), provenance=(0,))),
+             (Verdict("FAIL", (F(1),)), Verdict(status="FAIL", residuals=(F(1),), report="")),
+             (ClosedFormSolution((6, 2), (-2, 2), 1.0, 1.0),
+              ClosedFormSolution((3, 1), (-1, 1), 1.0, 1.0))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((("a0",), ("b0",), 3), DomainError), (((), ("b0",), 1), EmptyAnsatz),
+    ((("a0",), (), 1), EmptyAnsatz), (((0, F(0)), ("b0",), 1), EmptyAnsatz),
+    ((("a0",), (0,), 2), EmptyAnsatz)])
+def test_ansatz_refused_by_position_or_keyword(args, error):
+    with pytest.raises(error):
+        ExpAnsatz(*args)
+    with pytest.raises(error):
+        ExpAnsatz(**dict(zip(ExpAnsatz._fields, args)))
+
+
+def test_reduce_memo_keys_on_equal_records(monkeypatch):
+    # an equal PDE and ansatz find the terms another copy made; a catalog
+    # family's trials make them once for each distinct ansatz
+    built = []
+
+    class Counted(reducer._AnsatzTerms):
+        def __init__(self, ansatz, names):
+            built.append(ansatz)
+            super().__init__(ansatz, names)
+
+    monkeypatch.setattr(reducer, "_AnsatzTerms", Counted)
+    text = '{"tau":1,"A":0,"B":1,"kappa":1,"reaction":{"1":"l1","3":"l3"}}'
+    memo = {}
+    first = reduce(parse_model(text), ExpAnsatz(("a0", "a1"), ("b0", "b1")), memo)
+    assert reduce(parse_model(text), ExpAnsatz(a=("a0", "a1"), b=("b0", "b1")), memo) == first
+    assert len(built) == 1
+    built.clear()
+    keys = []
+    monkeypatch.setattr(catalog, "reduce", lambda pde, ansatz, memo: keys.append(
+        (ansatz, pde.symbols())) or reducer.reduce(pde, ansatz, memo))
+    catalog.verify_entry("IVc", trials=5, seed=1)
+    assert len(built) == len(set(keys)) == 2 < len(keys)
 
 
 def test_each_built_solution_is_reduced_once(monkeypatch):
