@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import ode
-from .model import DomainError, InputError, NumericFailure, exact_root, read_document
+from .model import (DomainError, InputError, NumericFailure, exact_root, read_document,
+                    validated_make)
 
 Number = Union[Fraction, int, float]
 
@@ -110,6 +111,8 @@ class HydroModel(_HydroFields):
             raise OutOfDomain("beta, sigma and R1 must be positive")
         return super().__new__(cls, *values)
 
+    _make = classmethod(validated_make)
+
     @property
     def C1(self) -> Fraction:
         return self.D / self.R1
@@ -135,10 +138,17 @@ class HydroModel(_HydroFields):
         return FloatKernel(self)
 
 
+#: the worked instance's (nu, beta, sigma, D, R1)
+_REFERENCE_FIELDS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(1), Fraction(1))
+
+
 def reference_instance() -> HydroModel:
-    """The worked instance: D = R1 = sigma = 1, beta = 1/2, nu = 0 (E = 5/4)."""
-    return HydroModel(nu=Fraction(0), beta=Fraction(1, 2), sigma=Fraction(1),
-                      D=Fraction(1), R1=Fraction(1))
+    """The worked instance: D = R1 = sigma = 1, beta = 1/2, nu = 0 (E = 5/4).
+
+    A fresh model on every call, with nothing computed yet: its kernel has
+    found no root.  Building one validates five Fractions, so a hot path
+    compares against ``_REFERENCE_FIELDS`` instead of calling this."""
+    return HydroModel(*_REFERENCE_FIELDS)
 
 
 def parse_hydro_model(text: str) -> HydroModel:
@@ -632,9 +642,15 @@ _SQRT2 = math.sqrt(2.0)
 #: omega0 as printed alongside the explicit solution.
 PRINTED_OMEGA0 = _SQRT2 * math.pi - math.log(2.0)
 
-#: Peak-centering constant of the corrected antiderivative: F(R3) with
-#: R3 = 2*sqrt(2) - 1, where the arcsine reaches its right endpoint pi/2.
+#: The worked instance's turning point R3 = 2*sqrt(2) - 1, in floats.
+_R3 = 2.0 * _SQRT2 - 1.0
+
+#: Peak-centering constant of the corrected antiderivative: F(R3), where
+#: the arcsine reaches its right endpoint pi/2.
 CORRECTED_OMEGA0 = _SQRT2 * math.pi + 0.5 * _SQRT2 * math.log(2.0)
+
+#: The printed antiderivative's value at R3, which centres its peak at 0.
+_PRINTED_PEAK = _SQRT2 * math.pi - 0.5 * _SQRT2 * math.log(2.0)
 
 
 class ExplicitHomoclinic(NamedTuple):
@@ -669,14 +685,14 @@ def explicit_homoclinic(R: float, model: HydroModel | None = None) -> ExplicitHo
     Only defined for the worked instance D = R1 = sigma = 1, beta = 1/2,
     nu = 0.  Returns both the expression as printed and the corrected
     antiderivative (partial fractions + arcsine/log primitives); the
-    corrected branch satisfies d(omega)/dR = quadrature integrand.
+    corrected branch satisfies d(omega)/dR = quadrature integrand.  A given
+    model is checked by comparing its fields with the worked instance's, so
+    a call builds no model.
     """
-    model = reference_instance() if model is None else model
-    if model != reference_instance():
+    if model is not None and model != _REFERENCE_FIELDS:
         raise OutOfDomain("the explicit homoclinic is specific to the worked instance")
-    r3 = 2.0 * _SQRT2 - 1.0
-    if not (1.0 < R <= r3):
-        raise OutOfDomain(f"R must lie in (1, R3] = (1, {r3}]")
+    if not (1.0 < R <= _R3):
+        raise OutOfDomain(f"R must lie in (1, R3] = (1, {_R3}]")
     corrected = _corrected_antiderivative(R) - CORRECTED_OMEGA0
-    printed = _printed_antiderivative(R) - (_SQRT2 * math.pi - 0.5 * _SQRT2 * math.log(2.0))
+    printed = _printed_antiderivative(R) - _PRINTED_PEAK
     return ExplicitHomoclinic(corrected=corrected, printed=printed)

@@ -63,6 +63,13 @@ class DegenerateFrame(InputError):
     """Travelling frame with tau*v^2 - kappa = 0."""
 
 
+def validated_make(cls, iterable):
+    """``_make`` of a record whose ``__new__`` validates or normalises.
+    NamedTuple's own ``_make``, which ``_replace`` calls, builds the tuple
+    directly and would skip ``__new__``; this one goes through it."""
+    return cls(*iterable)
+
+
 class _PDEFields(NamedTuple):
     tau: Fraction
     A: Fraction
@@ -99,6 +106,8 @@ class HyperbolicPDE(_PDEFields):
         # here): a PDE keys the catalog's per-instance lookups
         self._hash = hash((*linear, tuple(sorted(cleaned.items()))))
         return self
+
+    _make = classmethod(validated_make)
 
     def __hash__(self):
         return self._hash

@@ -34,6 +34,7 @@ from .model import (
     SchemaError,
     frac_str,
     int_digit_limit,
+    validated_make,
 )
 from .symcore import (
     E_NAME,
@@ -95,6 +96,8 @@ class ExpAnsatz(_AnsatzFields):
         if all(_is_zero_number(c) for c in b):
             raise EmptyAnsatz("denominator is identically zero")
         return super().__new__(cls, a, b, power)
+
+    _make = classmethod(validated_make)
 
     @property
     def m(self) -> int:
@@ -210,6 +213,8 @@ class ClosedFormSolution(_SolutionFields):
             raise ValueError("closed-form solution denominator is identically zero")
         num, den = reduced_pair(num, den)
         return super().__new__(cls, tuple(num), tuple(den), alpha, velocity, power, poles)
+
+    _make = classmethod(validated_make)
 
 
 #: ``reduce`` refuses an ansatz whose largest product could have more terms
@@ -1002,11 +1007,12 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     """Instantiate the ansatz at a numeric assignment, declaring its poles.
 
     Each coefficient of w is coerced as ``ParamPoly`` coerces it (a float
-    by its exact decimal reading) and the denominators are cleared;
-    ``ClosedFormSolution`` reduces the integer pair.  The poles are those of
-    the ansatz denominator at the assignment, unless the reduction divides
-    out a factor in E other than a power of E: its zeros are removable
-    singularities, so the poles are then those of the reduced denominator.
+    by its exact decimal reading) and the denominators are cleared; the
+    integer pair is reduced once, as ``ClosedFormSolution`` would.  The
+    poles are those of the ansatz denominator at the assignment, unless the
+    reduction divides out a factor in E other than a power of E: its zeros
+    are removable singularities, so the poles are then those of the reduced
+    denominator.
     """
     env = dict(assignment)
 
@@ -1034,9 +1040,11 @@ def solution_from_assignment(ansatz: ExpAnsatz,
     lcm = math.lcm(*(c.denominator for c in (*num_q, *den_q)))
     w_num, w_den = (tuple(c.numerator * (lcm // c.denominator) for c in side)
                     for side in (num_q, den_q))
-    sol = ClosedFormSolution(w_num, w_den, alpha, velocity, ansatz.power)
-    # the poles depend on the canonical pair; _replace skips __new__, so keeps it as it is
-    return sol._replace(poles=poles_of(sol.den if _span(sol.den) < _span(w_den) else den, alpha))
+    num_r, den_r = reduced_pair(w_num, w_den)
+    poles = poles_of(den_r if _span(den_r) < _span(w_den) else den, alpha)
+    # the pair is canonical already: build the record without reducing it again
+    return _SolutionFields.__new__(ClosedFormSolution, tuple(num_r), tuple(den_r),
+                                   alpha, velocity, ansatz.power, poles)
 
 
 def _span(coeffs) -> int:

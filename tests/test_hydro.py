@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -43,6 +44,10 @@ from twbench.symcore import ParamPoly
 R2_EXACT = (-1 + math.sqrt(17.0)) / 2
 R3_EXACT = 2 * math.sqrt(2.0) - 1
 
+# SHA-256 of float.hex of both fields of explicit_homoclinic at the R of the
+# worked instance's 400-panel profile, then at R3_EXACT
+EXPLICIT_HOMOCLINIC_SHA256 = "60a24a606c3ae51550d1a385d25bd3085a031991243c8067234830c6ae2bf6ba"
+
 
 @pytest.fixture(scope="module")
 def worked():
@@ -81,6 +86,14 @@ class TestModelConstruction:
                 setattr(worked, name, F(2))
         same = HydroModel(0, F(1, 2), 1, 1, 1)
         assert same == worked and hash(same) == hash(worked) and same.beta == F(1, 2)
+
+    def test_replace_validates_as_the_constructor(self, worked):
+        with pytest.raises(OutOfDomain):
+            worked._replace(beta=F(-1))
+        with pytest.raises(TypeError):
+            worked._replace(R1=1.0)
+        other = worked._replace(nu=F(1))
+        assert other == HydroModel(1, F(1, 2), 1, 1, 1) and other.E == F(7, 6)
 
     def test_kernel_built_once(self, monkeypatch):
         built = []
@@ -580,6 +593,28 @@ class TestExplicitHomoclinic:
         other = HydroModel(nu=F(1), beta=F(1), sigma=F(1), D=F(2), R1=F(1))
         with pytest.raises(OutOfDomain):
             explicit_homoclinic(1.5, model=other)
+
+    def test_bits_pinned(self, profile):
+        digest = hashlib.sha256()
+        for R in [*map(float, profile[1]), R3_EXACT]:
+            closed = explicit_homoclinic(R)
+            digest.update(f"{closed.corrected.hex()} {closed.printed.hex()}\n".encode())
+        assert digest.hexdigest() == EXPLICIT_HOMOCLINIC_SHA256
+
+    def test_builds_no_model(self, worked, monkeypatch):
+        same = HydroModel(0, F(1, 2), 1, 1, 1)
+        other = HydroModel(nu=F(1), beta=F(1), sigma=F(1), D=F(2), R1=F(1))
+        built = []
+        new = HydroModel.__new__
+        monkeypatch.setattr(HydroModel, "__new__", lambda cls, *args, **kwargs:
+                            built.append(cls) or new(cls, *args, **kwargs))
+        for model in (None, worked, same):
+            explicit_homoclinic(1.5, model)
+        with pytest.raises(OutOfDomain, match="specific to the worked instance"):
+            explicit_homoclinic(0.5, model=other)  # the model is checked before R
+        assert built == []
+        reference_instance()  # the count sees a model that is built
+        assert built == [HydroModel]
 
 
 def _sampled_psi_positive(k) -> bool:

@@ -89,6 +89,14 @@ class TestParseModel:
         with pytest.raises(DomainError):
             HyperbolicPDE(**dict(zip(HyperbolicPDE._fields, args)))
 
+    def test_replace_validates_and_hashes_as_the_constructor(self):
+        pde = HyperbolicPDE(1, 0, 1, 1, {})
+        assert hash(pde._replace(tau=2)) == hash(HyperbolicPDE(2, 0, 1, 1, {}))
+        assert pde._replace(reaction={1: 3}).reaction == {F(1): F(3)}
+        for change in ({"tau": -1}, {"tau": 0, "B": 0, "kappa": 0}, {"reaction": {F(5, 2): 1}}):
+            with pytest.raises(DomainError):
+                pde._replace(**change)
+
 
 class TestQuarticReduction:
     def test_reference_coefficients(self):

@@ -1380,6 +1380,18 @@ def test_ansatz_refused_by_position_or_keyword(args, error):
         ExpAnsatz(**dict(zip(ExpAnsatz._fields, args)))
 
 
+def test_replace_validates_as_the_constructor():
+    with pytest.raises(DomainError):
+        _PAIR._replace(power=3)
+    with pytest.raises(EmptyAnsatz):
+        _PAIR._replace(b=(0, F(0)))
+    sol = ClosedFormSolution((3, 1), (-1, 1), alpha=1.0, velocity=1.0)
+    for change in ({"den": (0, 0)}, {"num": (1.5, 1)}):
+        with pytest.raises(ValueError, match="closed-form solution"):
+            sol._replace(**change)
+    assert sol._replace(num=(6, 2), den=(-2, 2)) == sol  # normalised again
+
+
 def test_reduce_memo_keys_on_equal_records(monkeypatch):
     # an equal PDE and ansatz find the terms another copy made; a catalog
     # family's trials make them once for each distinct ansatz
@@ -1405,7 +1417,7 @@ def test_reduce_memo_keys_on_equal_records(monkeypatch):
 
 
 def test_each_built_solution_is_reduced_once(monkeypatch):
-    # the builder only clears denominators; ClosedFormSolution reduces the pair
+    # the builder reduces the pair and builds the record on it without reducing again
     counts = {"reduced": 0, "built": 0}
 
     def counted(key, fn):
